@@ -24,6 +24,7 @@ from . import __version__, io
 from .dynamics import fixture_names, load_fixture, simulate, spectral_radius, verify_fixture_files
 from .embedding import (
     TimeSeries,
+    _get_channel,
     autocorrelation_delay,
     average_mutual_information,
     delay_embed,
@@ -78,32 +79,41 @@ def _ensure_out_dir(path):
 
 
 def _choose_embedding(series, channel, tau, m, max_lag, m_max):
-    """Resolve delay and dimension, scanning only for what is unset (0)."""
+    """Resolve delay and dimension, scanning only for what is unset (0); the
+    scan of a pinned value comes back as None."""
+    _get_channel(series, channel)  # a constant channel fails here even with no scan to run
     notes = []
     max_lag = max_lag if max_lag > 0 else None
-    acf = autocorrelation_delay(series, channel=channel, max_lag=max_lag)
-    ami = average_mutual_information(series, channel=channel, max_lag=max_lag)
+    ami = fnn = None
     if tau <= 0:
+        ami = average_mutual_information(series, channel=channel, max_lag=max_lag)
         tau = ami.lag
         notes.append(f"tau={tau} from first mutual-information minimum")
         notes.extend(ami.warnings)
     else:
         notes.append(f"tau={tau} pinned by flag")
-    fnn = false_nearest_neighbors(series, channel=channel, tau=tau, m_max=m_max)
     if m <= 0:
+        fnn = false_nearest_neighbors(series, channel=channel, tau=tau, m_max=m_max)
         m = fnn.m
         notes.append(f"m={m} from false-nearest-neighbor threshold {fnn.threshold}")
         notes.extend(fnn.warnings)
     else:
         notes.append(f"m={m} pinned by flag")
-    return tau, m, acf, ami, fnn, notes
+    return tau, m, ami, fnn, notes
 
 
 def cmd_embed(args):
     series = io.read_series(args.input, dt=args.dt)
-    tau, m, acf, ami, fnn, notes = _choose_embedding(
+    tau, m, ami, fnn, notes = _choose_embedding(
         series, args.channel, args.tau, args.m, args.max_lag, args.m_max
     )
+    # the diagnostics tables hold every scan, pinned values included
+    max_lag = args.max_lag if args.max_lag > 0 else None
+    acf = autocorrelation_delay(series, channel=args.channel, max_lag=max_lag)
+    if ami is None:
+        ami = average_mutual_information(series, channel=args.channel, max_lag=max_lag)
+    if fnn is None:
+        fnn = false_nearest_neighbors(series, channel=args.channel, tau=tau, m_max=args.m_max)
     embedding = delay_embed(series, channel=args.channel, tau=tau, m=m)
     out = _ensure_out_dir(args.out_dir)
     io.write_embedding(os.path.join(out, "embedding.json"), embedding)
@@ -279,7 +289,7 @@ def cmd_pipeline(args):
     t0 = time.perf_counter()
     series = io.read_series(config["input.path"], dt=config["input.dt"])
     channel = config["input.channel"]
-    tau, m, acf, ami, fnn, notes = _choose_embedding(
+    tau, m, _, _, notes = _choose_embedding(
         series,
         channel,
         config["embedding.tau"],

@@ -8,7 +8,7 @@ state vectors
 following the usual delay-coordinate construction.  This module provides the
 two standard delay estimators (autocorrelation decay and average mutual
 information), the false nearest neighbour test for the embedding dimension,
-and the embedding itself.
+and the embedding itself.  FNN finds neighbours with :mod:`chaosid.neighbors`.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientData, LagOutOfRange, NotFoundError, ZeroVariance
+from .neighbors import nearest
 
 
 @dataclass(frozen=True)
@@ -252,24 +253,6 @@ def average_mutual_information(series, channel=0, max_lag=None, bins=None):
     )
 
 
-def _nearest_neighbors(points, chunk=256):
-    """Index of the nearest neighbour of every row, self excluded."""
-    n = points.shape[0]
-    sq = np.einsum("ij,ij->i", points, points)
-    nn = np.empty(n, dtype=np.intp)
-    nn_d2 = np.empty(n)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        block = points[start:stop]
-        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * block @ points.T
-        np.maximum(d2, 0.0, out=d2)
-        rows = np.arange(start, stop)
-        d2[rows - start, rows] = np.inf
-        nn[start:stop] = np.argmin(d2, axis=1)
-        nn_d2[start:stop] = d2[rows - start, nn[start:stop]]
-    return nn, np.sqrt(nn_d2)
-
-
 def false_nearest_neighbors(
     series,
     channel=0,
@@ -323,7 +306,7 @@ def false_nearest_neighbors(
             keep = np.linspace(0, rows - 1, max_points).astype(np.intp)
             pts = pts[keep]
             added = added[keep]
-        nn, dist = _nearest_neighbors(pts)
+        nn, dist = nearest(pts, 0)
         gap = np.abs(added - added[nn])
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(dist > 0.0, gap / dist, np.where(gap > 0.0, np.inf, 0.0))

@@ -202,8 +202,16 @@ def refine_basis(embedding, basis, dt=None, grid=None, ridge_lambda=0.0):
         dt = embedding.dt
     if grid is None:
         grid = ParameterGrid()
+    candidates = _candidate_bases(basis, grid, embedding.n_states, dt)
+    best = _best_fit(embedding, candidates, dt, ridge_lambda)
+    return best[0], best[-1]
+
+
+def _best_fit(embedding, candidates, dt, ridge_lambda):
+    """Fit every candidate basis; return (basis, A, B, Z, X_next, report) of
+    the smallest one-step residual, the earliest on ties."""
     best = None
-    for candidate in _candidate_bases(basis, grid, embedding.n_states, dt):
+    for candidate in candidates:
         Z, X_next = build_regression(embedding, candidate, dt)
         try:
             A, B, cond = solve_least_squares(Z, X_next, ridge_lambda)
@@ -212,17 +220,17 @@ def refine_basis(embedding, basis, dt=None, grid=None, ridge_lambda=0.0):
         resid = X_next - Z @ np.hstack([A, B]).T
         total = float(np.sqrt(np.mean(resid**2)))
         if best is None or total < best[0]:
-            best = (total, candidate, A, B, cond, resid)
+            best = (total, candidate, A, B, cond, Z, X_next, resid)
     if best is None:
         raise RankDeficient("every candidate basis left the regression rank deficient")
-    total, candidate, A, B, cond, resid = best
+    _, candidate, A, B, cond, Z, X_next, resid = best
     report = FitReport(
         residual_rms=np.sqrt(np.mean(resid**2, axis=0)),
         condition_estimate=cond,
         ridge_lambda=ridge_lambda,
         basis_description=candidate.describe(),
     )
-    return candidate, report
+    return candidate, A, B, Z, X_next, report
 
 
 @dataclass
@@ -272,27 +280,19 @@ def fit_model(embedding, outputs, report, options=None):
         warnings.extend(seed.warnings)
     else:
         basis = report.recommended_basis
-    ridge = options.ridge_lambda
+    candidates = [basis]
     if options.refine:
-        try:
-            basis, fit = refine_basis(embedding, basis, dt, options.grid, ridge)
-        except RankDeficient:
-            ridge = _auto_ridge(embedding, basis, dt)
-            warnings.append(
-                f"regression rank deficient; retried with ridge_lambda={ridge:.3e}"
-            )
-            basis, fit = refine_basis(embedding, basis, dt, options.grid, ridge)
-    else:
-        try:
-            fit = _plain_fit(embedding, basis, dt, ridge)
-        except RankDeficient:
-            ridge = _auto_ridge(embedding, basis, dt)
-            warnings.append(
-                f"regression rank deficient; retried with ridge_lambda={ridge:.3e}"
-            )
-            fit = _plain_fit(embedding, basis, dt, ridge)
-    Z, X_next = build_regression(embedding, basis, dt)
-    A, B, cond = solve_least_squares(Z, X_next, ridge)
+        candidates = list(_candidate_bases(basis, options.grid, embedding.n_states, dt))
+    ridge = options.ridge_lambda
+    try:
+        basis, A, B, Z, X_next, fit = _best_fit(embedding, candidates, dt, ridge)
+    except RankDeficient:
+        Z, _ = build_regression(embedding, basis, dt)
+        ridge = AUTO_RIDGE_FACTOR * np.linalg.norm(Z, 2) ** 2
+        warnings.append(
+            f"regression rank deficient; retried with ridge_lambda={ridge:.3e}"
+        )
+        basis, A, B, Z, X_next, fit = _best_fit(embedding, candidates, dt, ridge)
     try:
         C = fit_output_map(embedding, outputs)
     except RankDeficient:
@@ -314,24 +314,6 @@ def fit_model(embedding, outputs, report, options=None):
     fit.warnings = warnings + fit.warnings
     _measure_errors(model, embedding, outputs, Z, X_next, A, B, fit, options)
     return model, fit
-
-
-def _plain_fit(embedding, basis, dt, ridge_lambda):
-    Z, X_next = build_regression(embedding, basis, dt)
-    A, B, cond = solve_least_squares(Z, X_next, ridge_lambda)
-    resid = X_next - Z @ np.hstack([A, B]).T
-    return FitReport(
-        residual_rms=np.sqrt(np.mean(resid**2, axis=0)),
-        condition_estimate=cond,
-        ridge_lambda=ridge_lambda,
-        basis_description=basis.describe(),
-    )
-
-
-def _auto_ridge(embedding, basis, dt):
-    Z, _ = build_regression(embedding, basis, dt)
-    smax = np.linalg.norm(Z, 2)
-    return AUTO_RIDGE_FACTOR * smax**2
 
 
 def _measure_errors(model, embedding, outputs, Z, X_next, A, B, fit, options):

@@ -5,7 +5,8 @@ The correlation dimension follows the Grassberger-Procaccia construction:
 count pairs closer than r over log-spaced radii, then read the dimension off
 the slope of log C(r) against log r inside an automatically selected scaling
 region.  The Lyapunov estimate follows Rosenstein's method: track the mean
-log divergence of nearest neighbour pairs and fit the initial slope.
+log divergence of nearest neighbour pairs and fit the initial slope.  Both
+search neighbours with :mod:`chaosid.neighbors`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 
 from .embedding import DelayEmbedding, TimeSeries, average_mutual_information, delay_embed
 from .errors import ChannelMismatch, InsufficientData, NoScalingRegion
+from .neighbors import nearest, pair_distance_counts
 
 
 def _points_of(data):
@@ -25,34 +27,6 @@ def _points_of(data):
     if points.ndim == 1:
         points = points.reshape(-1, 1)
     return points
-
-
-def _pair_distance_counts(points, edges, theiler_window, chunk=512):
-    """Histogram of pairwise distances against ``edges``, Theiler excluded.
-
-    Returns (counts per bin, total number of admissible pairs).  Only pairs
-    (i, j) with j - i > theiler_window are counted, each once.
-    """
-    n = points.shape[0]
-    sq = np.einsum("ij,ij->i", points, points)
-    counts = np.zeros(edges.size - 1, dtype=np.int64)
-    total = 0
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        block = points[start:stop]
-        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * block @ points.T
-        np.maximum(d2, 0.0, out=d2)
-        rows = []
-        for i in range(start, stop):
-            j0 = i + theiler_window + 1
-            if j0 < n:
-                rows.append(d2[i - start, j0:])
-        if not rows:
-            continue
-        d = np.sqrt(np.concatenate(rows))
-        total += d.size
-        counts += np.histogram(d, bins=edges)[0]
-    return counts, total
 
 
 @dataclass
@@ -116,7 +90,7 @@ def correlation_dimension(data, r_count=32, theiler_window=0, max_points=8000):
     radii = np.geomspace(r_min, r_max, r_count)
     # a catch-all first bin keeps pairs closer than r_min inside C(r)
     edges = np.concatenate([[0.0], radii])
-    counts, total = _pair_distance_counts(points, edges, theiler_window)
+    counts, total = pair_distance_counts(points, edges, theiler_window)
     if total == 0:
         raise InsufficientData("Theiler window excluded every pair")
     cumulative = np.cumsum(counts)
@@ -262,29 +236,9 @@ def largest_lyapunov(
         raise InsufficientData(
             f"only {usable} states usable with max_steps={max_steps}"
         )
-    pts = states[:usable]
-    sq = np.einsum("ij,ij->i", pts, pts)
-    neighbor = np.empty(usable, dtype=np.intp)
-    neighbor_d2 = np.empty(usable)
-    chunk = 512
-    for start in range(0, usable, chunk):
-        stop = min(start + chunk, usable)
-        block = pts[start:stop]
-        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * block @ pts.T
-        np.maximum(d2, 0.0, out=d2)
-        for i in range(start, stop):
-            lo = max(0, i - separation)
-            hi = min(usable, i + separation + 1)
-            d2[i - start, lo:hi] = np.inf
-        neighbor[start:stop] = np.argmin(d2, axis=1)
-        neighbor_d2[start:stop] = d2[
-            np.arange(stop - start), neighbor[start:stop]
-        ]
-
-    idx = np.arange(usable)
-    pair_ok = np.isfinite(neighbor_d2) & (neighbor_d2 > 0.0)
-    i_idx = idx[pair_ok]
-    j_idx = neighbor[pair_ok]
+    neighbor, dist = nearest(states[:usable], separation)
+    i_idx = np.flatnonzero(np.isfinite(dist) & (dist > 0.0))
+    j_idx = neighbor[i_idx]
     if i_idx.size < 1:
         raise InsufficientData("no separated neighbour pairs with nonzero distance")
 

@@ -270,6 +270,21 @@ def test_fit_model_polynomial_fallback_recovers_linear_part():
     assert model.embedding_tau == emb.tau
 
 
+def test_fit_model_solves_the_winning_regression_once(monkeypatch):
+    from chaosid import identify
+
+    calls = []
+    solve = identify.solve_least_squares
+    monkeypatch.setattr(
+        identify, "solve_least_squares", lambda *args: calls.append(1) or solve(*args)
+    )
+    basis = ci.ForcingBasis((ci.Polynomial(0),))
+    states = _iterate([[0.9, 0.05], [-0.1, 0.8]], [[0.3], [0.1]], basis, [1.0, 0.0], 60)
+    report = ci.classify_symmetry([], threshold=1.0)
+    ci.fit_model(_embedding(states), ci.TimeSeries(states[:, 0], dt=1.0), report)
+    assert len(calls) == 1  # one candidate basis, one solve
+
+
 def test_fit_model_seeds_frequency_from_rotation_report():
     # planted rotation transforms carry the angle that seeds the sinusoid
     A_true = np.array([[0.6, 0.2], [-0.2, 0.9]])

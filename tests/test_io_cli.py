@@ -483,6 +483,33 @@ def test_cli_pipeline_end_to_end_and_deterministic(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_pipeline_skips_scans_for_pinned_values(tmp_path, monkeypatch, capsys):
+    from chaosid import cli
+
+    def unused(*args, **kwargs):
+        raise AssertionError("scan ran although its result is not used")
+
+    for name in ("autocorrelation_delay", "average_mutual_information", "false_nearest_neighbors"):
+        monkeypatch.setattr(cli, name, unused)
+    cfg = _pipeline_config(tmp_path, "pinned")
+    cfg.write_text(cfg.read_text() + "embedding.tau = 12\nembedding.m = 2\nvalidate.enabled = false\n")
+    assert main(["pipeline", str(cfg)]) == 0
+    report = io.load_json(tmp_path / "pinned" / "report.json")
+    assert (report["embedding"]["tau"], report["embedding"]["m"]) == (12, 2)
+    capsys.readouterr()
+
+
+def test_cli_pipeline_pinned_constant_channel_fails_up_front(tmp_path, capsys):
+    csv = tmp_path / "flat.csv"
+    io.write_series(csv, ci.TimeSeries(np.ones((300, 1)), dt=1.0, labels=("y",)))
+    cfg = tmp_path / "flat.cfg"
+    out = tmp_path / "flat"
+    cfg.write_text(f"input.path = {csv}\nembedding.tau = 5\nembedding.m = 2\noutput.dir = {out}\n")
+    assert main(["pipeline", str(cfg)]) == 3
+    assert "constant" in capsys.readouterr().err
+    assert not (out / "model.json").exists()
+
+
 def test_cli_pipeline_requires_input_path(tmp_path, capsys):
     cfg = tmp_path / "empty.cfg"
     cfg.write_text("run.seed = 1\n")
