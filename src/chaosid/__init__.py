@@ -28,6 +28,7 @@ from .errors import (
     DegenerateSegment,
     InputError,
     InsufficientData,
+    InvalidValue,
     LagOutOfRange,
     LengthMismatch,
     NonFiniteState,
@@ -88,7 +89,6 @@ from .dynamics import (
     verify_fixture_files,
 )
 from .validate import (
-    ChaosMetrics,
     ComparisonReport,
     CorrelationDimension,
     LyapunovEstimate,

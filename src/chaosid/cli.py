@@ -25,12 +25,13 @@ from .dynamics import fixture_names, load_fixture, simulate, spectral_radius, ve
 from .embedding import (
     TimeSeries,
     _get_channel,
+    _resolve_max_lag,
     autocorrelation_delay,
     average_mutual_information,
     delay_embed,
     false_nearest_neighbors,
 )
-from .errors import ChaosidError, ConfigError, InputError
+from .errors import ChaosidError, ConfigError, InputError, InvalidValue
 from .identify import FitOptions, fit_model
 from .symmetry import GaConfig, attractor_diameter, classify_symmetry, extract_segments, ga_search
 from .validate import compare, correlation_dimension, dominant_period, largest_lyapunov
@@ -81,9 +82,12 @@ def _ensure_out_dir(path):
 def _choose_embedding(series, channel, tau, m, max_lag, m_max):
     """Resolve delay and dimension, scanning only for what is unset (0); the
     scan of a pinned value comes back as None."""
-    _get_channel(series, channel)  # a constant channel fails here even with no scan to run
+    # a constant channel and out-of-range limits fail here even with no scan to run
+    n = _get_channel(series, channel).size
+    max_lag = _resolve_max_lag(max_lag if max_lag > 0 else None, n)
+    if m_max < 1:
+        raise InvalidValue(f"m_max must be >= 1, got {m_max}")
     notes = []
-    max_lag = max_lag if max_lag > 0 else None
     ami = fnn = None
     if tau <= 0:
         ami = average_mutual_information(series, channel=channel, max_lag=max_lag)

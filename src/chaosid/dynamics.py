@@ -17,7 +17,7 @@ from importlib import resources
 import numpy as np
 
 from .embedding import TimeSeries
-from .errors import NonFiniteState, NotFoundError
+from .errors import InvalidValue, NonFiniteState, NotFoundError
 from .model import Exponential, ForcingBasis, Polynomial, Product, Sinusoid, StateSpaceModel
 
 
@@ -68,13 +68,13 @@ def rk4_integrate(system, x0, dt, steps, transient_skip=0):
     """
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (system.dimension,):
-        raise ValueError(f"x0 has shape {x.shape}, expected ({system.dimension},)")
+        raise InvalidValue(f"x0 has shape {x.shape}, expected ({system.dimension},)")
     if steps < 2:
-        raise ValueError(f"steps must be >= 2 to form a series, got {steps}")
+        raise InvalidValue(f"steps must be >= 2 to form a series, got {steps}")
     if transient_skip < 0:
-        raise ValueError(f"transient_skip must be >= 0, got {transient_skip}")
+        raise InvalidValue(f"transient_skip must be >= 0, got {transient_skip}")
     if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+        raise InvalidValue(f"dt must be positive, got {dt}")
     total = transient_skip + steps
     out = np.empty((steps, system.dimension))
     rhs = system.rhs
@@ -117,14 +117,14 @@ def simulate(model, x0=None, steps=1000):
         if iteration overflows; the failing step index is reported.
     """
     if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+        raise InvalidValue(f"steps must be >= 1, got {steps}")
     n = model.n
     if x0 is None:
         x = np.zeros(n)
     else:
         x = np.asarray(x0, dtype=float).copy()
         if x.shape != (n,):
-            raise ValueError(f"x0 has shape {x.shape}, expected ({n},)")
+            raise InvalidValue(f"x0 has shape {x.shape}, expected ({n},)")
     states = np.empty((steps, n))
     states[0] = x
     if steps > 1:
@@ -145,7 +145,7 @@ def spectral_radius(A):
     """Largest eigenvalue magnitude of a square matrix."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if A.shape[0] != A.shape[1]:
-        raise ValueError(f"matrix must be square, got {A.shape}")
+        raise InvalidValue(f"matrix must be square, got {A.shape}")
     return float(np.max(np.abs(np.linalg.eigvals(A))))
 
 
@@ -180,7 +180,7 @@ def _read_matrix(name):
         rows.append([float(tok) for tok in line.split()])
     width = {len(r) for r in rows}
     if len(width) != 1:
-        raise ValueError(f"ragged matrix in {name}: row widths {sorted(width)}")
+        raise InvalidValue(f"ragged matrix in {name}: row widths {sorted(width)}")
     return np.array(rows, dtype=float)
 
 

@@ -17,7 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientData, LagOutOfRange, NotFoundError, ZeroVariance
+from .errors import (
+    InsufficientData,
+    InvalidValue,
+    LagOutOfRange,
+    NotFoundError,
+    ZeroVariance,
+)
 from .neighbors import nearest
 
 
@@ -44,20 +50,20 @@ class TimeSeries:
         if values.ndim == 1:
             values = values.reshape(-1, 1)
         if values.ndim != 2:
-            raise ValueError(f"values must be 1-D or 2-D, got shape {values.shape}")
+            raise InvalidValue(f"values must be 1-D or 2-D, got shape {values.shape}")
         if values.shape[0] < 2:
             raise InsufficientData(f"need at least 2 samples, got {values.shape[0]}")
         if not np.all(np.isfinite(values)):
-            raise ValueError("values contain NaN or infinity")
+            raise InvalidValue("values contain NaN or infinity")
         if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+            raise InvalidValue(f"dt must be positive, got {self.dt}")
         labels = self.labels
         if labels is None:
             labels = tuple(f"ch{i}" for i in range(values.shape[1]))
         else:
             labels = tuple(labels)
             if len(labels) != values.shape[1]:
-                raise ValueError(
+                raise InvalidValue(
                     f"{len(labels)} labels for {values.shape[1]} channels"
                 )
         object.__setattr__(self, "values", values)
@@ -92,13 +98,13 @@ class DelayEmbedding:
     def __post_init__(self):
         states = np.asarray(self.states, dtype=float)
         if states.ndim != 2:
-            raise ValueError(f"states must be 2-D, got shape {states.shape}")
+            raise InvalidValue(f"states must be 2-D, got shape {states.shape}")
         if self.tau < 1:
-            raise ValueError(f"tau must be >= 1, got {self.tau}")
+            raise InvalidValue(f"tau must be >= 1, got {self.tau}")
         if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
+            raise InvalidValue(f"m must be >= 1, got {self.m}")
         if states.shape[1] != self.m:
-            raise ValueError(f"states have {states.shape[1]} columns, expected m={self.m}")
+            raise InvalidValue(f"states have {states.shape[1]} columns, expected m={self.m}")
         object.__setattr__(self, "states", states)
 
     @property
@@ -147,6 +153,15 @@ def _get_channel(series, channel):
     return s
 
 
+def _resolve_max_lag(max_lag, n):
+    """The largest lag a scan of a length-``n`` series examines."""
+    if max_lag is None:
+        max_lag = max(1, n // 4)
+    if max_lag < 1 or max_lag >= n:
+        raise LagOutOfRange(f"max_lag={max_lag} outside [1, {n - 1}] for length {n}")
+    return max_lag
+
+
 def autocorrelation_delay(series, channel=0, max_lag=None):
     """Pick the smallest lag where the autocorrelation drops below 1/e.
 
@@ -167,10 +182,7 @@ def autocorrelation_delay(series, channel=0, max_lag=None):
     """
     s = _get_channel(series, channel)
     n = s.size
-    if max_lag is None:
-        max_lag = max(1, n // 4)
-    if max_lag < 1 or max_lag >= n:
-        raise LagOutOfRange(f"max_lag={max_lag} outside [1, {n - 1}] for length {n}")
+    max_lag = _resolve_max_lag(max_lag, n)
     centered = s - s.mean()
     denom = float(np.dot(centered, centered))
     acf = np.empty(max_lag + 1)
@@ -217,14 +229,11 @@ def average_mutual_information(series, channel=0, max_lag=None, bins=None):
     """
     s = _get_channel(series, channel)
     n = s.size
-    if max_lag is None:
-        max_lag = max(1, n // 4)
-    if max_lag < 1 or max_lag >= n:
-        raise LagOutOfRange(f"max_lag={max_lag} outside [1, {n - 1}] for length {n}")
+    max_lag = _resolve_max_lag(max_lag, n)
     if bins is None:
         bins = int(min(64, np.ceil(np.sqrt(n))))
     if bins < 2:
-        raise ValueError(f"bins must be >= 2, got {bins}")
+        raise InvalidValue(f"bins must be >= 2, got {bins}")
     lo = float(np.min(s))
     hi = float(np.max(s))
     lags = np.arange(max_lag + 1)
@@ -287,9 +296,9 @@ def false_nearest_neighbors(
     s = _get_channel(series, channel)
     n = s.size
     if tau < 1:
-        raise ValueError(f"tau must be >= 1, got {tau}")
+        raise InvalidValue(f"tau must be >= 1, got {tau}")
     if m_max < 1:
-        raise ValueError(f"m_max must be >= 1, got {m_max}")
+        raise InvalidValue(f"m_max must be >= 1, got {m_max}")
     sigma = float(np.std(s))
     dims = np.arange(1, m_max + 1)
     fractions = np.empty(m_max)
@@ -345,9 +354,9 @@ def delay_embed(series, channel=0, tau=1, m=2):
     s = series.channel(channel)
     n = s.size
     if tau < 1:
-        raise ValueError(f"tau must be >= 1, got {tau}")
+        raise InvalidValue(f"tau must be >= 1, got {tau}")
     if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+        raise InvalidValue(f"m must be >= 1, got {m}")
     rows = n - (m - 1) * tau
     if rows < 1:
         raise InsufficientData(

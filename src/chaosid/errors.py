@@ -27,6 +27,13 @@ class NotFoundError(InputError):
     """A referenced file, fixture, or channel does not exist."""
 
 
+class InvalidValue(InputError, ValueError):
+    """An argument or data value is outside its documented range.
+
+    It is also a :class:`ValueError`, so callers that catch that still work.
+    """
+
+
 class DataError(ChaosidError):
     """Input data violates a documented precondition."""
 

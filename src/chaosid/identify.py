@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dynamics, symmetry
-from .errors import InsufficientData, NonFiniteState, RankDeficient
+from .errors import InsufficientData, InvalidValue, NonFiniteState, RankDeficient
 from .model import Exponential, FitReport, ForcingBasis, Sinusoid, StateSpaceModel
 
 #: Singular value ratio below which the regressor counts as rank deficient.
@@ -72,7 +72,7 @@ def solve_least_squares(Z, X_next, ridge_lambda=0.0):
     Z = np.asarray(Z, dtype=float)
     X_next = np.asarray(X_next, dtype=float)
     if Z.shape[0] != X_next.shape[0]:
-        raise ValueError(
+        raise InvalidValue(
             f"Z has {Z.shape[0]} rows but targets have {X_next.shape[0]}"
         )
     m = X_next.shape[1]
@@ -88,7 +88,7 @@ def _svd_solve(Z, Y, ridge_lambda):
         raise RankDeficient("regressor matrix is zero")
     cond = float(smax / s[-1]) if s[-1] > 0.0 else float("inf")
     if ridge_lambda < 0.0:
-        raise ValueError(f"ridge_lambda must be >= 0, got {ridge_lambda}")
+        raise InvalidValue(f"ridge_lambda must be >= 0, got {ridge_lambda}")
     if ridge_lambda == 0.0:
         if s[-1] / smax < RANK_TOLERANCE:
             raise RankDeficient(

@@ -9,8 +9,9 @@ endings, lines starting with '#' ignored, optional single header row detected
 by being non-numeric.
 
 JSON artifacts are written through :func:`canonical_json`, which sorts object
-keys and renders floats with 17 significant digits so that a rewrite of the
-same data is byte-identical and doubles survive a round trip exactly.
+keys, indents by one space and renders floats in Python's shortest round-trip
+repr, so that a rewrite of the same data is byte-identical and doubles
+survive a round trip exactly.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import os
 import numpy as np
 
 from .embedding import DelayEmbedding, TimeSeries
-from .errors import ConfigError, InputError, NotFoundError
+from .errors import ConfigError, InputError, InvalidValue, NotFoundError
 from .model import (
     Exponential,
     FitReport,
@@ -40,50 +41,27 @@ COMPARISON_SCHEMA = "comparison/1"
 REPORT_SCHEMA = "run-report/1"
 
 
-def _format_float(x):
-    if np.isnan(x):
-        return "NaN"
-    if np.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(float(x), ".17g")
+def _builtin(value):
+    """``json.dumps`` hook: the numpy values json cannot encode, as builtins."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    raise TypeError(f"cannot serialize {type(value).__name__} to JSON")
 
 
-def canonical_json(value, indent=0):
+def canonical_json(value):
     """Render ``value`` as deterministic JSON text.
 
-    Keys are sorted, floats carry 17 significant digits, and non-finite
-    numbers use the Infinity/NaN literals that :func:`json.loads` accepts.
+    Keys are sorted, the indent is one space, floats use Python's shortest
+    round-trip repr, and non-finite numbers use the Infinity/NaN literals
+    that :func:`json.loads` accepts.
     """
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        parts = []
-        for key in sorted(value):
-            rendered = canonical_json(value[key], indent + 1)
-            parts.append(f"{inner}{json.dumps(str(key))}: {rendered}")
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if len(value) == 0:
-            return "[]"
-        parts = [canonical_json(v, indent + 1) for v in value]
-        if all(isinstance(v, (bool, int, float, np.integer, np.floating)) for v in value):
-            return "[" + ", ".join(parts) + "]"
-        return "[\n" + ",\n".join(inner + p for p in parts) + "\n" + pad + "]"
-    if isinstance(value, np.ndarray):
-        return canonical_json(value.tolist(), indent)
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _format_float(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if value is None:
-        return "null"
-    raise TypeError(f"cannot serialize {type(value).__name__} to JSON")
+    return json.dumps(value, sort_keys=True, indent=1, default=_builtin)
 
 
 def write_json(path, value):
@@ -340,7 +318,7 @@ def transform_to_dict(t):
         "rotation": t.rotation,
         "scale": t.scale,
         "translation": t.translation,
-        "affine": t.affine if t.affine is not None else None,
+        "affine": t.affine,
     }
 
 
@@ -476,7 +454,7 @@ def _coerce(key, text, default, path, lineno):
                 return True
             if lowered in ("false", "0"):
                 return False
-            raise ValueError(text)
+            raise InvalidValue(text)
         if kind is int:
             return int(text)
         if kind is float:

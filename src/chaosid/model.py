@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OverflowUnsafe
+from .errors import InvalidValue, OverflowUnsafe
 
 # exp() overflows double precision just above this argument
 _EXP_ARG_LIMIT = 700.0
@@ -194,17 +194,17 @@ class StateSpaceModel:
         object.__setattr__(self, "C", C)
         n = A.shape[0]
         if A.shape != (n, n):
-            raise ValueError(f"A must be square, got {A.shape}")
+            raise InvalidValue(f"A must be square, got {A.shape}")
         if B.shape[0] != n:
-            raise ValueError(f"B has {B.shape[0]} rows, expected {n}")
+            raise InvalidValue(f"B has {B.shape[0]} rows, expected {n}")
         if B.shape[1] != self.basis.size:
-            raise ValueError(
+            raise InvalidValue(
                 f"B has {B.shape[1]} columns but the basis has {self.basis.size} terms"
             )
         if C.shape[1] != n:
-            raise ValueError(f"C has {C.shape[1]} columns, expected {n}")
+            raise InvalidValue(f"C has {C.shape[1]} columns, expected {n}")
         if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+            raise InvalidValue(f"dt must be positive, got {self.dt}")
 
     @property
     def n(self):

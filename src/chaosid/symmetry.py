@@ -13,6 +13,7 @@ exponentials, and everything else falls back to a low order polynomial.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass, field
 
@@ -21,6 +22,7 @@ import numpy as np
 from .errors import (
     DegenerateSegment,
     InsufficientData,
+    InvalidValue,
     LengthMismatch,
     WindowTooSmall,
 )
@@ -48,7 +50,7 @@ class Segment:
     def __post_init__(self):
         points = np.asarray(self.points, dtype=float)
         if points.ndim != 2:
-            raise ValueError(f"segment points must be 2-D, got shape {points.shape}")
+            raise InvalidValue(f"segment points must be 2-D, got shape {points.shape}")
         object.__setattr__(self, "points", points)
 
     @property
@@ -211,7 +213,7 @@ def fit_transform(source, target, transform_class):
             residual=_residual(p @ linear.T + translation, q),
         )
 
-    raise ValueError(f"unknown transform class {transform_class!r}")
+    raise InvalidValue(f"unknown transform class {transform_class!r}")
 
 
 def extract_segments(embedding, window, stride):
@@ -228,7 +230,7 @@ def extract_segments(embedding, window, stride):
         when fewer than two full segments fit.
     """
     if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
+        raise InvalidValue(f"stride must be >= 1, got {stride}")
     if window < embedding.m + 1:
         raise WindowTooSmall(
             f"window={window} shorter than m+1={embedding.m + 1}"
@@ -261,15 +263,15 @@ class GaConfig:
 
     def __post_init__(self):
         if self.population < 2:
-            raise ValueError(f"population must be >= 2, got {self.population}")
+            raise InvalidValue(f"population must be >= 2, got {self.population}")
         if self.generations < 1:
-            raise ValueError(f"generations must be >= 1, got {self.generations}")
+            raise InvalidValue(f"generations must be >= 1, got {self.generations}")
         for name in ("mutation_rate", "crossover_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {rate}")
+                raise InvalidValue(f"{name} must be in [0, 1], got {rate}")
         if not self.residual_threshold > 0.0:
-            raise ValueError(
+            raise InvalidValue(
                 f"residual_threshold must be positive, got {self.residual_threshold}"
             )
 
@@ -362,16 +364,7 @@ def ga_search(segments, config=None):
         except DegenerateSegment:
             cache[genome] = -np.inf
             return -np.inf
-        transform = SymmetryTransform(
-            transform_class=transform.transform_class,
-            rotation=transform.rotation,
-            scale=transform.scale,
-            translation=transform.translation,
-            affine=transform.affine,
-            residual=transform.residual,
-            source_segment=src,
-            target_segment=tgt,
-        )
+        transform = dataclasses.replace(transform, source_segment=src, target_segment=tgt)
         hall[genome] = transform
         cache[genome] = -transform.residual
         return cache[genome]
@@ -550,11 +543,11 @@ def seed_basis_parameters(report, transforms, dt, window):
     the polynomial basis with a warning.
     """
     if report.dominant_class is None:
-        raise ValueError("report has no dominant class to seed from")
+        raise InvalidValue("report has no dominant class to seed from")
     if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+        raise InvalidValue(f"dt must be positive, got {dt}")
     if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+        raise InvalidValue(f"window must be >= 1, got {window}")
     span = window * dt
 
     if report.dominant_class is TransformClass.ROTATION:

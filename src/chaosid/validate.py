@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embedding import DelayEmbedding, TimeSeries, average_mutual_information, delay_embed
-from .errors import ChannelMismatch, InsufficientData, NoScalingRegion
+from .errors import ChannelMismatch, InsufficientData, InvalidValue, NoScalingRegion
 from .neighbors import nearest, pair_distance_counts
 
 
@@ -73,7 +73,7 @@ def correlation_dimension(data, r_count=32, theiler_window=0, max_points=8000):
     if n < 10:
         raise InsufficientData(f"correlation dimension needs >= 10 points, got {n}")
     if r_count < 8:
-        raise ValueError(f"r_count must be >= 8, got {r_count}")
+        raise InvalidValue(f"r_count must be >= 8, got {r_count}")
     if max_points is not None and n > max_points:
         keep = np.linspace(0, n - 1, max_points).astype(np.intp)
         points = points[keep]
@@ -257,7 +257,7 @@ def largest_lyapunov(
     lo = max(0, int(lo))
     hi = min(max_steps, int(hi))
     if hi - lo < 2:
-        raise ValueError(f"fit_range {fit_range} spans fewer than 2 steps")
+        raise InvalidValue(f"fit_range {fit_range} spans fewer than 2 steps")
     steps = np.arange(lo, hi)
     slope = np.polyfit(steps, curve[lo:hi], 1)[0]
     return LyapunovEstimate(
@@ -266,14 +266,6 @@ def largest_lyapunov(
         n_pairs=int(i_idx.size),
         curve=curve,
     )
-
-
-@dataclass
-class ChaosMetrics:
-    """Bundle of the two invariant estimates for one trajectory."""
-
-    correlation: CorrelationDimension = None
-    lyapunov: LyapunovEstimate = None
 
 
 @dataclass

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,10 +24,13 @@ def test_canonical_json_is_order_independent():
 
 
 def test_canonical_json_round_trips_floats():
-    values = [1.0 / 3.0, 1e-17, 6.02e23, -0.1, 2.0**-52]
+    values = [1.0 / 3.0, 1e-17, 6.02e23, -0.1, 2.0**-52, -0.0, 1.0]
     text = io.canonical_json({"v": values})
     back = json.loads(text)
     assert back["v"] == values
+    for got, want in zip(back["v"], values):
+        assert type(got) is float
+        assert np.copysign(1.0, got) == np.copysign(1.0, want)
 
 
 def test_canonical_json_non_finite_literals():
@@ -38,11 +43,32 @@ def test_canonical_json_non_finite_literals():
 
 
 def test_canonical_json_handles_arrays_and_bools():
-    text = io.canonical_json({"m": np.arange(4.0).reshape(2, 2), "flag": True, "n": 3})
-    back = json.loads(text)
+    doc = {
+        "m": np.arange(4.0).reshape(2, 2),
+        "flag": True,
+        "n": 3,
+        "i64": np.int64(7),
+        "f32": np.float32(0.5),
+        "nb": np.bool_(False),
+        "scalar": np.array(2.5),
+        "pair": (1, "a"),
+    }
+    back = json.loads(io.canonical_json(doc))
     assert back["m"] == [[0.0, 1.0], [2.0, 3.0]]
     assert back["flag"] is True
     assert back["n"] == 3
+    assert back["i64"] == 7 and type(back["i64"]) is int
+    assert back["f32"] == 0.5 and type(back["f32"]) is float
+    assert back["nb"] is False
+    assert back["scalar"] == 2.5
+    assert back["pair"] == [1, "a"]
+
+
+def test_canonical_json_rejects_unsupported_objects():
+    with pytest.raises(TypeError):
+        io.canonical_json({"x": object()})
+    with pytest.raises(TypeError):
+        io.canonical_json({"z": np.complex128(1j)})
 
 
 def test_write_and_load_json(tmp_path):
@@ -508,6 +534,62 @@ def test_cli_pipeline_pinned_constant_channel_fails_up_front(tmp_path, capsys):
     assert main(["pipeline", str(cfg)]) == 3
     assert "constant" in capsys.readouterr().err
     assert not (out / "model.json").exists()
+
+
+def _pinned_config(tmp_path, extra):
+    """A fast pipeline config (tau and m pinned, a tiny GA) plus ``extra`` lines."""
+    cfg = _pipeline_config(tmp_path, "pinned")
+    cfg.write_text(
+        cfg.read_text()
+        + "embedding.tau = 12\nembedding.m = 2\nga.population = 8\nga.generations = 5\n"
+        + extra
+        + "\n"
+    )
+    return cfg
+
+
+def test_cli_pipeline_pinned_embedding_still_checks_max_lag(tmp_path, capsys):
+    cfg = _pinned_config(tmp_path, "embedding.max_lag = 99999")
+    assert main(["pipeline", str(cfg)]) == 3
+    assert "max_lag" in capsys.readouterr().err
+    assert not (tmp_path / "pinned" / "embedding.json").exists()
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "embedding.m_max = 0",
+        "ga.population = 1",
+        "validate.r_count = 4",
+        "identify.ridge_lambda = -1",
+        "symmetry --population 1",
+        "embed with a nan cell",
+    ],
+)
+def test_cli_invalid_value_exits_2_without_traceback(tmp_path, case):
+    if case.startswith("symmetry"):
+        path = tmp_path / "embedding.json"
+        states = np.random.default_rng(0).normal(size=(50, 2))
+        io.write_embedding(path, ci.DelayEmbedding(states=states, tau=1, m=2))
+        argv = ["symmetry", str(path), "--population", "1", "--out-dir", str(tmp_path)]
+    elif case.startswith("embed"):
+        csv = tmp_path / "gap.csv"
+        csv.write_text("y\n1.0\n2.0\nnan\n3.0\n")
+        argv = ["embed", str(csv), "--out-dir", str(tmp_path)]
+    else:
+        argv = ["pipeline", str(_pinned_config(tmp_path, case))]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ci.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "chaosid", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_pipeline_requires_input_path(tmp_path, capsys):
