@@ -62,17 +62,6 @@ CONFIG_DEFAULTS = {
     "output.dir": ".",
 }
 
-# integer config keys where 0 means "choose automatically"
-_AUTO_KEYS = (
-    "embedding.tau",
-    "embedding.m",
-    "embedding.max_lag",
-    "ga.segment_window",
-    "ga.segment_stride",
-    "identify.free_run_steps",
-    "validate.theiler",
-)
-
 
 def _ensure_out_dir(path):
     os.makedirs(path, exist_ok=True)

@@ -201,10 +201,9 @@ def autocorrelation_delay(series, channel=0, max_lag=None):
     )
 
 
-def _histogram_mi(x, y, bins, lo, hi):
-    joint, _, _ = np.histogram2d(x, y, bins=bins, range=[[lo, hi], [lo, hi]])
-    total = joint.sum()
-    pxy = joint / total
+def _mutual_information(joint):
+    """Plug-in mutual information (natural log) of a joint count table."""
+    pxy = joint / joint.sum()
     px = pxy.sum(axis=1)
     py = pxy.sum(axis=0)
     mask = pxy > 0
@@ -218,7 +217,8 @@ def average_mutual_information(series, channel=0, max_lag=None, bins=None):
     The estimator is the plug-in mutual information of an equal-width joint
     histogram.  The number of bins defaults to ceil(sqrt(n_samples)) capped
     at 64, and the bin range is fixed to the full range of the channel so
-    that every lag is measured on the same grid.
+    that every lag is measured on the same grid.  Each sample is binned
+    once; the joint counts at a lag pair the bins of s[k] and s[k+lag].
 
     Returns
     -------
@@ -234,15 +234,13 @@ def average_mutual_information(series, channel=0, max_lag=None, bins=None):
         bins = int(min(64, np.ceil(np.sqrt(n))))
     if bins < 2:
         raise InvalidValue(f"bins must be >= 2, got {bins}")
-    lo = float(np.min(s))
-    hi = float(np.max(s))
+    # digitizing on the inner edges closes the top bin, as np.histogram2d does
+    cell = np.digitize(s, np.linspace(np.min(s), np.max(s), bins + 1)[1:-1])
     lags = np.arange(max_lag + 1)
     ami = np.empty(max_lag + 1)
     for lag in lags:
-        if lag == 0:
-            ami[0] = _histogram_mi(s, s, bins, lo, hi)
-        else:
-            ami[lag] = _histogram_mi(s[:-lag], s[lag:], bins, lo, hi)
+        joint = np.bincount(cell[: n - lag] * bins + cell[lag:], minlength=bins * bins)
+        ami[lag] = _mutual_information(joint.reshape(bins, bins))
     for lag in range(1, max_lag):
         if ami[lag] < ami[lag - 1] and ami[lag] < ami[lag + 1]:
             return AmiScan(lag=int(lag), lags=lags, ami=ami, bins=bins, minimum_found=True)
@@ -270,7 +268,6 @@ def false_nearest_neighbors(
     r_tol=10.0,
     a_tol=2.0,
     threshold=0.05,
-    max_points=None,
 ):
     """False nearest neighbour fractions for dimensions 1..m_max.
 
@@ -279,12 +276,6 @@ def false_nearest_neighbors(
     separates it: either the gap in the new coordinate exceeds ``r_tol``
     times the original distance, or it exceeds ``a_tol`` times the standard
     deviation of the series.
-
-    Parameters
-    ----------
-    max_points : int, optional
-        Evenly strided subsample used for the neighbour search.  All points
-        are used when omitted.
 
     Returns
     -------
@@ -311,10 +302,6 @@ def false_nearest_neighbors(
         idx = np.arange(rows)[:, None] + np.arange(m)[None, :] * tau
         pts = s[idx]
         added = s[np.arange(rows) + m * tau]
-        if max_points is not None and rows > max_points:
-            keep = np.linspace(0, rows - 1, max_points).astype(np.intp)
-            pts = pts[keep]
-            added = added[keep]
         nn, dist = nearest(pts, 0)
         gap = np.abs(added - added[nn])
         with np.errstate(divide="ignore", invalid="ignore"):

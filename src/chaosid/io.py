@@ -193,6 +193,8 @@ def read_embedding(path):
         )
     except KeyError as exc:
         raise InputError(f"{path}: missing embedding field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{path}: bad embedding data: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +376,7 @@ def read_symmetry_report(path):
         )
     except KeyError as exc:
         raise InputError(f"{path}: missing symmetry field {exc}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise InputError(f"{path}: bad symmetry data: {exc}") from exc
 
 

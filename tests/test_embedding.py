@@ -3,7 +3,8 @@
 Oracles: delay coordinates are checked index-by-index against the defining
 formula; the autocorrelation delay against the analytic cosine crossing; the
 mutual-information curve against a brute-force binned estimate written with
-plain loops; the false-neighbor fractions against an O(N^2) reimplementation
+plain loops and, bit for bit, against a per-lag ``np.histogram2d``; the
+false-neighbor fractions against an O(N^2) reimplementation
 of the distance tests.
 """
 
@@ -114,6 +115,42 @@ def test_ami_matches_brute_force():
     assert expected is not None
     assert scan.minimum_found
     assert scan.lag == expected
+
+
+def _histogram2d_ami(s, max_lag, bins):
+    """The AMI curve from a fresh ``np.histogram2d`` of (s[k], s[k+lag]) at
+    each lag over the shared [min, max] range, reduced in the same order as
+    the library so that the two curves can be compared bit for bit."""
+    lo, hi = float(np.min(s)), float(np.max(s))
+    out = np.empty(max_lag + 1)
+    for lag in range(max_lag + 1):
+        joint, _, _ = np.histogram2d(
+            s[: len(s) - lag], s[lag:], bins=bins, range=[[lo, hi], [lo, hi]]
+        )
+        pxy = joint / joint.sum()
+        outer = np.outer(pxy.sum(axis=1), pxy.sum(axis=0))
+        mask = pxy > 0
+        out[lag] = float(np.sum(pxy[mask] * np.log(pxy[mask] / outer[mask])))
+    return out
+
+
+@pytest.mark.parametrize("case", ["noisy sine", "integer valued", "two bins"])
+def test_ami_equals_per_lag_histogram2d(case):
+    rng = np.random.default_rng(41)
+    bins = None
+    if case == "noisy sine":
+        s = np.sin(0.13 * np.arange(1500)) + 0.2 * rng.normal(size=1500)
+    elif case == "integer valued":
+        # values 0..24 on 12 bins of width 2: every even value sits on an
+        # edge, and every 24 on the closed top edge
+        s = rng.integers(0, 25, size=5000).astype(float)
+        bins = 12
+    else:
+        s = np.cos(0.05 * np.arange(800)) + 0.1 * rng.normal(size=800)
+        bins = 2
+    scan = ci.average_mutual_information(ci.TimeSeries(s, dt=1.0), max_lag=60, bins=bins)
+    oracle = _histogram2d_ami(s, 60, scan.bins)
+    assert np.array_equal(scan.ami, oracle)
 
 
 def test_ami_shuffled_series_is_flat():

@@ -555,6 +555,24 @@ def test_cli_pipeline_pinned_embedding_still_checks_max_lag(tmp_path, capsys):
     assert not (tmp_path / "pinned" / "embedding.json").exists()
 
 
+def _run_expecting_exit_2(argv):
+    """Run ``python -m chaosid argv`` and return its stderr, which must be a
+    single ``error:`` report with exit code 2 and no traceback."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ci.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "chaosid", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    return proc.stderr
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -578,18 +596,33 @@ def test_cli_invalid_value_exits_2_without_traceback(tmp_path, case):
         argv = ["embed", str(csv), "--out-dir", str(tmp_path)]
     else:
         argv = ["pipeline", str(_pinned_config(tmp_path, case))]
-    src = os.path.dirname(os.path.dirname(os.path.abspath(ci.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "chaosid", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error:")
-    assert "Traceback" not in proc.stderr
+    _run_expecting_exit_2(argv)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["embedding tau is a string", "embedding states are ragged", "symmetry threshold is null"],
+)
+def test_cli_malformed_artifact_exits_2_without_traceback(tmp_path, case):
+    embedding = tmp_path / "embedding.json"
+    states = np.random.default_rng(0).normal(size=(50, 2))
+    io.write_embedding(embedding, ci.DelayEmbedding(states=states, tau=1, m=2))
+    symmetry = tmp_path / "symmetry.json"
+    io.write_symmetry_report(symmetry, ci.classify_symmetry([], threshold=0.01, diameter=1.0))
+    if case.startswith("embedding"):
+        doc = json.loads(embedding.read_text())
+        if case.endswith("string"):
+            doc["tau"] = "x"
+        else:
+            doc["states"][3] = [1.0]
+        embedding.write_text(json.dumps(doc))
+        argv = ["symmetry", str(embedding), "--out-dir", str(tmp_path)]
+    else:
+        doc = json.loads(symmetry.read_text())
+        doc["threshold"] = None
+        symmetry.write_text(json.dumps(doc))
+        argv = ["identify", str(embedding), str(symmetry), "--out-dir", str(tmp_path)]
+    assert str(tmp_path) in _run_expecting_exit_2(argv)
 
 
 def test_cli_pipeline_requires_input_path(tmp_path, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import chaosid as ci
-from chaosid.symmetry import _CLASS_ORDER
+from chaosid.symmetry import _CLASS_ORDER, _residual
 
 
 def _rotation_2d(theta):
@@ -154,6 +154,17 @@ def test_affine_never_beaten_by_special_classes():
         ):
             special = ci.fit_transform(_segment(p), _segment(q), cls)
             assert affine.residual <= special.residual + 1e-12
+
+
+@pytest.mark.parametrize("cls", list(ci.TransformClass))
+def test_apply_recomputes_stored_residual(cls):
+    """The stored parameters alone reproduce the fit's residual."""
+    rng = np.random.default_rng(23)
+    for _ in range(5):
+        p = rng.normal(size=(15, 3))
+        q = 1.3 * p @ _rotation_3d_z(0.7).T + 0.5 + 0.05 * rng.normal(size=(15, 3))
+        fit = ci.fit_transform(_segment(p), _segment(q), cls)
+        assert _residual(fit.apply(p), q) == pytest.approx(fit.residual, rel=1e-12)
 
 
 def test_fit_transform_shape_mismatch():
