@@ -63,16 +63,34 @@ CONFIG_DEFAULTS = {
 }
 
 
-def _ensure_out_dir(path):
-    os.makedirs(path, exist_ok=True)
-    return path
+def _overlay(config, args):
+    """``config`` with the values of the config-key flags in ``args``."""
+    return {**config, **{k: v for k, v in vars(args).items() if k in config}}
 
 
-def _choose_embedding(series, channel, tau, m, max_lag, m_max):
-    """Resolve delay and dimension, scanning only for what is unset (0); the
-    scan of a pinned value comes back as None."""
+def _artifact(config, name):
+    """Path of artifact ``name`` in the output directory, which is created."""
+    os.makedirs(config["output.dir"], exist_ok=True)
+    return os.path.join(config["output.dir"], name)
+
+
+# One function per stage, shared by ``pipeline`` and the stage subcommand:
+# it takes the flat config dict and writes the stage's artifact.  Library
+# calls go through this module's globals, which tracers may wrap.
+
+
+def _embed(config):
+    """Read the series, resolve tau and m and write ``embedding.json``.
+
+    Only an unset (0) tau or m is scanned for; the scan of a pinned value
+    comes back as None.  Returns (series, embedding, ami, fnn, notes).
+    """
+    series = io.read_series(config["input.path"], dt=config["input.dt"])
+    channel = config["input.channel"]
+    tau, m, m_max = config["embedding.tau"], config["embedding.m"], config["embedding.m_max"]
     # a constant channel and out-of-range limits fail here even with no scan to run
     n = _get_channel(series, channel).size
+    max_lag = config["embedding.max_lag"]
     max_lag = _resolve_max_lag(max_lag if max_lag > 0 else None, n)
     if m_max < 1:
         raise InvalidValue(f"m_max must be >= 1, got {m_max}")
@@ -92,85 +110,120 @@ def _choose_embedding(series, channel, tau, m, max_lag, m_max):
         notes.extend(fnn.warnings)
     else:
         notes.append(f"m={m} pinned by flag")
-    return tau, m, ami, fnn, notes
+    embedding = delay_embed(series, channel=channel, tau=tau, m=m)
+    io.write_embedding(_artifact(config, "embedding.json"), embedding)
+    return series, embedding, ami, fnn, notes
 
 
-def cmd_embed(args):
-    series = io.read_series(args.input, dt=args.dt)
-    tau, m, ami, fnn, notes = _choose_embedding(
-        series, args.channel, args.tau, args.m, args.max_lag, args.m_max
-    )
-    # the diagnostics tables hold every scan, pinned values included
-    max_lag = args.max_lag if args.max_lag > 0 else None
-    acf = autocorrelation_delay(series, channel=args.channel, max_lag=max_lag)
-    if ami is None:
-        ami = average_mutual_information(series, channel=args.channel, max_lag=max_lag)
-    if fnn is None:
-        fnn = false_nearest_neighbors(series, channel=args.channel, tau=tau, m_max=args.m_max)
-    embedding = delay_embed(series, channel=args.channel, tau=tau, m=m)
-    out = _ensure_out_dir(args.out_dir)
-    io.write_embedding(os.path.join(out, "embedding.json"), embedding)
-    io.write_table(
-        os.path.join(out, "diagnostics_acf.csv"),
-        ("lag", "acf"),
-        list(enumerate(acf.acf)),
-    )
-    io.write_table(
-        os.path.join(out, "diagnostics_ami.csv"),
-        ("lag", "ami"),
-        list(zip(ami.lags, ami.ami)),
-    )
-    io.write_table(
-        os.path.join(out, "diagnostics_fnn.csv"),
-        ("m", "fraction"),
-        list(zip(fnn.dims, fnn.fractions)),
-    )
-    for note in notes:
-        print(note)
-    print(f"embedding: {embedding.states.shape[0]} states, m={m}, tau={tau}")
-    print(f"wrote {os.path.join(out, 'embedding.json')}")
-    return 0
-
-
-def _run_symmetry(embedding, population, generations, mutation_rate, crossover_rate,
-                  seed, threshold_fraction, window, stride):
+def _symmetry(config, embedding):
+    """Search segment transforms, classify them and write ``symmetry.json``."""
+    window = config["ga.segment_window"]
     window = window if window > 0 else 2 * embedding.tau * embedding.m
+    stride = config["ga.segment_stride"]
     stride = stride if stride > 0 else max(window // 2, 1)
-    config = GaConfig(
-        population=population,
-        generations=generations,
-        mutation_rate=mutation_rate,
-        crossover_rate=crossover_rate,
-        seed=seed,
-        residual_threshold=threshold_fraction,
+    ga_config = GaConfig(
+        population=config["ga.population"],
+        generations=config["ga.generations"],
+        mutation_rate=config["ga.mutation_rate"],
+        crossover_rate=config["ga.crossover_rate"],
+        seed=config["run.seed"],
+        residual_threshold=config["ga.residual_threshold"],
         segment_window=window,
         segment_stride=stride,
     )
     segments = extract_segments(embedding, window, stride)
-    transforms = ga_search(segments, config)
-    diameter = attractor_diameter(embedding.states)
+    transforms = ga_search(segments, ga_config)
+    # the search accepts against the diameter of the segments, not of all states
+    diameter = attractor_diameter(segments)
     report = classify_symmetry(
-        transforms, threshold_fraction * diameter, diameter=diameter
+        transforms, ga_config.residual_threshold * diameter, diameter=diameter
     )
-    return report, config
+    io.write_symmetry_report(_artifact(config, "symmetry.json"), report)
+    return report
+
+
+def _identify(config, embedding, report, outputs=None):
+    """Fit the model the symmetry report selects; write ``model.json`` and
+    ``fit.json``.  Returns (model, fit)."""
+    if outputs is None:
+        # pure Takens case: the embedding was built from the selected channel,
+        # so its coordinate 0 is the observed series whatever the CSV column
+        outputs = TimeSeries(embedding.states[:, 0], dt=embedding.dt)
+    window = config["ga.segment_window"]
+    options = FitOptions(
+        ridge_lambda=config["identify.ridge_lambda"],
+        refine=config["identify.refine"],
+        free_run_steps=config["identify.free_run_steps"] or None,
+        segment_window=window if window > 0 else None,
+    )
+    model, fit = fit_model(embedding, outputs, report, options)
+    io.write_model(_artifact(config, "model.json"), model)
+    io.write_json(_artifact(config, "fit.json"), io.fit_report_to_dict(fit))
+    return model, fit
+
+
+def _validate(config, embedding, model):
+    """Free-run the model from the first state and measure both attractors;
+    returns the report's ``metrics`` block and the comparison's warnings."""
+    dimension_args = {
+        "r_count": config["validate.r_count"],
+        "theiler_window": config["validate.theiler"] or embedding.tau * embedding.m,
+        "max_points": config["validate.max_points"],
+    }
+    observed = embedding.states[:, 0]
+    free_states, free_outputs = simulate(
+        model, x0=embedding.states[0], steps=embedding.states.shape[0]
+    )
+    source_dim = correlation_dimension(embedding.states, **dimension_args)
+    model_dim = correlation_dimension(free_states, **dimension_args)
+    period = dominant_period(observed)
+    lyap = largest_lyapunov(embedding, dt=embedding.dt, mean_period=period)
+    comparison = compare(
+        TimeSeries(observed, dt=embedding.dt),
+        TimeSeries(free_outputs[:, 0], dt=embedding.dt),
+        with_dimension=False,
+    )
+    metrics = {
+        "source_dimension": io.dimension_to_dict(source_dim),
+        "model_dimension": io.dimension_to_dict(model_dim),
+        "dimension_delta": abs(model_dim.dimension - source_dim.dimension),
+        "source_lyapunov": io.lyapunov_to_dict(lyap),
+        "free_run_comparison": io.comparison_to_dict(comparison),
+    }
+    return metrics, comparison.warnings
+
+
+def cmd_embed(args):
+    config = _overlay(CONFIG_DEFAULTS, args)
+    series, embedding, ami, fnn, notes = _embed(config)
+    # the diagnostics tables hold every scan, pinned values included
+    channel = config["input.channel"]
+    max_lag = config["embedding.max_lag"]
+    max_lag = max_lag if max_lag > 0 else None
+    acf = autocorrelation_delay(series, channel=channel, max_lag=max_lag)
+    if ami is None:
+        ami = average_mutual_information(series, channel=channel, max_lag=max_lag)
+    if fnn is None:
+        fnn = false_nearest_neighbors(
+            series, channel=channel, tau=embedding.tau, m_max=config["embedding.m_max"]
+        )
+    tables = {
+        "acf": (("lag", "acf"), enumerate(acf.acf)),
+        "ami": (("lag", "ami"), zip(ami.lags, ami.ami)),
+        "fnn": (("m", "fraction"), zip(fnn.dims, fnn.fractions)),
+    }
+    for name, (header, rows) in tables.items():
+        io.write_table(_artifact(config, f"diagnostics_{name}.csv"), header, list(rows))
+    for note in notes:
+        print(note)
+    print(f"embedding: {embedding.states.shape[0]} states, m={embedding.m}, tau={embedding.tau}")
+    print(f"wrote {os.path.join(config['output.dir'], 'embedding.json')}")
+    return 0
 
 
 def cmd_symmetry(args):
-    embedding = io.read_embedding(args.embedding)
-    report, config = _run_symmetry(
-        embedding,
-        args.population,
-        args.generations,
-        args.mutation_rate,
-        args.crossover_rate,
-        args.seed,
-        args.threshold,
-        args.window,
-        args.stride,
-    )
-    out = _ensure_out_dir(args.out_dir)
-    path = os.path.join(out, "symmetry.json")
-    io.write_symmetry_report(path, report)
+    config = _overlay(CONFIG_DEFAULTS, args)
+    report = _symmetry(config, io.read_embedding(args.embedding))
     histogram = {cls.value: n for cls, n in report.class_histogram.items()}
     print(f"accepted transforms: {len(report.transforms)}")
     print(f"class histogram: {histogram}")
@@ -179,30 +232,16 @@ def cmd_symmetry(args):
     print(f"recommended basis: {report.recommended_basis.describe()}")
     for warning in report.warnings:
         print(f"warning: {warning}")
-    print(f"wrote {path}")
+    print(f"wrote {os.path.join(config['output.dir'], 'symmetry.json')}")
     return 0
 
 
 def cmd_identify(args):
+    config = _overlay(CONFIG_DEFAULTS, args)
     embedding = io.read_embedding(args.embedding)
     report = io.read_symmetry_report(args.symmetry)
-    if args.series:
-        outputs = io.read_series(args.series, dt=embedding.dt)
-    else:
-        # pure Takens case: the observed channel is embedding coordinate 0
-        outputs = TimeSeries(embedding.states[:, 0], dt=embedding.dt)
-    options = FitOptions(
-        ridge_lambda=args.ridge,
-        refine=not args.no_refine,
-        free_run_steps=args.free_run_steps if args.free_run_steps > 0 else None,
-        segment_window=args.window if args.window > 0 else None,
-    )
-    model, fit = fit_model(embedding, outputs, report, options)
-    out = _ensure_out_dir(args.out_dir)
-    model_path = os.path.join(out, "model.json")
-    fit_path = os.path.join(out, "fit.json")
-    io.write_model(model_path, model)
-    io.write_json(fit_path, io.fit_report_to_dict(fit))
+    outputs = io.read_series(args.series, dt=embedding.dt) if args.series else None
+    model, fit = _identify(config, embedding, report, outputs)
     print(f"basis: {model.basis.describe()}")
     print(f"one-step NRMSE: {np.atleast_1d(fit.one_step_nrmse)}")
     print(f"free-run NRMSE: {np.atleast_1d(fit.free_run_nrmse)}")
@@ -210,7 +249,8 @@ def cmd_identify(args):
     print(f"condition estimate: {fit.condition_estimate:.3e}")
     for warning in fit.warnings:
         print(f"warning: {warning}")
-    print(f"wrote {model_path} and {fit_path}")
+    out = config["output.dir"]
+    print(f"wrote {os.path.join(out, 'model.json')} and {os.path.join(out, 'fit.json')}")
     return 0
 
 
@@ -230,8 +270,7 @@ def cmd_simulate(args):
     model = io.read_model(args.model)
     x0 = _parse_x0(args.x0, model.n)
     states, outputs = simulate(model, x0=x0, steps=args.steps)
-    out = _ensure_out_dir(args.out_dir)
-    path = os.path.join(out, "trajectory.csv")
+    path = _artifact(vars(args), "trajectory.csv")
     header = [f"x{i}" for i in range(model.n)] + [f"y{i}" for i in range(model.q)]
     rows = np.hstack([states, outputs])
     rho = spectral_radius(model.A)
@@ -242,20 +281,20 @@ def cmd_simulate(args):
 
 
 def cmd_validate(args):
-    reference = io.read_series(args.reference, dt=args.dt)
+    dt = vars(args)["input.dt"]
+    reference = io.read_series(args.reference, dt=dt)
     if args.modeled:
-        modeled = io.read_series(args.modeled, dt=args.dt)
+        modeled = io.read_series(args.modeled, dt=dt)
     elif args.model:
         model = io.read_model(args.model)
         x0 = _parse_x0(args.x0, model.n)
         steps = reference.values.shape[0]
         _, outputs = simulate(model, x0=x0, steps=steps)
-        modeled = TimeSeries(outputs, dt=args.dt)
+        modeled = TimeSeries(outputs, dt=dt)
     else:
         raise InputError("validate needs either a model JSON or --modeled CSV")
     report = compare(reference, modeled, with_dimension=not args.no_dimension)
-    out = _ensure_out_dir(args.out_dir)
-    path = os.path.join(out, "comparison.json")
+    path = _artifact(vars(args), "comparison.json")
     io.write_json(path, io.comparison_to_dict(report))
     print(f"NRMSE per channel: {np.atleast_1d(report.nrmse)}")
     print(f"histogram distance: {np.atleast_1d(report.histogram_distance)}")
@@ -268,112 +307,46 @@ def cmd_validate(args):
 
 
 def cmd_pipeline(args):
-    config = io.parse_config(args.config, CONFIG_DEFAULTS)
-    if args.seed is not None:
-        config["run.seed"] = args.seed
-    if args.out_dir is not None:
-        config["output.dir"] = args.out_dir
+    config = _overlay(io.parse_config(args.config, CONFIG_DEFAULTS), args)
     if not config["input.path"]:
         raise ConfigError("config must set input.path")
-    out = _ensure_out_dir(config["output.dir"])
     timings = {}
     warnings = []
 
-    t0 = time.perf_counter()
-    series = io.read_series(config["input.path"], dt=config["input.dt"])
-    channel = config["input.channel"]
-    tau, m, _, _, notes = _choose_embedding(
-        series,
-        channel,
-        config["embedding.tau"],
-        config["embedding.m"],
-        config["embedding.max_lag"],
-        config["embedding.m_max"],
-    )
-    embedding = delay_embed(series, channel=channel, tau=tau, m=m)
-    io.write_embedding(os.path.join(out, "embedding.json"), embedding)
-    timings["embed"] = time.perf_counter() - t0
+    def timed(name, stage, *inputs):
+        t0 = time.perf_counter()
+        result = stage(config, *inputs)
+        timings[name] = time.perf_counter() - t0
+        return result
+
+    _, embedding, _, _, notes = timed("embed", _embed)
     for note in notes:
         print(note)
 
-    t0 = time.perf_counter()
-    report, ga_config = _run_symmetry(
-        embedding,
-        config["ga.population"],
-        config["ga.generations"],
-        config["ga.mutation_rate"],
-        config["ga.crossover_rate"],
-        config["run.seed"],
-        config["ga.residual_threshold"],
-        config["ga.segment_window"],
-        config["ga.segment_stride"],
-    )
-    io.write_symmetry_report(os.path.join(out, "symmetry.json"), report)
+    report = timed("symmetry", _symmetry, embedding)
     warnings.extend(report.warnings)
-    timings["symmetry"] = time.perf_counter() - t0
     dominant = report.dominant_class.value if report.dominant_class else "none"
     print(f"dominant class: {dominant}")
 
-    t0 = time.perf_counter()
-    # the embedding was built from the selected channel, so its coordinate 0
-    # is the observed series regardless of the CSV column index
-    outputs = TimeSeries(embedding.states[:, 0], dt=embedding.dt)
-    options = FitOptions(
-        ridge_lambda=config["identify.ridge_lambda"],
-        refine=config["identify.refine"],
-        free_run_steps=config["identify.free_run_steps"] or None,
-        segment_window=ga_config.segment_window,
-    )
-    model, fit = fit_model(embedding, outputs, report, options)
-    io.write_model(os.path.join(out, "model.json"), model)
-    io.write_json(os.path.join(out, "fit.json"), io.fit_report_to_dict(fit))
+    model, fit = timed("identify", _identify, embedding, report)
     warnings.extend(fit.warnings)
-    timings["identify"] = time.perf_counter() - t0
     print(f"basis: {model.basis.describe()}")
     print(f"one-step NRMSE: {np.atleast_1d(fit.one_step_nrmse)}")
 
     metrics = None
     if config["validate.enabled"]:
-        t0 = time.perf_counter()
-        theiler = config["validate.theiler"] or tau * m
-        r_count = config["validate.r_count"]
-        max_points = config["validate.max_points"]
-        steps = embedding.states.shape[0]
-        free_states, free_outputs = simulate(model, x0=embedding.states[0], steps=steps)
-        source_dim = correlation_dimension(
-            embedding.states, r_count=r_count, theiler_window=theiler,
-            max_points=max_points,
-        )
-        model_dim = correlation_dimension(
-            free_states, r_count=r_count, theiler_window=theiler,
-            max_points=max_points,
-        )
-        period = dominant_period(embedding.states[:, 0])
-        lyap = largest_lyapunov(embedding, dt=embedding.dt, mean_period=period)
-        reference = TimeSeries(embedding.states[:steps, 0], dt=embedding.dt)
-        comparison = compare(
-            reference, TimeSeries(free_outputs[:, 0], dt=embedding.dt),
-            with_dimension=False,
-        )
-        warnings.extend(comparison.warnings)
-        metrics = {
-            "source_dimension": io.dimension_to_dict(source_dim),
-            "model_dimension": io.dimension_to_dict(model_dim),
-            "dimension_delta": abs(model_dim.dimension - source_dim.dimension),
-            "source_lyapunov": io.lyapunov_to_dict(lyap),
-            "free_run_comparison": io.comparison_to_dict(comparison),
-        }
-        timings["validate"] = time.perf_counter() - t0
-        print(f"correlation dimension: source {source_dim.dimension:.3f}, "
-              f"model {model_dim.dimension:.3f}")
+        metrics, free_run_warnings = timed("validate", _validate, embedding, model)
+        warnings.extend(free_run_warnings)
+        print(f"correlation dimension: source {metrics['source_dimension']['dimension']:.3f}, "
+              f"model {metrics['model_dimension']['dimension']:.3f}")
 
     report_doc = {
         "schema": io.REPORT_SCHEMA,
         "version": __version__,
         "config": config,
         "embedding": {
-            "tau": tau,
-            "m": m,
+            "tau": embedding.tau,
+            "m": embedding.m,
             "n_states": embedding.states.shape[0],
             "notes": notes,
         },
@@ -384,7 +357,7 @@ def cmd_pipeline(args):
         "warnings": warnings,
         "timings": timings,
     }
-    path = os.path.join(out, "report.json")
+    path = _artifact(config, "report.json")
     io.write_json(path, report_doc)
     print(f"wrote {path}")
     return 0
@@ -401,8 +374,7 @@ def cmd_fixtures(args):
         return 0
     if args.dump:
         fixture = load_fixture(args.dump)
-        out = _ensure_out_dir(args.out_dir)
-        path = os.path.join(out, f"{fixture.label}_model.json")
+        path = _artifact(vars(args), f"{fixture.label}_model.json")
         io.write_model(path, fixture.model)
         print(f"wrote {path}")
         return 0
@@ -417,6 +389,15 @@ def cmd_fixtures(args):
     return 0
 
 
+def _config_flag(parser, flag, key, **kwargs):
+    """Add ``flag``, which sets config ``key`` and takes its type and default
+    from ``CONFIG_DEFAULTS``."""
+    default = CONFIG_DEFAULTS[key]
+    if "action" not in kwargs:
+        kwargs["type"] = type(default)
+    parser.add_argument(flag, dest=key, **{"default": default, **kwargs})
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="chaosid",
@@ -426,68 +407,72 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("embed", help="delay-embed a CSV time series")
-    p.add_argument("input", help="time series CSV, one column per channel")
-    p.add_argument("--channel", type=int, default=0, help="observed channel index")
-    p.add_argument("--dt", type=float, default=1.0, help="sample interval")
-    p.add_argument("--tau", type=int, default=0, help="delay; 0 chooses by mutual information")
-    p.add_argument("--m", type=int, default=0, help="dimension; 0 chooses by false nearest neighbors")
-    p.add_argument("--max-lag", type=int, default=0, help="largest lag scanned; 0 for automatic")
-    p.add_argument("--m-max", type=int, default=8, help="largest dimension scanned")
-    p.add_argument("--out-dir", default=".", help="output directory")
+    p.add_argument("input.path", metavar="input", help="time series CSV, one column per channel")
+    _config_flag(p, "--channel", "input.channel", help="observed channel index")
+    _config_flag(p, "--dt", "input.dt", help="sample interval")
+    _config_flag(p, "--tau", "embedding.tau", help="delay; 0 chooses by mutual information")
+    _config_flag(p, "--m", "embedding.m", help="dimension; 0 chooses by false nearest neighbors")
+    _config_flag(p, "--max-lag", "embedding.max_lag", help="largest lag scanned; 0 for automatic")
+    _config_flag(p, "--m-max", "embedding.m_max", help="largest dimension scanned")
+    _config_flag(p, "--out-dir", "output.dir", help="output directory")
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("symmetry", help="search segment-to-segment transforms")
     p.add_argument("embedding", help="embedding JSON from the embed command")
-    p.add_argument("--population", type=int, default=64)
-    p.add_argument("--generations", type=int, default=200)
-    p.add_argument("--mutation-rate", type=float, default=0.1)
-    p.add_argument("--crossover-rate", type=float, default=0.7)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threshold", type=float, default=0.05,
-                   help="acceptance residual as a fraction of attractor diameter")
-    p.add_argument("--window", type=int, default=0, help="segment length; 0 for 2*tau*m")
-    p.add_argument("--stride", type=int, default=0, help="segment stride; 0 for window/2")
-    p.add_argument("--out-dir", default=".")
+    _config_flag(p, "--population", "ga.population")
+    _config_flag(p, "--generations", "ga.generations")
+    _config_flag(p, "--mutation-rate", "ga.mutation_rate")
+    _config_flag(p, "--crossover-rate", "ga.crossover_rate")
+    _config_flag(p, "--seed", "run.seed")
+    _config_flag(p, "--threshold", "ga.residual_threshold",
+                 help="acceptance residual as a fraction of the segments' diameter")
+    _config_flag(p, "--window", "ga.segment_window", help="segment length; 0 for 2*tau*m")
+    _config_flag(p, "--stride", "ga.segment_stride", help="segment stride; 0 for window/2")
+    _config_flag(p, "--out-dir", "output.dir")
     p.set_defaults(func=cmd_symmetry)
 
     p = sub.add_parser("identify", help="fit the state-space model")
     p.add_argument("embedding", help="embedding JSON")
     p.add_argument("symmetry", help="symmetry report JSON")
     p.add_argument("--series", default="", help="optional output CSV; default uses embedding coordinate 0")
-    p.add_argument("--ridge", type=float, default=0.0, help="ridge regularization weight")
-    p.add_argument("--no-refine", action="store_true", help="skip basis-parameter grid search")
-    p.add_argument("--free-run-steps", type=int, default=0, help="free-run horizon; 0 for embedding length")
-    p.add_argument("--window", type=int, default=0, help="segment window used for seeding; 0 for 2*tau*m")
-    p.add_argument("--out-dir", default=".")
+    _config_flag(p, "--ridge", "identify.ridge_lambda", help="ridge regularization weight")
+    _config_flag(p, "--no-refine", "identify.refine", action="store_false",
+                 help="skip basis-parameter grid search")
+    _config_flag(p, "--free-run-steps", "identify.free_run_steps",
+                 help="free-run horizon; 0 for embedding length")
+    _config_flag(p, "--window", "ga.segment_window",
+                 help="segment window used for seeding; 0 for 2*tau*m")
+    _config_flag(p, "--out-dir", "output.dir")
     p.set_defaults(func=cmd_identify)
 
     p = sub.add_parser("simulate", help="play a model forward")
     p.add_argument("model", help="model JSON")
     p.add_argument("--steps", type=int, default=1000)
     p.add_argument("--x0", default="", help="comma-separated initial state; default zeros")
-    p.add_argument("--out-dir", default=".")
+    _config_flag(p, "--out-dir", "output.dir")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("validate", help="compare a model against reference data")
     p.add_argument("reference", help="reference CSV")
     p.add_argument("model", nargs="?", default="", help="model JSON to free-run")
     p.add_argument("--modeled", default="", help="compare against this CSV instead of simulating")
-    p.add_argument("--dt", type=float, default=1.0)
+    _config_flag(p, "--dt", "input.dt")
     p.add_argument("--x0", default="", help="initial state for the free run")
     p.add_argument("--no-dimension", action="store_true", help="skip correlation dimension")
-    p.add_argument("--out-dir", default=".")
+    _config_flag(p, "--out-dir", "output.dir")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("pipeline", help="run every stage from a config file")
     p.add_argument("config", help="flat key=value config file")
-    p.add_argument("--seed", type=int, default=None, help="override run.seed")
-    p.add_argument("--out-dir", default=None, help="override output.dir")
+    _config_flag(p, "--seed", "run.seed", default=argparse.SUPPRESS, help="override run.seed")
+    _config_flag(p, "--out-dir", "output.dir", default=argparse.SUPPRESS,
+                 help="override output.dir")
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("fixtures", help="list or dump bundled example models")
     p.add_argument("--dump", default="", help="write this fixture as model JSON")
     p.add_argument("--verify", action="store_true", help="check bundled file checksums")
-    p.add_argument("--out-dir", default=".")
+    _config_flag(p, "--out-dir", "output.dir")
     p.set_defaults(func=cmd_fixtures)
 
     return parser

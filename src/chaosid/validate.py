@@ -67,6 +67,8 @@ def correlation_dimension(data, r_count=32, theiler_window=0, max_points=8000):
     ------
     NoScalingRegion
         when no stretch of at least four bins has a locally constant slope.
+    InvalidValue
+        when r_count < 8, theiler_window < 0 or max_points < 10.
     """
     points = _points_of(data)
     n = points.shape[0]
@@ -74,6 +76,10 @@ def correlation_dimension(data, r_count=32, theiler_window=0, max_points=8000):
         raise InsufficientData(f"correlation dimension needs >= 10 points, got {n}")
     if r_count < 8:
         raise InvalidValue(f"r_count must be >= 8, got {r_count}")
+    if theiler_window < 0:
+        raise InvalidValue(f"theiler_window must be >= 0, got {theiler_window}")
+    if max_points is not None and max_points < 10:
+        raise InvalidValue(f"max_points must be >= 10, got {max_points}")
     if max_points is not None and n > max_points:
         keep = np.linspace(0, n - 1, max_points).astype(np.intp)
         points = points[keep]

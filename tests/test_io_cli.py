@@ -509,6 +509,53 @@ def test_cli_pipeline_end_to_end_and_deterministic(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_stages_chain_to_the_pipeline_artifacts(tmp_path, capsys):
+    cfg = _pipeline_config(tmp_path, "run")
+    assert main(["pipeline", str(cfg)]) == 0
+    stages = str(tmp_path / "stages")
+    assert main(["embed", str(tmp_path / "wave.csv"), "--out-dir", stages]) == 0
+    embedding = os.path.join(stages, "embedding.json")
+    argv = ["symmetry", embedding, "--population", "48", "--generations", "60", "--out-dir", stages]
+    assert main(argv) == 0
+    symmetry = os.path.join(stages, "symmetry.json")
+    assert main(["identify", embedding, symmetry, "--out-dir", stages]) == 0
+    for name in ("embedding.json", "symmetry.json", "model.json", "fit.json"):
+        assert (tmp_path / "stages" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+    capsys.readouterr()
+
+
+def test_cli_symmetry_threshold_is_the_one_the_search_applied(tmp_path, capsys):
+    # the appended extreme lies after the last full window, so the diameter
+    # of all states is three times that of the segments
+    csv = tmp_path / "tail.csv"
+    values = np.append(np.sin(0.3 * np.arange(200)), 5.0)
+    io.write_series(csv, ci.TimeSeries(values.reshape(-1, 1), dt=1.0, labels=("y",)))
+    out = str(tmp_path)
+    assert main(["embed", str(csv), "--tau", "5", "--m", "2", "--out-dir", out]) == 0
+    argv = [
+        "symmetry", str(tmp_path / "embedding.json"), "--window", "20", "--stride", "10",
+        "--threshold", "0.2", "--population", "16", "--generations", "10", "--out-dir", out,
+    ]
+    assert main(argv) == 0
+    segments = ci.extract_segments(io.read_embedding(tmp_path / "embedding.json"), 20, 10)
+    diameter = ci.attractor_diameter(segments)
+    doc = io.load_json(tmp_path / "symmetry.json")
+    assert doc["diameter"] == pytest.approx(diameter, rel=1e-12)
+    assert doc["threshold"] == pytest.approx(0.2 * diameter, rel=1e-12)
+    capsys.readouterr()
+
+
+def test_bundled_template_lists_every_key_with_its_default():
+    template = os.path.join(os.path.dirname(ci.__file__), "data", "rossler_pipeline.cfg")
+    with open(template, encoding="utf-8") as fh:
+        lines = [line.strip() for line in fh]
+    keys = {line.partition("=")[0].strip() for line in lines if line and not line.startswith("#")}
+    assert keys == set(CONFIG_DEFAULTS)
+    config = io.parse_config(template, CONFIG_DEFAULTS)
+    differing = {key for key in CONFIG_DEFAULTS if config[key] != CONFIG_DEFAULTS[key]}
+    assert differing == {"input.path", "input.dt", "output.dir"}
+
+
 def test_cli_pipeline_skips_scans_for_pinned_values(tmp_path, monkeypatch, capsys):
     from chaosid import cli
 
@@ -580,22 +627,33 @@ def _run_expecting_exit_2(argv):
         "ga.population = 1",
         "validate.r_count = 4",
         "identify.ridge_lambda = -1",
+        "validate.theiler = -3",
+        "validate.max_points = 0",
         "symmetry --population 1",
+        "identify --free-run-steps -5",
         "embed with a nan cell",
     ],
 )
 def test_cli_invalid_value_exits_2_without_traceback(tmp_path, case):
-    if case.startswith("symmetry"):
-        path = tmp_path / "embedding.json"
-        states = np.random.default_rng(0).normal(size=(50, 2))
-        io.write_embedding(path, ci.DelayEmbedding(states=states, tau=1, m=2))
-        argv = ["symmetry", str(path), "--population", "1", "--out-dir", str(tmp_path)]
-    elif case.startswith("embed"):
+    command = case.split()[0]
+    if "=" in case:
+        argv = ["pipeline", str(_pinned_config(tmp_path, case))]
+    elif command == "embed":
         csv = tmp_path / "gap.csv"
         csv.write_text("y\n1.0\n2.0\nnan\n3.0\n")
         argv = ["embed", str(csv), "--out-dir", str(tmp_path)]
     else:
-        argv = ["pipeline", str(_pinned_config(tmp_path, case))]
+        embedding = tmp_path / "embedding.json"
+        states = np.random.default_rng(0).normal(size=(50, 2))
+        io.write_embedding(embedding, ci.DelayEmbedding(states=states, tau=1, m=2))
+        if command == "symmetry":
+            argv = ["symmetry", str(embedding), *case.split()[1:]]
+        else:
+            symmetry = tmp_path / "symmetry.json"
+            report = ci.classify_symmetry([], threshold=0.01, diameter=1.0)
+            io.write_symmetry_report(symmetry, report)
+            argv = ["identify", str(embedding), str(symmetry), *case.split()[1:]]
+        argv += ["--out-dir", str(tmp_path)]
     _run_expecting_exit_2(argv)
 
 
