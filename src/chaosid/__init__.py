@@ -65,7 +65,6 @@ from .symmetry import (
     seed_basis_parameters,
 )
 from .identify import (
-    FitOptions,
     ParameterGrid,
     build_regression,
     fit_model,

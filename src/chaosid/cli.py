@@ -32,9 +32,15 @@ from .embedding import (
     false_nearest_neighbors,
 )
 from .errors import ChaosidError, ConfigError, InputError, InvalidValue
-from .identify import FitOptions, fit_model
+from .identify import fit_model
 from .symmetry import GaConfig, attractor_diameter, classify_symmetry, extract_segments, ga_search
-from .validate import compare, correlation_dimension, dominant_period, largest_lyapunov
+from .validate import (
+    check_dimension_args,
+    compare,
+    correlation_dimension,
+    dominant_period,
+    largest_lyapunov,
+)
 
 CONFIG_DEFAULTS = {
     "input.path": "",
@@ -52,7 +58,6 @@ CONFIG_DEFAULTS = {
     "ga.segment_window": 0,
     "ga.segment_stride": 0,
     "identify.ridge_lambda": 0.0,
-    "identify.refine": True,
     "identify.free_run_steps": 0,
     "validate.enabled": True,
     "validate.r_count": 32,
@@ -128,8 +133,6 @@ def _symmetry(config, embedding):
         crossover_rate=config["ga.crossover_rate"],
         seed=config["run.seed"],
         residual_threshold=config["ga.residual_threshold"],
-        segment_window=window,
-        segment_stride=stride,
     )
     segments = extract_segments(embedding, window, stride)
     transforms = ga_search(segments, ga_config)
@@ -149,14 +152,13 @@ def _identify(config, embedding, report, outputs=None):
         # pure Takens case: the embedding was built from the selected channel,
         # so its coordinate 0 is the observed series whatever the CSV column
         outputs = TimeSeries(embedding.states[:, 0], dt=embedding.dt)
-    window = config["ga.segment_window"]
-    options = FitOptions(
+    model, fit = fit_model(
+        embedding,
+        outputs,
+        report,
         ridge_lambda=config["identify.ridge_lambda"],
-        refine=config["identify.refine"],
         free_run_steps=config["identify.free_run_steps"] or None,
-        segment_window=window if window > 0 else None,
     )
-    model, fit = fit_model(embedding, outputs, report, options)
     io.write_model(_artifact(config, "model.json"), model)
     io.write_json(_artifact(config, "fit.json"), io.fit_report_to_dict(fit))
     return model, fit
@@ -204,9 +206,11 @@ def cmd_embed(args):
     if ami is None:
         ami = average_mutual_information(series, channel=channel, max_lag=max_lag)
     if fnn is None:
-        fnn = false_nearest_neighbors(
-            series, channel=channel, tau=embedding.tau, m_max=config["embedding.m_max"]
-        )
+        # a pinned embedding may be valid where the full scan is not: stop
+        # at the largest dimension that leaves two states to compare
+        tau = embedding.tau
+        m_max = min(config["embedding.m_max"], max(1, (len(series.values) - 2) // tau))
+        fnn = false_nearest_neighbors(series, channel=channel, tau=tau, m_max=m_max)
     tables = {
         "acf": (("lag", "acf"), enumerate(acf.acf)),
         "ami": (("lag", "ami"), zip(ami.lags, ami.ami)),
@@ -310,6 +314,11 @@ def cmd_pipeline(args):
     config = _overlay(io.parse_config(args.config, CONFIG_DEFAULTS), args)
     if not config["input.path"]:
         raise ConfigError("config must set input.path")
+    if config["validate.enabled"]:
+        # fail before the stages run, not after they have written artifacts
+        check_dimension_args(
+            config["validate.r_count"], config["validate.theiler"], config["validate.max_points"]
+        )
     timings = {}
     warnings = []
 
@@ -393,9 +402,7 @@ def _config_flag(parser, flag, key, **kwargs):
     """Add ``flag``, which sets config ``key`` and takes its type and default
     from ``CONFIG_DEFAULTS``."""
     default = CONFIG_DEFAULTS[key]
-    if "action" not in kwargs:
-        kwargs["type"] = type(default)
-    parser.add_argument(flag, dest=key, **{"default": default, **kwargs})
+    parser.add_argument(flag, dest=key, type=type(default), **{"default": default, **kwargs})
 
 
 def build_parser():
@@ -436,12 +443,8 @@ def build_parser():
     p.add_argument("symmetry", help="symmetry report JSON")
     p.add_argument("--series", default="", help="optional output CSV; default uses embedding coordinate 0")
     _config_flag(p, "--ridge", "identify.ridge_lambda", help="ridge regularization weight")
-    _config_flag(p, "--no-refine", "identify.refine", action="store_false",
-                 help="skip basis-parameter grid search")
     _config_flag(p, "--free-run-steps", "identify.free_run_steps",
                  help="free-run horizon; 0 for embedding length")
-    _config_flag(p, "--window", "ga.segment_window",
-                 help="segment window used for seeding; 0 for 2*tau*m")
     _config_flag(p, "--out-dir", "output.dir")
     p.set_defaults(func=cmd_identify)
 

@@ -11,11 +11,11 @@ regularization reuses the same factorization through its filter factors.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import dynamics, symmetry
+from . import dynamics
 from .errors import InsufficientData, InvalidValue, NonFiniteState, RankDeficient
 from .model import Exponential, FitReport, ForcingBasis, Sinusoid, StateSpaceModel
 
@@ -233,23 +233,13 @@ def _best_fit(embedding, candidates, dt, ridge_lambda):
     return candidate, A, B, Z, X_next, report
 
 
-@dataclass
-class FitOptions:
-    """Knobs for the end-to-end identification step."""
-
-    ridge_lambda: float = 0.0
-    refine: bool = True
-    grid: ParameterGrid = field(default_factory=ParameterGrid)
-    free_run_steps: int = None
-    segment_window: int = None
-
-
-def fit_model(embedding, outputs, report, options=None):
+def fit_model(embedding, outputs, report, ridge_lambda=0.0, free_run_steps=None):
     """Identify a full model from an embedding and a symmetry report.
 
-    The recommended basis from the symmetry stage is seeded with data-driven
-    parameters, refined over the default grids, and fitted by least squares;
-    the output map is fitted separately.  One-step and free-run errors are
+    The basis family the symmetry vote recommends is refined over the
+    default ``ParameterGrid`` (refinement replaces its placeholder
+    parameters), and the best candidate is fitted by least squares; the
+    output map is fitted separately.  One-step and free-run errors are
     measured against ``outputs``.
 
     Parameters
@@ -258,41 +248,30 @@ def fit_model(embedding, outputs, report, options=None):
     outputs : TimeSeries
         Observed output channels aligned with the embedding rows.
     report : SymmetryReport
-    options : FitOptions, optional
+    ridge_lambda : float
+        Ridge weight of the state regression.  At 0, a regression that is
+        rank deficient for every candidate is refitted with an automatic
+        ridge taken from the recommended basis.
+    free_run_steps : int, optional
+        Free-run horizon; None uses the embedding length.
 
     Returns
     -------
     (model, fit_report) : (StateSpaceModel, FitReport)
     """
-    if options is None:
-        options = FitOptions()
     dt = embedding.dt
     warnings = []
-    window = options.segment_window
-    if window is None:
-        window = 2 * embedding.tau * embedding.m
-    if report.dominant_class in (
-        symmetry.TransformClass.ROTATION,
-        symmetry.TransformClass.SCALING,
-    ):
-        seed = symmetry.seed_basis_parameters(report, report.transforms, dt, window)
-        basis = seed.basis
-        warnings.extend(seed.warnings)
-    else:
-        basis = report.recommended_basis
-    candidates = [basis]
-    if options.refine:
-        candidates = list(_candidate_bases(basis, options.grid, embedding.n_states, dt))
-    ridge = options.ridge_lambda
+    basis = report.recommended_basis
+    candidates = list(_candidate_bases(basis, ParameterGrid(), embedding.n_states, dt))
     try:
-        basis, A, B, Z, X_next, fit = _best_fit(embedding, candidates, dt, ridge)
+        basis, A, B, Z, X_next, fit = _best_fit(embedding, candidates, dt, ridge_lambda)
     except RankDeficient:
         Z, _ = build_regression(embedding, basis, dt)
-        ridge = AUTO_RIDGE_FACTOR * np.linalg.norm(Z, 2) ** 2
+        ridge_lambda = AUTO_RIDGE_FACTOR * np.linalg.norm(Z, 2) ** 2
         warnings.append(
-            f"regression rank deficient; retried with ridge_lambda={ridge:.3e}"
+            f"regression rank deficient; retried with ridge_lambda={ridge_lambda:.3e}"
         )
-        basis, A, B, Z, X_next, fit = _best_fit(embedding, candidates, dt, ridge)
+        basis, A, B, Z, X_next, fit = _best_fit(embedding, candidates, dt, ridge_lambda)
     try:
         C = fit_output_map(embedding, outputs)
     except RankDeficient:
@@ -310,13 +289,13 @@ def fit_model(embedding, outputs, report, options=None):
         embedding_tau=embedding.tau,
         embedding_channel=embedding.source_channel,
     )
-    fit.ridge_lambda = ridge
+    fit.ridge_lambda = ridge_lambda
     fit.warnings = warnings + fit.warnings
-    _measure_errors(model, embedding, outputs, Z, X_next, A, B, fit, options)
+    _measure_errors(model, embedding, outputs, Z, X_next, A, B, fit, free_run_steps)
     return model, fit
 
 
-def _measure_errors(model, embedding, outputs, Z, X_next, A, B, fit, options):
+def _measure_errors(model, embedding, outputs, Z, X_next, A, B, fit, steps):
     """Fill one-step and free-run output errors into the fit report."""
     y = outputs.values
     rows = min(embedding.n_states, y.shape[0])
@@ -330,7 +309,6 @@ def _measure_errors(model, embedding, outputs, Z, X_next, A, B, fit, options):
     err = y_pred - y[1:rows]
     fit.one_step_nrmse = np.sqrt(np.mean(err**2, axis=0)) / scale
 
-    steps = options.free_run_steps
     if steps is None:
         steps = rows
     try:

@@ -258,8 +258,6 @@ class GaConfig:
     crossover_rate: float = 0.7
     seed: int = 0
     residual_threshold: float = 0.05
-    segment_window: int = 0
-    segment_stride: int = 0
 
     def __post_init__(self):
         if self.population < 2:
@@ -453,8 +451,9 @@ def classify_symmetry(transforms, threshold, diameter=None):
     Returns
     -------
     SymmetryReport
-        The recommended basis carries unit placeholder parameters; the
-        seeding step replaces them with data-driven values.
+        The recommended basis carries unit placeholder parameters; basis
+        refinement in ``fit_model`` replaces them with the best values on
+        its parameter grid.
     """
     accepted = [t for t in transforms if t.residual < threshold]
     histogram = {cls: 0 for cls in _CLASS_ORDER}
@@ -540,7 +539,8 @@ def seed_basis_parameters(report, transforms, dt, window):
     scaling-dominant report the seed rate is the median log scale divided by
     the window duration.  Phase starts at zero.  A scaling vote whose median
     scale is 1 would produce a constant forcing term, so it falls back to
-    the polynomial basis with a warning.
+    the polynomial basis with a warning.  ``fit_model`` does not call it:
+    refinement over the parameter grid sets the basis parameters.
     """
     if report.dominant_class is None:
         raise InvalidValue("report has no dominant class to seed from")

@@ -43,6 +43,17 @@ class CorrelationDimension:
     warnings: list = field(default_factory=list)
 
 
+def check_dimension_args(r_count, theiler_window, max_points):
+    """Raise InvalidValue unless the ``correlation_dimension`` settings are
+    in range: r_count >= 8, theiler_window >= 0, max_points None or >= 10."""
+    if r_count < 8:
+        raise InvalidValue(f"r_count must be >= 8, got {r_count}")
+    if theiler_window < 0:
+        raise InvalidValue(f"theiler_window must be >= 0, got {theiler_window}")
+    if max_points is not None and max_points < 10:
+        raise InvalidValue(f"max_points must be >= 10, got {max_points}")
+
+
 def correlation_dimension(data, r_count=32, theiler_window=0, max_points=8000):
     """Grassberger-Procaccia correlation dimension.
 
@@ -74,12 +85,7 @@ def correlation_dimension(data, r_count=32, theiler_window=0, max_points=8000):
     n = points.shape[0]
     if n < 10:
         raise InsufficientData(f"correlation dimension needs >= 10 points, got {n}")
-    if r_count < 8:
-        raise InvalidValue(f"r_count must be >= 8, got {r_count}")
-    if theiler_window < 0:
-        raise InvalidValue(f"theiler_window must be >= 0, got {theiler_window}")
-    if max_points is not None and max_points < 10:
-        raise InvalidValue(f"max_points must be >= 10, got {max_points}")
+    check_dimension_args(r_count, theiler_window, max_points)
     if max_points is not None and n > max_points:
         keep = np.linspace(0, n - 1, max_points).astype(np.intp)
         points = points[keep]

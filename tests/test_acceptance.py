@@ -57,7 +57,7 @@ def test_criterion_1_reference_round_trip(rossler_series):
     window = 2 * tau * m
     stride = max(window // 2, 1)
     segments = ci.extract_segments(embedding, window, stride)
-    config = ci.GaConfig(segment_window=window, segment_stride=stride)
+    config = ci.GaConfig()
     transforms = ci.ga_search(segments, config)
     diameter = ci.attractor_diameter(embedding.states)
     report = ci.classify_symmetry(

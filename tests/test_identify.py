@@ -285,15 +285,17 @@ def test_fit_model_solves_the_winning_regression_once(monkeypatch):
     assert len(calls) == 1  # one candidate basis, one solve
 
 
-def test_fit_model_seeds_frequency_from_rotation_report():
-    # planted rotation transforms carry the angle that seeds the sinusoid
-    A_true = np.array([[0.6, 0.2], [-0.2, 0.9]])
-    B_true = np.array([[0.8], [0.4]])
-    omega_true = 0.3
-    truth = ci.ForcingBasis((ci.Sinusoid(omega=omega_true, phi=0.0),))
-    states = _iterate(A_true, B_true, truth, [0.5, -0.3], 300)
-    emb = _embedding(states)
-    theta = omega_true * 8  # angle advanced over one window of 8 steps at dt=1
+def test_fit_model_refines_the_voted_family_whatever_the_transforms():
+    # the vote picks the sinusoid family; its parameters come from the grid
+    # refinement, not from the transforms, whose angle here points elsewhere
+    omega_grid, phi_grid, _ = ci.ParameterGrid().resolved(n_states=401, dt=1.0)
+    omega_true = float(omega_grid[16])
+    phi_true = float(phi_grid[2])
+    A_true = np.array([[0.85, 0.0], [0.1, 0.75]])
+    B_true = np.array([[0.7], [-0.2]])
+    truth = ci.ForcingBasis((ci.Sinusoid(omega=omega_true, phi=phi_true),))
+    states = _iterate(A_true, B_true, truth, [0.0, 0.0], 400)
+    theta = 2.9  # far from omega_true times any window of a few steps
     rot = np.array(
         [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
     )
@@ -310,14 +312,12 @@ def test_fit_model_seeds_frequency_from_rotation_report():
         )
     ]
     report = ci.classify_symmetry(transforms, threshold=1.0)
-    # with refinement off, the fitted basis is exactly the seeded one:
-    # omega = rotation angle / window duration = (0.3 * 8) / (8 * 1.0)
-    options = ci.FitOptions(segment_window=8, refine=False)
-    model, fit = ci.fit_model(emb, ci.TimeSeries(states[:, 0], dt=1.0), report, options)
+    assert report.dominant_class is ci.TransformClass.ROTATION
+    model, fit = ci.fit_model(_embedding(states), ci.TimeSeries(states[:, 0], dt=1.0), report)
     term = model.basis.terms[0]
     assert isinstance(term, ci.Sinusoid)
     assert np.isclose(term.omega, omega_true, atol=1e-12)
-    assert term.phi == 0.0
+    assert np.isclose(term.phi, phi_true, atol=1e-12)
     assert np.allclose(model.A, A_true, atol=1e-6)
     assert np.allclose(model.B, B_true, atol=1e-6)
     assert float(np.max(fit.one_step_nrmse)) < 1e-8
@@ -336,8 +336,7 @@ def test_fit_model_auto_ridge_on_rank_deficiency():
         threshold=0.0,
         diameter=0.0,
     )
-    options = ci.FitOptions(refine=False)
-    model, fit = ci.fit_model(emb, ci.TimeSeries(states[:, 0], dt=1.0), report, options)
+    model, fit = ci.fit_model(emb, ci.TimeSeries(states[:, 0], dt=1.0), report)
     assert fit.ridge_lambda > 0.0
     assert any("rank deficient" in w for w in fit.warnings)
     assert np.all(np.isfinite(model.A))
@@ -358,8 +357,6 @@ def test_fit_model_reports_divergent_free_run():
         threshold=0.0,
         diameter=0.0,
     )
-    model, fit = ci.fit_model(
-        emb, ci.TimeSeries(states[:, 0], dt=1.0), report, ci.FitOptions(refine=False)
-    )
+    model, fit = ci.fit_model(emb, ci.TimeSeries(states[:, 0], dt=1.0), report)
     assert np.allclose(model.A, A_true, atol=1e-8)
     assert float(np.max(fit.free_run_nrmse)) < 1e-6

@@ -251,17 +251,17 @@ def test_parse_config_defaults_and_overrides(tmp_path):
         "input.path = wave.csv\n"
         "ga.population=80\n"
         "input.dt = 0.25\n"
-        "identify.refine = false\n"
-        "validate.enabled = 1\n"
+        "validate.enabled = false\n"
     )
     config = io.parse_config(path, CONFIG_DEFAULTS)
     assert config["input.path"] == "wave.csv"
     assert config["ga.population"] == 80
     assert config["input.dt"] == 0.25
-    assert config["identify.refine"] is False
-    assert config["validate.enabled"] is True
+    assert config["validate.enabled"] is False
     # untouched keys keep their defaults
     assert config["ga.generations"] == CONFIG_DEFAULTS["ga.generations"]
+    path.write_text("validate.enabled = 1\n")
+    assert io.parse_config(path, CONFIG_DEFAULTS)["validate.enabled"] is True
 
 
 def test_parse_config_rejects_unknown_key(tmp_path):
@@ -280,7 +280,7 @@ def test_parse_config_rejects_bad_value(tmp_path):
 
 def test_parse_config_rejects_bad_bool(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("identify.refine=maybe\n")
+    path.write_text("validate.enabled=maybe\n")
     with pytest.raises(ci.ConfigError):
         io.parse_config(path, CONFIG_DEFAULTS)
 
@@ -377,6 +377,17 @@ def test_cli_stage_chain(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_embed_diagnostics_stop_at_the_longest_scan_the_series_allows(tmp_path, capsys):
+    csv = tmp_path / "short.csv"
+    _write_wave_csv(csv, n=60)
+    rc = main(["embed", str(csv), "--tau", "12", "--m", "2", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    fnn = io.read_series(tmp_path / "diagnostics_fnn.csv")
+    # m = 5 would leave 60 - 5 * 12 = 0 states to compare
+    assert fnn.values[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0]
+    capsys.readouterr()
+
+
 def test_cli_missing_input_exits_2(capsys):
     rc = main(["embed", "no_such_file.csv"])
     assert rc == 2
@@ -442,6 +453,10 @@ def test_cli_bad_config_key_exits_2(tmp_path, capsys):
     rc = main(["pipeline", str(cfg)])
     assert rc == 2
     assert "nope.key" in capsys.readouterr().err
+    # refinement has no switch, so identify.refine is unknown too
+    cfg.write_text("identify.refine = true\n")
+    assert main(["pipeline", str(cfg)]) == 2
+    assert "unknown config key 'identify.refine'" in capsys.readouterr().err
 
 
 def test_cli_fixtures_list_dump_verify(tmp_path, capsys):
@@ -655,6 +670,9 @@ def test_cli_invalid_value_exits_2_without_traceback(tmp_path, case):
             argv = ["identify", str(embedding), str(symmetry), *case.split()[1:]]
         argv += ["--out-dir", str(tmp_path)]
     _run_expecting_exit_2(argv)
+    if case.startswith("validate."):
+        # rejected before the first stage writes its artifact
+        assert not (tmp_path / "pinned" / "embedding.json").exists()
 
 
 @pytest.mark.parametrize(
