@@ -180,14 +180,22 @@ def write_embedding(path, embedding):
     write_json(path, doc)
 
 
+def _rows(values, width):
+    """A JSON list of rows as a 2-D float array; ``[]``, the way zero rows
+    are written, becomes zero rows of ``width`` columns."""
+    array = np.asarray(values, dtype=float)
+    return array.reshape(0, width) if array.shape == (0,) else array
+
+
 def read_embedding(path):
     doc = load_json(path)
     _expect_schema(doc, EMBEDDING_SCHEMA, path)
     try:
+        m = int(doc["m"])
         return DelayEmbedding(
-            states=np.asarray(doc["states"], dtype=float),
+            states=_rows(doc["states"], m),
             tau=int(doc["tau"]),
-            m=int(doc["m"]),
+            m=m,
             source_channel=int(doc["source_channel"]),
             dt=float(doc["dt"]),
         )
@@ -284,7 +292,7 @@ def read_model(path):
         return StateSpaceModel(
             A=np.asarray(doc["a"], dtype=float),
             B=np.asarray(doc["b"], dtype=float),
-            C=np.asarray(doc["c"], dtype=float),
+            C=_rows(doc["c"], len(doc["a"])),
             basis=basis_from_list(doc["basis"]),
             dt=float(doc["dt"]),
             embedding_tau=int(doc.get("embedding_tau", 0)),

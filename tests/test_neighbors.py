@@ -96,6 +96,89 @@ def test_nearest_distance_is_exact_under_offset(shift):
     np.testing.assert_allclose(dist, all_d.min(axis=1), rtol=1e-12, atol=0.0)
 
 
+def _assert_matches_oracle(points, exclude):
+    nn, dist = nearest(points, exclude)
+    nn_ref, dist_ref = _oracle_nearest(points, exclude)
+    assert np.array_equal(nn, nn_ref)
+    np.testing.assert_allclose(dist, dist_ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("exclude", [0, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_nearest_two_far_clusters_leave_most_boxes_empty(m, exclude):
+    rng = np.random.default_rng(6)
+    near = rng.normal(size=(120, m))
+    far = rng.normal(size=(79, m)) * 0.5 + 1000.0
+    # a lone outlier whose neighbour is found only once the boxes span
+    # the whole set
+    lone = np.full((1, m), -3000.0)
+    _assert_matches_oracle(np.concatenate([near, far, lone])[rng.permutation(200)], exclude)
+
+
+@pytest.mark.parametrize("exclude", [40, 90])
+def test_nearest_closed_curve_with_the_time_neighbours_banned(exclude):
+    """Every in-box candidate of a row on a densely sampled loop is one of
+    its time neighbours, inside the Theiler band; the admissible neighbours
+    lie on the other turns."""
+    t = np.arange(360) * (2.0 * np.pi / 120.0) + 0.013 * np.sin(np.arange(360) * 0.1)
+    for m in (2, 3, 4):
+        points = np.stack([np.cos(t), np.sin(t), 0.1 * np.sin(3.0 * t), 0.05 * np.cos(2.0 * t)], axis=1)
+        _assert_matches_oracle(points[:, :m], exclude)
+
+
+@pytest.mark.parametrize("exclude", [0, 2])
+def test_nearest_constant_identical_and_duplicate_points(exclude):
+    rng = np.random.default_rng(7)
+    flat = rng.normal(size=(150, 3))
+    flat[:, 0] = 4.0
+    _assert_matches_oracle(flat, exclude)
+    same = np.full((30, 2), 1.5)
+    nn, dist = nearest(same, exclude)
+    assert np.array_equal(nn, np.where(np.arange(30) <= exclude, np.arange(30) + exclude + 1, 0))
+    assert not dist.any()
+    _assert_matches_oracle(same, exclude)
+    # duplicates at distance 0: the lowest admissible copy wins
+    base = rng.normal(size=(60, 3))
+    dup = base[rng.integers(0, 60, size=200)]
+    _assert_matches_oracle(dup, exclude)
+
+
+@pytest.mark.parametrize("exclude", [0, 1, 5])
+def test_nearest_lattice_points_on_box_edges_tie_to_the_lowest_index(exclude):
+    """Integer lattices: the box edge is a whole number, so points sit
+    exactly on box edges and every row has several exactly tied
+    neighbours."""
+    rng = np.random.default_rng(8)
+    cube = np.array(list(np.ndindex(5, 5, 5)), dtype=float)
+    hyper = np.array(list(np.ndindex(3, 3, 3, 3)), dtype=float)
+    for points in (cube, cube[rng.permutation(cube.shape[0])], hyper, 2.0 * hyper - 7.0):
+        nn, dist = nearest(points, exclude)
+        nn_ref, dist_ref = _oracle_nearest(points, exclude)
+        assert np.array_equal(nn, nn_ref)
+        assert np.array_equal(dist, dist_ref)
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_nearest_quantised_delay_vectors_tie_to_the_lowest_index(m):
+    """Delay vectors of an integer-valued series repeat and tie exactly.
+    Their mean is not exact in binary, so a distance taken from centred
+    points in the |a|^2 + |b|^2 - 2 a.b form breaks some of these ties."""
+    s = np.round(5.0 * np.sin(0.07 * np.arange(300)))
+    points = s[np.arange(300 - (m - 1) * 5)[:, None] + np.arange(m) * 5]
+    nn, dist = nearest(points, 0)
+    nn_ref, dist_ref = _oracle_nearest(points, 0)
+    assert np.array_equal(nn, nn_ref)
+    assert np.array_equal(dist, dist_ref)
+
+
+@pytest.mark.parametrize("exclude", [9, 10, 50])
+def test_nearest_exclude_beyond_the_set_leaves_every_row_inf(exclude):
+    points = np.random.default_rng(9).normal(size=(10, 3))
+    nn, dist = nearest(points, exclude)
+    assert np.all(np.isinf(dist))
+    assert not nn.any()
+
+
 @pytest.mark.parametrize("theiler", [0, 3])
 def test_pair_distance_counts_match_direct_oracle(theiler):
     for points in _random_sets():
@@ -132,3 +215,16 @@ def test_kernel_matches_kd_tree():
     # the tree counts ordered pairs with d <= r, each point with itself too
     within = (tree.count_neighbors(tree, edges[1:]) - n) // 2
     assert np.array_equal(np.cumsum(counts), within)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_nearest_matches_kd_tree_on_the_reference_delay_set(rossler_series, m):
+    spatial = pytest.importorskip("scipy.spatial")
+    s = rossler_series.values[:, 0]
+    tau = 26
+    rows = s.size - (m - 1) * tau
+    points = s[np.arange(rows)[:, None] + np.arange(m) * tau]
+    nn, dist = nearest(points, 0)
+    tree_d, tree_i = spatial.cKDTree(points).query(points, k=2)
+    assert np.array_equal(nn, tree_i[:, 1])
+    np.testing.assert_allclose(dist, tree_d[:, 1], rtol=1e-12, atol=0.0)

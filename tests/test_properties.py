@@ -46,7 +46,7 @@ bases = st.lists(terms, max_size=4).map(lambda items: ci.ForcingBasis(tuple(item
 def models(draw):
     basis = draw(bases)
     n = draw(st.integers(1, 4))
-    q = draw(st.integers(1, 3))
+    q = draw(st.integers(0, 3))
     return ci.StateSpaceModel(
         A=draw(_matrix(n, n)),
         B=draw(_matrix(n, basis.size)),
@@ -62,7 +62,7 @@ def models(draw):
 def embeddings(draw):
     m = draw(st.integers(1, 4))
     return ci.DelayEmbedding(
-        states=draw(_matrix(draw(st.integers(1, 12)), m)),
+        states=draw(_matrix(draw(st.integers(0, 12)), m)),
         tau=draw(st.integers(1, 50)),
         m=m,
         source_channel=draw(st.integers(0, 8)),
