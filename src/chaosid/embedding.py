@@ -55,8 +55,8 @@ class TimeSeries:
             raise InsufficientData(f"need at least 2 samples, got {values.shape[0]}")
         if not np.all(np.isfinite(values)):
             raise InvalidValue("values contain NaN or infinity")
-        if not self.dt > 0:
-            raise InvalidValue(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < np.inf:
+            raise InvalidValue(f"dt must be finite and positive, got {self.dt}")
         labels = self.labels
         if labels is None:
             labels = tuple(f"ch{i}" for i in range(values.shape[1]))
@@ -105,6 +105,8 @@ class DelayEmbedding:
             raise InvalidValue(f"m must be >= 1, got {self.m}")
         if states.shape[1] != self.m:
             raise InvalidValue(f"states have {states.shape[1]} columns, expected m={self.m}")
+        if not 0 < self.dt < np.inf:
+            raise InvalidValue(f"dt must be finite and positive, got {self.dt}")
         object.__setattr__(self, "states", states)
 
     @property

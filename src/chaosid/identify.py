@@ -82,13 +82,13 @@ def solve_least_squares(Z, X_next, ridge_lambda=0.0):
 
 def _svd_solve(Z, Y, ridge_lambda):
     """Minimum of ||Z W^T - Y||_F^2 + ridge ||W||_F^2 via one SVD of Z."""
+    if not 0.0 <= ridge_lambda < np.inf:
+        raise InvalidValue(f"ridge_lambda must be finite and >= 0, got {ridge_lambda}")
     U, s, Vt = np.linalg.svd(Z, full_matrices=False)
     smax = s[0] if s.size else 0.0
     if smax == 0.0:
         raise RankDeficient("regressor matrix is zero")
     cond = float(smax / s[-1]) if s[-1] > 0.0 else float("inf")
-    if ridge_lambda < 0.0:
-        raise InvalidValue(f"ridge_lambda must be >= 0, got {ridge_lambda}")
     if ridge_lambda == 0.0:
         if s[-1] / smax < RANK_TOLERANCE:
             raise RankDeficient(
@@ -127,16 +127,15 @@ def fit_output_map(embedding, outputs, ridge_lambda=0.0):
 
 @dataclass(frozen=True)
 class ParameterGrid:
-    """Search grids for the free basis parameters.
+    """Search grids for the nonlinear basis parameters.
 
     Any field left as None gets the documented default, computed from the
     data size: omega is log-spaced between one cycle over the record and the
-    Nyquist rate, the exponential rate spans decay or growth by 10^3 over
-    the record, and the phase covers a full turn in eight steps.
+    Nyquist rate, and the exponential rate spans decay or growth by 10^3
+    over the record.  Sinusoid phases are fitted, not searched.
     """
 
     omega: np.ndarray = None
-    phi: np.ndarray = None
     rate: np.ndarray = None
 
     def resolved(self, n_states, dt):
@@ -144,38 +143,25 @@ class ParameterGrid:
         omega = self.omega
         if omega is None:
             omega = np.geomspace(2.0 * np.pi / span, np.pi / dt, 32)
-        phi = self.phi
-        if phi is None:
-            phi = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
         rate = self.rate
         if rate is None:
             bound = 2.0 / span * np.log(1e3)
             rate = np.linspace(-bound, bound, 17)
-        return (
-            np.asarray(omega, dtype=float),
-            np.asarray(phi, dtype=float),
-            np.asarray(rate, dtype=float),
-        )
+        return np.asarray(omega, dtype=float), np.asarray(rate, dtype=float)
 
 
 def _candidate_bases(basis, grid, n_states, dt):
     """Yield bases with every combination of free parameter values.
 
     Terms without free parameters pass through unchanged.  Sinusoids range
-    over (omega, phi) and exponentials over the rate grid.  The input basis
-    itself defines the term order.
+    over the omega grid (``_fit_phases`` fits their phase) and exponentials
+    over the rate grid.  The input basis itself defines the term order.
     """
-    omega_grid, phi_grid, rate_grid = grid.resolved(n_states, dt)
+    omega_grid, rate_grid = grid.resolved(n_states, dt)
     per_term = []
     for term in basis.terms:
         if isinstance(term, Sinusoid):
-            per_term.append(
-                [
-                    Sinusoid(float(w), float(ph), term.time_power)
-                    for w in omega_grid
-                    for ph in phi_grid
-                ]
-            )
+            per_term.append([Sinusoid(float(w), term.phi, term.time_power) for w in omega_grid])
         elif isinstance(term, Exponential):
             per_term.append(
                 [Exponential(float(r), term.time_power) for r in rate_grid]
@@ -186,13 +172,42 @@ def _candidate_bases(basis, grid, n_states, dt):
         yield ForcingBasis(combo)
 
 
-def refine_basis(embedding, basis, dt=None, grid=None, ridge_lambda=0.0):
-    """Grid search over free basis parameters, minimizing one-step residual.
+def _fit_phases(embedding, basis, dt):
+    """Give each sinusoid its least-squares phase, in term order with the
+    other terms held (variable projection, Golub & Pereyra 1973).
 
-    Every candidate basis is fitted with the same solver, and the candidate
-    with the smallest total one-step residual wins; on ties the earliest
-    grid point is kept.  A basis with no free parameters (or an empty one)
-    is returned unchanged along with its fit.
+    sin(w t + phi) = c0 sin(w t) + c1 cos(w t) for c = (cos phi, sin phi).
+    With that pair last in Z = QR, the best c maps through R22 onto the top
+    left singular vector of Q2^T X+.  Directions of R22 below RANK_TOLERANCE
+    ||Z||_2 cannot carry the phase (sin(w t) vanishes at the Nyquist rate).
+    Of phi and phi + pi, the one giving B a positive largest entry is taken.
+    """
+    terms = basis.terms
+    for i, term in enumerate(terms):
+        if not isinstance(term, Sinusoid):
+            continue
+        pair = tuple(Sinusoid(term.omega, ph, term.time_power) for ph in (0.0, np.pi / 2))
+        others = ForcingBasis(terms[:i] + terms[i + 1 :] + pair)
+        Z, X_next = build_regression(embedding, others, dt)
+        Q, R = np.linalg.qr(Z)
+        U, s, Vt = np.linalg.svd(R[-2:, -2:])
+        keep = s >= RANK_TOLERANCE * np.linalg.norm(R, 2)
+        if keep.any():
+            u, _, vt = np.linalg.svd(U[:, keep].T @ (Q[:, -2:].T @ X_next))
+            top = u[:, 0] * np.sign(vt[0, np.argmax(np.abs(vt[0]))])
+            c = Vt[keep].T @ (top / s[keep])
+            term = Sinusoid(term.omega, float(np.arctan2(c[1], c[0])), term.time_power)
+            terms = terms[:i] + (term,) + terms[i + 1 :]
+    return ForcingBasis(terms)
+
+
+def refine_basis(embedding, basis, dt=None, grid=None, ridge_lambda=0.0):
+    """Grid search over nonlinear basis parameters, minimizing one-step residual.
+
+    Every candidate basis gets fitted sinusoid phases and the same solver,
+    and the candidate with the smallest total one-step residual wins; on
+    ties the earliest grid point is kept.  A basis with no free parameters
+    (or an empty one) is returned unchanged along with its fit.
 
     Returns
     -------
@@ -208,10 +223,11 @@ def refine_basis(embedding, basis, dt=None, grid=None, ridge_lambda=0.0):
 
 
 def _best_fit(embedding, candidates, dt, ridge_lambda):
-    """Fit every candidate basis; return (basis, A, B, Z, X_next, report) of
-    the smallest one-step residual, the earliest on ties."""
+    """Fit every candidate basis with its phases fitted; return (basis, A, B,
+    Z, X_next, report) of the smallest one-step residual, the earliest on ties."""
     best = None
     for candidate in candidates:
+        candidate = _fit_phases(embedding, candidate, dt)
         Z, X_next = build_regression(embedding, candidate, dt)
         try:
             A, B, cond = solve_least_squares(Z, X_next, ridge_lambda)

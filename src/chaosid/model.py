@@ -203,8 +203,8 @@ class StateSpaceModel:
             )
         if C.shape[1] != n:
             raise InvalidValue(f"C has {C.shape[1]} columns, expected {n}")
-        if not self.dt > 0:
-            raise InvalidValue(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < np.inf:
+            raise InvalidValue(f"dt must be finite and positive, got {self.dt}")
 
     @property
     def n(self):

@@ -430,6 +430,8 @@ def _dominance_scores(histogram):
 
 
 def _basis_for(cls):
+    """The basis family a class votes for; translation and no class (None)
+    get the polynomial fallback."""
     if cls is TransformClass.ROTATION:
         return ForcingBasis((Sinusoid(omega=1.0, phi=0.0),))
     if cls is TransformClass.SCALING:
@@ -453,62 +455,36 @@ def classify_symmetry(transforms, threshold, diameter=None):
     SymmetryReport
         The recommended basis carries unit placeholder parameters; basis
         refinement in ``fit_model`` replaces them with the best values on
-        its parameter grid.
+        its parameter grid and fitted sinusoid phases.
     """
     accepted = [t for t in transforms if t.residual < threshold]
     histogram = {cls: 0 for cls in _CLASS_ORDER}
     for t in accepted:
         histogram[t.transform_class] += 1
-    warnings = []
-    if not accepted:
-        return SymmetryReport(
-            transforms=[],
-            class_histogram=histogram,
-            dominant_class=None,
-            recommended_basis=polynomial_basis(2),
-            threshold=threshold,
-            diameter=diameter if diameter is not None else 0.0,
-            warnings=["no transform fell below the acceptance threshold"],
-        )
     scores = _dominance_scores(histogram)
     best = max(scores.values())
-    if best == 0:
-        return SymmetryReport(
-            transforms=accepted,
-            class_histogram=histogram,
-            dominant_class=None,
-            recommended_basis=polynomial_basis(2),
-            threshold=threshold,
-            diameter=diameter if diameter is not None else 0.0,
-            warnings=["accepted transforms are all affine; no structured class to vote"],
-        )
-    leaders = [cls for cls, v in scores.items() if v == best]
-    if len(leaders) == 1:
-        dominant = leaders[0]
-        basis = _basis_for(dominant)
-        tie = False
-    else:
-        dominant = None
-        tie = True
-        terms = []
-        for cls in leaders:
-            for term in _basis_for(cls).terms:
-                if term not in terms:
-                    terms.append(term)
-        basis = ForcingBasis(tuple(terms))
+    leaders = [cls for cls, v in scores.items() if v == best] if best else []
+    warnings = []
+    if not accepted:
+        warnings.append("no transform fell below the acceptance threshold")
+    elif not leaders:
+        warnings.append("accepted transforms are all affine; no structured class to vote")
+    elif len(leaders) > 1:
         warnings.append(
             "dominance tie between "
             + ", ".join(cls.value for cls in leaders)
             + "; recommending the union of their bases"
         )
+    # a tie recommends the union of the leaders' bases, no leader the fallback
+    terms = dict.fromkeys(term for cls in leaders or [None] for term in _basis_for(cls).terms)
     return SymmetryReport(
         transforms=accepted,
         class_histogram=histogram,
-        dominant_class=dominant,
-        recommended_basis=basis,
+        dominant_class=leaders[0] if len(leaders) == 1 else None,
+        recommended_basis=ForcingBasis(tuple(terms)),
         threshold=threshold,
         diameter=diameter if diameter is not None else 0.0,
-        tie=tie,
+        tie=len(leaders) > 1,
         warnings=warnings,
     )
 

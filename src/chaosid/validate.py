@@ -176,7 +176,6 @@ class LyapunovEstimate:
     exponent: float
     fit_range: tuple
     n_pairs: int
-    curve: np.ndarray = None
     warnings: list = field(default_factory=list)
 
 
@@ -210,8 +209,8 @@ def largest_lyapunov(
 
     Every state is paired with its nearest neighbour at least
     ``mean_period`` samples away in time; the mean log distance of the
-    surviving pairs is tracked ``max_steps`` ahead, and the exponent is the
-    least squares slope over ``fit_range`` divided by dt.
+    surviving pairs is tracked up to the end of ``fit_range``, and the
+    exponent is the least squares slope over ``fit_range`` divided by dt.
 
     Parameters
     ----------
@@ -222,9 +221,9 @@ def largest_lyapunov(
         Minimum temporal separation between neighbour pairs, in samples.
         Use the dominant oscillation period of the series.
     max_steps : int, optional
-        Length of the divergence curve, default min(3 * mean_period, n/4).
+        Divergence horizon, default min(3 * mean_period, n/4).
     fit_range : (int, int), optional
-        Step range fitted; defaults to the first half of the curve.
+        Step range fitted, within the horizon; defaults to its first half.
 
     Returns
     -------
@@ -254,15 +253,6 @@ def largest_lyapunov(
     if i_idx.size < 1:
         raise InsufficientData("no separated neighbour pairs with nonzero distance")
 
-    curve = np.empty(max_steps)
-    for step in range(max_steps):
-        d = np.linalg.norm(states[i_idx + step] - states[j_idx + step], axis=1)
-        good = d > 0.0
-        if not np.any(good):
-            curve[step] = curve[step - 1] if step else 0.0
-            continue
-        curve[step] = float(np.mean(np.log(d[good])))
-
     if fit_range is None:
         fit_range = (0, max(2, max_steps // 2))
     lo, hi = fit_range
@@ -270,13 +260,27 @@ def largest_lyapunov(
     hi = min(max_steps, int(hi))
     if hi - lo < 2:
         raise InvalidValue(f"fit_range {fit_range} spans fewer than 2 steps")
+
+    # squares summed in coordinate order, as np.linalg.norm does below m = 8
+    curve = np.empty(hi)
+    for step in range(hi):
+        squares = 0.0
+        for column in states.T:
+            diff = column[step:].take(i_idx) - column[step:].take(j_idx)
+            squares = squares + diff * diff
+        d = np.sqrt(squares)
+        good = d > 0.0
+        if not np.any(good):
+            curve[step] = curve[step - 1] if step else 0.0
+            continue
+        curve[step] = float(np.mean(np.log(d[good])))
+
     steps = np.arange(lo, hi)
     slope = np.polyfit(steps, curve[lo:hi], 1)[0]
     return LyapunovEstimate(
         exponent=float(slope / dt),
         fit_range=(lo, hi),
         n_pairs=int(i_idx.size),
-        curve=curve,
     )
 
 

@@ -185,12 +185,10 @@ def test_output_map_too_few_rows():
 
 
 def test_parameter_grid_defaults():
-    omega, phi, rate = ci.ParameterGrid().resolved(n_states=1000, dt=0.1)
+    omega, rate = ci.ParameterGrid().resolved(n_states=1000, dt=0.1)
     assert omega.shape == (32,)
     assert np.isclose(omega[0], 2.0 * np.pi / 100.0)
     assert np.isclose(omega[-1], np.pi / 0.1)
-    assert phi.shape == (8,)
-    assert phi[0] == 0.0 and phi[-1] < 2.0 * np.pi
     assert rate.shape == (17,)
     assert np.isclose(rate[0], -rate[-1])
     assert rate[8] == 0.0
@@ -212,13 +210,14 @@ def test_refine_basis_recovers_exact_grid_point():
 
 
 def test_refine_basis_default_grid_recovers_planted_point():
-    """When the planted parameters sit exactly on the default grids, the
-    refinement must find them.  (Off-grid frequencies are only weakly
-    identifiable here: the state columns absorb the steady-state sinusoid,
-    so nearby candidates fit almost equally well.)"""
-    omega_grid, phi_grid, _ = ci.ParameterGrid().resolved(n_states=401, dt=1.0)
+    """When the planted frequency sits exactly on the default grid, the
+    refinement must find it, and the fitted phase must recover any planted
+    phase.  (Off-grid frequencies are only weakly identifiable here: the
+    state columns absorb the steady-state sinusoid, so nearby candidates fit
+    almost equally well.)"""
+    omega_grid, _ = ci.ParameterGrid().resolved(n_states=401, dt=1.0)
     omega_true = float(omega_grid[16])
-    phi_true = float(phi_grid[2])
+    phi_true = 1.0
     A_true = np.array([[0.85, 0.0], [0.1, 0.75]])
     B_true = np.array([[0.7], [-0.2]])
     truth = ci.ForcingBasis((ci.Sinusoid(omega=omega_true, phi=phi_true),))
@@ -238,6 +237,63 @@ def test_refine_basis_exponential_rate():
     best, report = ci.refine_basis(_embedding(states), ci.ForcingBasis((ci.Exponential(rate=1.0),)), grid=grid)
     assert np.isclose(best.terms[0].rate, -0.02)
     assert float(np.max(report.residual_rms)) < 1e-10
+
+
+def _one_step_rms(emb, basis):
+    Z, X_next = ci.build_regression(emb, basis)
+    A, B, _ = ci.solve_least_squares(Z, X_next)
+    return float(np.sqrt(np.mean((X_next - Z @ np.hstack([A, B]).T) ** 2)))
+
+
+def test_refine_basis_fitted_phase_beats_a_fine_phase_grid():
+    trajectory = ci.rk4_integrate(
+        ci.rossler(), np.array([1.0, 1.0, 1.0]), dt=0.05, steps=2000, transient_skip=2000
+    )
+    x = trajectory.channel(0)
+    x = x + 0.01 * np.std(x) * np.random.default_rng(0).normal(size=x.size)
+    emb = ci.delay_embed(ci.TimeSeries(x, dt=0.05), tau=26, m=3)
+    best, report = ci.refine_basis(emb, ci.ForcingBasis((ci.Sinusoid(omega=1.0),)))
+    fitted = _one_step_rms(emb, best)
+    assert np.isclose(fitted, np.sqrt(np.mean(report.residual_rms**2)), rtol=1e-12)
+    omega = best.terms[0].omega
+    turn = np.linspace(-np.pi, np.pi, 720, endpoint=False)
+    grid = min(_one_step_rms(emb, ci.ForcingBasis((ci.Sinusoid(omega, ph),))) for ph in turn)
+    assert fitted <= grid * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("with_constant", [False, True])
+def test_refine_basis_phase_at_the_nyquist_rate(with_constant):
+    # sin(pi k) vanishes, so only the cosine direction can carry the phase;
+    # the fit must match the best point of an eight-step phase grid
+    rng = np.random.default_rng(3)
+    terms = (ci.Polynomial(0),) if with_constant else ()
+    truth = ci.ForcingBasis(terms + (ci.Sinusoid(omega=np.pi, phi=0.4),))
+    B_true = np.array([[0.6] * truth.size, [-0.3] * truth.size])
+    states = _iterate([[0.8, 0.1], [-0.1, 0.7]], B_true, truth, [0.5, 0.0], 300)
+    emb = _embedding(states + 1e-3 * rng.normal(size=states.shape))
+    start = ci.ForcingBasis(terms + (ci.Sinusoid(omega=1.0),))
+    best, report = ci.refine_basis(emb, start, grid=ci.ParameterGrid(omega=np.array([np.pi])))
+    phi = best.terms[-1].phi
+    assert np.isfinite(phi) and np.isclose(abs(phi), np.pi / 2)
+    eighths = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
+    grid = min(
+        _one_step_rms(emb, ci.ForcingBasis(terms + (ci.Sinusoid(np.pi, ph),)))
+        for ph in eighths[[1, 2, 3, 5, 6, 7]]  # 0 and pi leave a zero column
+    )
+    assert np.isclose(np.sqrt(np.mean(report.residual_rms**2)), grid, rtol=1e-9)
+
+
+def test_refine_basis_fits_several_phases_in_term_order():
+    # each phase is fitted with the others held, so the result is never
+    # worse than the starting phases at the same frequencies
+    truth = ci.ForcingBasis((ci.Sinusoid(0.3, 0.5), ci.Sinusoid(0.9, -2.0)))
+    states = _iterate([[0.8, 0.1], [0.0, 0.7]], [[1.0, 0.4], [0.5, -0.6]], truth, [0.1, 0.2], 200)
+    emb = _embedding(states)
+    start = ci.ForcingBasis((ci.Sinusoid(1.0), ci.Sinusoid(1.0)))
+    best, report = ci.refine_basis(emb, start, grid=ci.ParameterGrid(omega=np.array([0.3, 0.9])))
+    assert sorted(term.omega for term in best.terms) == [0.3, 0.9]
+    held = ci.ForcingBasis(tuple(ci.Sinusoid(term.omega) for term in best.terms))
+    assert np.sqrt(np.mean(report.residual_rms**2)) <= _one_step_rms(emb, held)
 
 
 def test_refine_basis_without_free_parameters_is_identity():
@@ -286,11 +342,11 @@ def test_fit_model_solves_the_winning_regression_once(monkeypatch):
 
 
 def test_fit_model_refines_the_voted_family_whatever_the_transforms():
-    # the vote picks the sinusoid family; its parameters come from the grid
+    # the vote picks the sinusoid family; its parameters come from the
     # refinement, not from the transforms, whose angle here points elsewhere
-    omega_grid, phi_grid, _ = ci.ParameterGrid().resolved(n_states=401, dt=1.0)
+    omega_grid, _ = ci.ParameterGrid().resolved(n_states=401, dt=1.0)
     omega_true = float(omega_grid[16])
-    phi_true = float(phi_grid[2])
+    phi_true = 1.0
     A_true = np.array([[0.85, 0.0], [0.1, 0.75]])
     B_true = np.array([[0.7], [-0.2]])
     truth = ci.ForcingBasis((ci.Sinusoid(omega=omega_true, phi=phi_true),))

@@ -642,6 +642,9 @@ def _run_expecting_exit_2(argv):
         "ga.population = 1",
         "validate.r_count = 4",
         "identify.ridge_lambda = -1",
+        "identify.ridge_lambda = nan",
+        "identify.ridge_lambda = inf",
+        "input.dt = inf",
         "validate.theiler = -3",
         "validate.max_points = 0",
         "symmetry --population 1",
@@ -677,7 +680,12 @@ def test_cli_invalid_value_exits_2_without_traceback(tmp_path, case):
 
 @pytest.mark.parametrize(
     "case",
-    ["embedding tau is a string", "embedding states are ragged", "symmetry threshold is null"],
+    [
+        "embedding tau is a string",
+        "embedding states are ragged",
+        "embedding dt is infinite",
+        "symmetry threshold is null",
+    ],
 )
 def test_cli_malformed_artifact_exits_2_without_traceback(tmp_path, case):
     embedding = tmp_path / "embedding.json"
@@ -689,14 +697,18 @@ def test_cli_malformed_artifact_exits_2_without_traceback(tmp_path, case):
         doc = json.loads(embedding.read_text())
         if case.endswith("string"):
             doc["tau"] = "x"
-        else:
+        elif case.endswith("ragged"):
             doc["states"][3] = [1.0]
+        else:
+            doc["dt"] = float("inf")
         embedding.write_text(json.dumps(doc))
-        argv = ["symmetry", str(embedding), "--out-dir", str(tmp_path)]
     else:
         doc = json.loads(symmetry.read_text())
         doc["threshold"] = None
         symmetry.write_text(json.dumps(doc))
+    if case.startswith("embedding") and "dt" not in case:
+        argv = ["symmetry", str(embedding), "--out-dir", str(tmp_path)]
+    else:
         argv = ["identify", str(embedding), str(symmetry), "--out-dir", str(tmp_path)]
     assert str(tmp_path) in _run_expecting_exit_2(argv)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import chaosid as ci
+from chaosid.neighbors import nearest
 
 
 def _embedding_from_states(states, dt=1.0):
@@ -135,6 +136,41 @@ def test_lyapunov_explicit_fit_range():
     )
     assert est.fit_range == (2, 10)
     assert np.isclose(est.exponent, np.log(0.9), atol=1e-9)
+
+
+def _norm_loop_exponent(embedding, mean_period):
+    """The exponent as the earlier divergence loop computed it: every step
+    of the default horizon, with np.linalg.norm on gathered pair rows."""
+    states = embedding.states
+    n = states.shape[0]
+    separation = max(1, int(round(mean_period)))
+    max_steps = int(min(max(3 * separation, 10), n // 4))
+    neighbor, dist = nearest(states[: n - max_steps], separation)
+    i_idx = np.flatnonzero(np.isfinite(dist) & (dist > 0.0))
+    j_idx = neighbor[i_idx]
+    curve = np.empty(max_steps)
+    for step in range(max_steps):
+        d = np.linalg.norm(states[i_idx + step] - states[j_idx + step], axis=1)
+        curve[step] = np.mean(np.log(d[d > 0.0]))
+    hi = max(2, max_steps // 2)
+    return np.polyfit(np.arange(hi), curve[:hi], 1)[0] / embedding.dt
+
+
+@pytest.mark.parametrize("m", [3, 8, 9, 10])
+def test_lyapunov_matches_the_norm_loop(m):
+    # the loop sums squares in coordinate order: the same bits as the row
+    # norm below 8 coordinates, where numpy's row sum is sequential, and
+    # the same value to rounding from 8 on, where it is pairwise
+    x = np.empty(1500)
+    x[0] = 0.3
+    for k in range(1, x.size):
+        x[k] = 3.9 * x[k - 1] * (1.0 - x[k - 1])
+    emb = ci.delay_embed(ci.TimeSeries(x, dt=0.1), tau=1, m=m)
+    est = ci.largest_lyapunov(emb, mean_period=20)
+    reference = _norm_loop_exponent(emb, mean_period=20)
+    assert est.exponent == pytest.approx(reference, rel=1e-12)
+    if m < 8:
+        assert est.exponent == reference
 
 
 # ---------------------------------------------------------------------------
