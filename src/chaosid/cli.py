@@ -31,7 +31,7 @@ from .embedding import (
     delay_embed,
     false_nearest_neighbors,
 )
-from .errors import ChaosidError, ConfigError, InputError, InvalidValue
+from .errors import ChaosidError, ConfigError, InputError, InvalidValue, NonFiniteState
 from .identify import fit_model
 from .symmetry import GaConfig, attractor_diameter, classify_symmetry, extract_segments, ga_search
 from .validate import (
@@ -58,7 +58,6 @@ CONFIG_DEFAULTS = {
     "ga.segment_window": 0,
     "ga.segment_stride": 0,
     "identify.ridge_lambda": 0.0,
-    "identify.free_run_steps": 0,
     "validate.enabled": True,
     "validate.r_count": 32,
     "validate.theiler": 0,
@@ -71,6 +70,15 @@ CONFIG_DEFAULTS = {
 def _overlay(config, args):
     """``config`` with the values of the config-key flags in ``args``."""
     return {**config, **{k: v for k, v in vars(args).items() if k in config}}
+
+
+def _automatic(config, key):
+    """``config[key]``, or None for the 0 that leaves it to be chosen
+    automatically; a negative value is rejected."""
+    value = config[key]
+    if value < 0:
+        raise InvalidValue(f"{key} must be >= 0 (0 chooses it automatically), got {value}")
+    return value or None
 
 
 def _artifact(config, name):
@@ -90,25 +98,24 @@ def _embed(config):
     Only an unset (0) tau or m is scanned for; the scan of a pinned value
     comes back as None.  Returns (series, embedding, ami, fnn, notes).
     """
+    tau, m = _automatic(config, "embedding.tau"), _automatic(config, "embedding.m")
+    max_lag, m_max = _automatic(config, "embedding.max_lag"), config["embedding.m_max"]
     series = io.read_series(config["input.path"], dt=config["input.dt"])
     channel = config["input.channel"]
-    tau, m, m_max = config["embedding.tau"], config["embedding.m"], config["embedding.m_max"]
     # a constant channel and out-of-range limits fail here even with no scan to run
-    n = _get_channel(series, channel).size
-    max_lag = config["embedding.max_lag"]
-    max_lag = _resolve_max_lag(max_lag if max_lag > 0 else None, n)
+    max_lag = _resolve_max_lag(max_lag, _get_channel(series, channel).size)
     if m_max < 1:
         raise InvalidValue(f"m_max must be >= 1, got {m_max}")
     notes = []
     ami = fnn = None
-    if tau <= 0:
+    if tau is None:
         ami = average_mutual_information(series, channel=channel, max_lag=max_lag)
         tau = ami.lag
         notes.append(f"tau={tau} from first mutual-information minimum")
         notes.extend(ami.warnings)
     else:
         notes.append(f"tau={tau} pinned by flag")
-    if m <= 0:
+    if m is None:
         fnn = false_nearest_neighbors(series, channel=channel, tau=tau, m_max=m_max)
         m = fnn.m
         notes.append(f"m={m} from false-nearest-neighbor threshold {fnn.threshold}")
@@ -122,10 +129,8 @@ def _embed(config):
 
 def _symmetry(config, embedding):
     """Search segment transforms, classify them and write ``symmetry.json``."""
-    window = config["ga.segment_window"]
-    window = window if window > 0 else 2 * embedding.tau * embedding.m
-    stride = config["ga.segment_stride"]
-    stride = stride if stride > 0 else max(window // 2, 1)
+    window = _automatic(config, "ga.segment_window") or 2 * embedding.tau * embedding.m
+    stride = _automatic(config, "ga.segment_stride") or max(window // 2, 1)
     ga_config = GaConfig(
         population=config["ga.population"],
         generations=config["ga.generations"],
@@ -152,34 +157,29 @@ def _identify(config, embedding, report, outputs=None):
         # pure Takens case: the embedding was built from the selected channel,
         # so its coordinate 0 is the observed series whatever the CSV column
         outputs = TimeSeries(embedding.states[:, 0], dt=embedding.dt)
-    model, fit = fit_model(
-        embedding,
-        outputs,
-        report,
-        ridge_lambda=config["identify.ridge_lambda"],
-        free_run_steps=config["identify.free_run_steps"] or None,
-    )
+    model, fit = fit_model(embedding, outputs, report, ridge_lambda=config["identify.ridge_lambda"])
     io.write_model(_artifact(config, "model.json"), model)
     io.write_json(_artifact(config, "fit.json"), io.fit_report_to_dict(fit))
     return model, fit
 
 
-def _validate(config, embedding, model):
-    """Free-run the model from the first state and measure both attractors;
-    returns the report's ``metrics`` block and the comparison's warnings."""
+def _validate(config, embedding, model, fit):
+    """Measure the attractors of the embedding and of the free run that
+    ``fit_model`` made from its first state; returns the report's
+    ``metrics`` block and the comparison's warnings."""
+    if fit.free_run is None:
+        raise NonFiniteState("the model's free run diverged; fit.json records the step")
     dimension_args = {
         "r_count": config["validate.r_count"],
         "theiler_window": config["validate.theiler"] or embedding.tau * embedding.m,
         "max_points": config["validate.max_points"],
     }
     observed = embedding.states[:, 0]
-    free_states, free_outputs = simulate(
-        model, x0=embedding.states[0], steps=embedding.states.shape[0]
-    )
+    free_outputs = fit.free_run @ model.C.T
     source_dim = correlation_dimension(embedding.states, **dimension_args)
-    model_dim = correlation_dimension(free_states, **dimension_args)
+    model_dim = correlation_dimension(fit.free_run, **dimension_args)
     period = dominant_period(observed)
-    lyap = largest_lyapunov(embedding, dt=embedding.dt, mean_period=period)
+    lyap = largest_lyapunov(embedding, mean_period=period)
     comparison = compare(
         TimeSeries(observed, dt=embedding.dt),
         TimeSeries(free_outputs[:, 0], dt=embedding.dt),
@@ -200,8 +200,7 @@ def cmd_embed(args):
     series, embedding, ami, fnn, notes = _embed(config)
     # the diagnostics tables hold every scan, pinned values included
     channel = config["input.channel"]
-    max_lag = config["embedding.max_lag"]
-    max_lag = max_lag if max_lag > 0 else None
+    max_lag = _automatic(config, "embedding.max_lag")
     acf = autocorrelation_delay(series, channel=channel, max_lag=max_lag)
     if ami is None:
         ami = average_mutual_information(series, channel=channel, max_lag=max_lag)
@@ -344,7 +343,7 @@ def cmd_pipeline(args):
 
     metrics = None
     if config["validate.enabled"]:
-        metrics, free_run_warnings = timed("validate", _validate, embedding, model)
+        metrics, free_run_warnings = timed("validate", _validate, embedding, model, fit)
         warnings.extend(free_run_warnings)
         print(f"correlation dimension: source {metrics['source_dimension']['dimension']:.3f}, "
               f"model {metrics['model_dimension']['dimension']:.3f}")
@@ -443,8 +442,6 @@ def build_parser():
     p.add_argument("symmetry", help="symmetry report JSON")
     p.add_argument("--series", default="", help="optional output CSV; default uses embedding coordinate 0")
     _config_flag(p, "--ridge", "identify.ridge_lambda", help="ridge regularization weight")
-    _config_flag(p, "--free-run-steps", "identify.free_run_steps",
-                 help="free-run horizon; 0 for embedding length")
     _config_flag(p, "--out-dir", "output.dir")
     p.set_defaults(func=cmd_identify)
 

@@ -26,6 +26,15 @@ from .errors import (
 )
 from .neighbors import nearest
 
+#: False nearest neighbour criteria (Kennedy, Brown & Abarbanel 1992): a
+#: neighbour is false when the lifted coordinate separates it by more than
+#: FNN_R_TOL times the original distance or FNN_A_TOL series standard
+#: deviations, and m is the first dimension whose false fraction is below
+#: FNN_THRESHOLD.
+FNN_R_TOL = 10.0
+FNN_A_TOL = 2.0
+FNN_THRESHOLD = 0.05
+
 
 @dataclass(frozen=True)
 class TimeSeries:
@@ -262,29 +271,22 @@ def average_mutual_information(series, channel=0, max_lag=None, bins=None):
     )
 
 
-def false_nearest_neighbors(
-    series,
-    channel=0,
-    tau=1,
-    m_max=8,
-    r_tol=10.0,
-    a_tol=2.0,
-    threshold=0.05,
-):
+def false_nearest_neighbors(series, channel=0, tau=1, m_max=8):
     """False nearest neighbour fractions for dimensions 1..m_max.
 
     For each dimension m the series is embedded at m and m+1 with the same
     delay.  A neighbour pair is false when the coordinate added by the lift
-    separates it: either the gap in the new coordinate exceeds ``r_tol``
-    times the original distance, or it exceeds ``a_tol`` times the standard
-    deviation of the series.
+    separates it: either the gap in the new coordinate exceeds ``FNN_R_TOL``
+    (10) times the original distance, or it exceeds ``FNN_A_TOL`` (2) times
+    the standard deviation of the series.
 
     Returns
     -------
     FnnScan
         ``m`` is the smallest dimension whose fraction falls below
-        ``threshold``.  If no dimension qualifies, ``m`` is ``m_max`` and
-        ``finite_dimension`` is False with a warning.
+        ``FNN_THRESHOLD`` (0.05), which ``threshold`` reports.  If no
+        dimension qualifies, ``m`` is ``m_max`` and ``finite_dimension`` is
+        False with a warning.
     """
     s = _get_channel(series, channel)
     n = s.size
@@ -308,25 +310,25 @@ def false_nearest_neighbors(
         gap = np.abs(added - added[nn])
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(dist > 0.0, gap / dist, np.where(gap > 0.0, np.inf, 0.0))
-        false = (ratio > r_tol) | (gap > a_tol * sigma)
+        false = (ratio > FNN_R_TOL) | (gap > FNN_A_TOL * sigma)
         fractions[m - 1] = float(np.mean(false))
-    qualifying = np.nonzero(fractions < threshold)[0]
+    qualifying = np.nonzero(fractions < FNN_THRESHOLD)[0]
     if qualifying.size:
         return FnnScan(
             m=int(dims[qualifying[0]]),
             dims=dims,
             fractions=fractions,
             finite_dimension=True,
-            threshold=threshold,
+            threshold=FNN_THRESHOLD,
         )
     return FnnScan(
         m=int(m_max),
         dims=dims,
         fractions=fractions,
         finite_dimension=False,
-        threshold=threshold,
+        threshold=FNN_THRESHOLD,
         warnings=[
-            f"false neighbour fraction never fell below {threshold} up to m_max={m_max}; "
+            f"false neighbour fraction never fell below {FNN_THRESHOLD} up to m_max={m_max}; "
             "the series may have no finite embedding dimension"
         ],
     )

@@ -27,11 +27,12 @@ RANK_TOLERANCE = 1e-12
 AUTO_RIDGE_FACTOR = 1e-8
 
 
-def build_regression(embedding, basis, dt=None):
+def build_regression(embedding, basis):
     """Assemble the regression Z w = X+ for one delay embedding.
 
     Row k of Z is [x(k), phi(k)] and row k of X+ is x(k+1), for
-    k = 0 .. n_states-2.  Time enters the basis as t = k * dt.
+    k = 0 .. n_states-2.  Time enters the basis as t = k * dt with the
+    embedding's sample interval.
 
     Returns
     -------
@@ -44,11 +45,8 @@ def build_regression(embedding, basis, dt=None):
         raise InsufficientData(
             f"regression needs at least {m + p + 1} states for m={m}, p={p}; got {n_states}"
         )
-    if dt is None:
-        dt = embedding.dt
-    horizon = (n_states - 1) * dt
-    basis.check_horizon(horizon)
-    phi = basis.evaluate(np.arange(n_states - 1), dt)
+    basis.check_horizon((n_states - 1) * embedding.dt)
+    phi = basis.evaluate(np.arange(n_states - 1), embedding.dt)
     Z = np.hstack([states[:-1], phi])
     return Z, states[1:]
 
@@ -150,14 +148,15 @@ class ParameterGrid:
         return np.asarray(omega, dtype=float), np.asarray(rate, dtype=float)
 
 
-def _candidate_bases(basis, grid, n_states, dt):
+def _candidate_bases(basis, grid, embedding):
     """Yield bases with every combination of free parameter values.
 
     Terms without free parameters pass through unchanged.  Sinusoids range
     over the omega grid (``_fit_phases`` fits their phase) and exponentials
-    over the rate grid.  The input basis itself defines the term order.
+    over the rate grid, resolved for the embedding.  The input basis itself
+    defines the term order.
     """
-    omega_grid, rate_grid = grid.resolved(n_states, dt)
+    omega_grid, rate_grid = grid.resolved(embedding.n_states, embedding.dt)
     per_term = []
     for term in basis.terms:
         if isinstance(term, Sinusoid):
@@ -172,7 +171,7 @@ def _candidate_bases(basis, grid, n_states, dt):
         yield ForcingBasis(combo)
 
 
-def _fit_phases(embedding, basis, dt):
+def _fit_phases(embedding, basis):
     """Give each sinusoid its least-squares phase, in term order with the
     other terms held (variable projection, Golub & Pereyra 1973).
 
@@ -188,7 +187,7 @@ def _fit_phases(embedding, basis, dt):
             continue
         pair = tuple(Sinusoid(term.omega, ph, term.time_power) for ph in (0.0, np.pi / 2))
         others = ForcingBasis(terms[:i] + terms[i + 1 :] + pair)
-        Z, X_next = build_regression(embedding, others, dt)
+        Z, X_next = build_regression(embedding, others)
         Q, R = np.linalg.qr(Z)
         U, s, Vt = np.linalg.svd(R[-2:, -2:])
         keep = s >= RANK_TOLERANCE * np.linalg.norm(R, 2)
@@ -201,34 +200,32 @@ def _fit_phases(embedding, basis, dt):
     return ForcingBasis(terms)
 
 
-def refine_basis(embedding, basis, dt=None, grid=None, ridge_lambda=0.0):
+def refine_basis(embedding, basis, grid=None):
     """Grid search over nonlinear basis parameters, minimizing one-step residual.
 
-    Every candidate basis gets fitted sinusoid phases and the same solver,
-    and the candidate with the smallest total one-step residual wins; on
-    ties the earliest grid point is kept.  A basis with no free parameters
-    (or an empty one) is returned unchanged along with its fit.
+    Every candidate basis gets fitted sinusoid phases and the same
+    unregularized solver, and the candidate with the smallest total one-step
+    residual wins; on ties the earliest grid point is kept.  ``grid``
+    defaults to ``ParameterGrid()`` resolved for the embedding, whose
+    sample interval is the time step.  A basis with no free parameters (or
+    an empty one) is returned unchanged along with its fit.
 
     Returns
     -------
     (best_basis, report) : (ForcingBasis, FitReport)
     """
-    if dt is None:
-        dt = embedding.dt
-    if grid is None:
-        grid = ParameterGrid()
-    candidates = _candidate_bases(basis, grid, embedding.n_states, dt)
-    best = _best_fit(embedding, candidates, dt, ridge_lambda)
+    candidates = _candidate_bases(basis, grid or ParameterGrid(), embedding)
+    best = _best_fit(embedding, candidates, 0.0)
     return best[0], best[-1]
 
 
-def _best_fit(embedding, candidates, dt, ridge_lambda):
+def _best_fit(embedding, candidates, ridge_lambda):
     """Fit every candidate basis with its phases fitted; return (basis, A, B,
     Z, X_next, report) of the smallest one-step residual, the earliest on ties."""
     best = None
     for candidate in candidates:
-        candidate = _fit_phases(embedding, candidate, dt)
-        Z, X_next = build_regression(embedding, candidate, dt)
+        candidate = _fit_phases(embedding, candidate)
+        Z, X_next = build_regression(embedding, candidate)
         try:
             A, B, cond = solve_least_squares(Z, X_next, ridge_lambda)
         except RankDeficient:
@@ -249,14 +246,17 @@ def _best_fit(embedding, candidates, dt, ridge_lambda):
     return candidate, A, B, Z, X_next, report
 
 
-def fit_model(embedding, outputs, report, ridge_lambda=0.0, free_run_steps=None):
+def fit_model(embedding, outputs, report, ridge_lambda=0.0):
     """Identify a full model from an embedding and a symmetry report.
 
     The basis family the symmetry vote recommends is refined over the
     default ``ParameterGrid`` (refinement replaces its placeholder
     parameters), and the best candidate is fitted by least squares; the
     output map is fitted separately.  One-step and free-run errors are
-    measured against ``outputs``.
+    measured against ``outputs``.  The free run starts from the first
+    embedding state and covers every row the embedding and ``outputs``
+    share; the report keeps its states in ``free_run`` (None when the run
+    diverged, with a warning and an infinite ``free_run_nrmse``).
 
     Parameters
     ----------
@@ -268,26 +268,23 @@ def fit_model(embedding, outputs, report, ridge_lambda=0.0, free_run_steps=None)
         Ridge weight of the state regression.  At 0, a regression that is
         rank deficient for every candidate is refitted with an automatic
         ridge taken from the recommended basis.
-    free_run_steps : int, optional
-        Free-run horizon; None uses the embedding length.
 
     Returns
     -------
     (model, fit_report) : (StateSpaceModel, FitReport)
     """
-    dt = embedding.dt
     warnings = []
     basis = report.recommended_basis
-    candidates = list(_candidate_bases(basis, ParameterGrid(), embedding.n_states, dt))
+    candidates = list(_candidate_bases(basis, ParameterGrid(), embedding))
     try:
-        basis, A, B, Z, X_next, fit = _best_fit(embedding, candidates, dt, ridge_lambda)
+        basis, A, B, Z, X_next, fit = _best_fit(embedding, candidates, ridge_lambda)
     except RankDeficient:
-        Z, _ = build_regression(embedding, basis, dt)
+        Z, _ = build_regression(embedding, basis)
         ridge_lambda = AUTO_RIDGE_FACTOR * np.linalg.norm(Z, 2) ** 2
         warnings.append(
             f"regression rank deficient; retried with ridge_lambda={ridge_lambda:.3e}"
         )
-        basis, A, B, Z, X_next, fit = _best_fit(embedding, candidates, dt, ridge_lambda)
+        basis, A, B, Z, X_next, fit = _best_fit(embedding, candidates, ridge_lambda)
     try:
         C = fit_output_map(embedding, outputs)
     except RankDeficient:
@@ -301,18 +298,19 @@ def fit_model(embedding, outputs, report, ridge_lambda=0.0, free_run_steps=None)
         B=B,
         C=C,
         basis=basis,
-        dt=dt,
+        dt=embedding.dt,
         embedding_tau=embedding.tau,
         embedding_channel=embedding.source_channel,
     )
     fit.ridge_lambda = ridge_lambda
     fit.warnings = warnings + fit.warnings
-    _measure_errors(model, embedding, outputs, Z, X_next, A, B, fit, free_run_steps)
+    _measure_errors(model, embedding, outputs, Z, X_next, A, B, fit)
     return model, fit
 
 
-def _measure_errors(model, embedding, outputs, Z, X_next, A, B, fit, steps):
-    """Fill one-step and free-run output errors into the fit report."""
+def _measure_errors(model, embedding, outputs, Z, X_next, A, B, fit):
+    """Fill one-step and free-run output errors and the free-run states
+    into the fit report."""
     y = outputs.values
     rows = min(embedding.n_states, y.shape[0])
     y = y[:rows]
@@ -325,12 +323,9 @@ def _measure_errors(model, embedding, outputs, Z, X_next, A, B, fit, steps):
     err = y_pred - y[1:rows]
     fit.one_step_nrmse = np.sqrt(np.mean(err**2, axis=0)) / scale
 
-    if steps is None:
-        steps = rows
     try:
-        _, y_free = dynamics.simulate(model, embedding.states[0], steps)
-        k = min(steps, rows)
-        err = y_free[:k] - y[:k]
+        fit.free_run, y_free = dynamics.simulate(model, embedding.states[0], rows)
+        err = y_free - y
         fit.free_run_nrmse = np.sqrt(np.mean(err**2, axis=0)) / scale
     except NonFiniteState as exc:
         fit.free_run_nrmse = np.full(y.shape[1], np.inf)

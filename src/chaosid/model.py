@@ -221,7 +221,12 @@ class StateSpaceModel:
 
 @dataclass
 class FitReport:
-    """Diagnostics from one identification run."""
+    """Diagnostics from one identification run.
+
+    ``free_run`` holds the states of the model's free run from the first
+    embedding state, or None when that run diverged; it is not written to
+    ``fit.json``.
+    """
 
     residual_rms: np.ndarray
     one_step_nrmse: np.ndarray = None
@@ -230,3 +235,4 @@ class FitReport:
     ridge_lambda: float = 0.0
     basis_description: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
+    free_run: np.ndarray = None

@@ -264,6 +264,8 @@ class GaConfig:
             raise InvalidValue(f"population must be >= 2, got {self.population}")
         if self.generations < 1:
             raise InvalidValue(f"generations must be >= 1, got {self.generations}")
+        if self.seed < 0:
+            raise InvalidValue(f"seed must be >= 0, got {self.seed}")
         for name in ("mutation_rate", "crossover_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:

@@ -198,30 +198,23 @@ def dominant_period(values):
     return float(n / peak)
 
 
-def largest_lyapunov(
-    embedding,
-    dt=None,
-    mean_period=10.0,
-    max_steps=None,
-    fit_range=None,
-):
+def largest_lyapunov(embedding, mean_period=10.0, fit_range=None):
     """Largest Lyapunov exponent by nearest neighbour divergence tracking.
 
     Every state is paired with its nearest neighbour at least
     ``mean_period`` samples away in time; the mean log distance of the
     surviving pairs is tracked up to the end of ``fit_range``, and the
-    exponent is the least squares slope over ``fit_range`` divided by dt.
+    exponent is the least squares slope over ``fit_range`` divided by the
+    embedding's sample interval.  Pairs are followed over a divergence
+    horizon of min(max(3 * mean_period, 10), n/4) steps, and only states
+    that many steps before the end are paired.
 
     Parameters
     ----------
     embedding : DelayEmbedding
-    dt : float, optional
-        Sample interval; defaults to the embedding's.
     mean_period : float
         Minimum temporal separation between neighbour pairs, in samples.
         Use the dominant oscillation period of the series.
-    max_steps : int, optional
-        Divergence horizon, default min(3 * mean_period, n/4).
     fit_range : (int, int), optional
         Step range fitted, within the horizon; defaults to its first half.
 
@@ -232,32 +225,22 @@ def largest_lyapunov(
     """
     states = embedding.states
     n = states.shape[0]
-    if dt is None:
-        dt = embedding.dt
     if n < 20:
         raise InsufficientData(f"Lyapunov estimate needs >= 20 states, got {n}")
     separation = max(1, int(round(mean_period)))
-    if max_steps is None:
-        max_steps = int(min(max(3 * separation, 10), n // 4))
-    if max_steps < 2:
-        raise InsufficientData("divergence horizon shorter than 2 steps")
-
-    usable = n - max_steps
-    if usable < 2:
-        raise InsufficientData(
-            f"only {usable} states usable with max_steps={max_steps}"
-        )
-    neighbor, dist = nearest(states[:usable], separation)
+    # at least 5 steps, and at least 15 states to pair, from n >= 20
+    horizon = min(max(3 * separation, 10), n // 4)
+    neighbor, dist = nearest(states[: n - horizon], separation)
     i_idx = np.flatnonzero(np.isfinite(dist) & (dist > 0.0))
     j_idx = neighbor[i_idx]
     if i_idx.size < 1:
         raise InsufficientData("no separated neighbour pairs with nonzero distance")
 
     if fit_range is None:
-        fit_range = (0, max(2, max_steps // 2))
+        fit_range = (0, max(2, horizon // 2))
     lo, hi = fit_range
     lo = max(0, int(lo))
-    hi = min(max_steps, int(hi))
+    hi = min(horizon, int(hi))
     if hi - lo < 2:
         raise InvalidValue(f"fit_range {fit_range} spans fewer than 2 steps")
 
@@ -278,7 +261,7 @@ def largest_lyapunov(
     steps = np.arange(lo, hi)
     slope = np.polyfit(steps, curve[lo:hi], 1)[0]
     return LyapunovEstimate(
-        exponent=float(slope / dt),
+        exponent=float(slope / embedding.dt),
         fit_range=(lo, hi),
         n_pairs=int(i_idx.size),
     )
@@ -306,7 +289,7 @@ def _histogram_l1(a, b, bins=64):
     return float(np.sum(np.abs(pa - pb)))
 
 
-def compare(reference, modeled, tau=None, m=None, with_dimension=True, theiler=None):
+def compare(reference, modeled, tau=None, m=None, with_dimension=True):
     """Compare a modeled series against its reference channel by channel.
 
     The NRMSE normalizes each channel's pointwise RMS error by the standard
@@ -314,7 +297,9 @@ def compare(reference, modeled, tau=None, m=None, with_dimension=True, theiler=N
     distance between 64-bin normalized histograms over the common value
     range.  When ``with_dimension`` is set, channel 0 of both series is
     delay embedded with a common (tau, m) and the difference of the two
-    correlation dimensions is reported.
+    correlation dimensions is reported; tau defaults to the reference's
+    first mutual-information minimum, m to 3, and the Theiler window of
+    both dimensions is tau * m.
 
     Raises
     ------
@@ -345,8 +330,7 @@ def compare(reference, modeled, tau=None, m=None, with_dimension=True, theiler=N
             tau = average_mutual_information(reference, 0).lag
         if m is None:
             m = 3
-        if theiler is None:
-            theiler = tau * m
+        theiler = tau * m
         ref_emb = delay_embed(reference, 0, tau, m)
         mod_emb = delay_embed(modeled, 0, tau, m)
         ref_dim = correlation_dimension(ref_emb, theiler_window=theiler)

@@ -617,6 +617,55 @@ def test_cli_pipeline_pinned_embedding_still_checks_max_lag(tmp_path, capsys):
     assert not (tmp_path / "pinned" / "embedding.json").exists()
 
 
+def _counting(calls, function):
+    """``function`` wrapped to append its positional arguments to ``calls``."""
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    return wrapper
+
+
+def test_cli_pipeline_simulates_the_model_once(tmp_path, monkeypatch, capsys):
+    from chaosid import cli, dynamics
+
+    calls = []
+    monkeypatch.setattr(dynamics, "simulate", _counting(calls, dynamics.simulate))
+    monkeypatch.setattr(cli, "simulate", _counting(calls, cli.simulate))
+    assert main(["pipeline", str(_pinned_config(tmp_path, ""))]) == 0
+    assert len(calls) == 1
+    report = io.load_json(tmp_path / "pinned" / "report.json")
+    assert report["fit"]["free_run_nrmse"] == report["metrics"]["free_run_comparison"]["nrmse"]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_cli_pipeline_diverged_free_run(tmp_path, monkeypatch, capsys, validate):
+    from chaosid import cli, dynamics
+
+    def diverged(*args, **kwargs):
+        raise ci.NonFiniteState("simulation diverged at step 7", step=7)
+
+    monkeypatch.setattr(dynamics, "simulate", diverged)
+    monkeypatch.setattr(cli, "simulate", diverged)
+    cfg = _pinned_config(tmp_path, f"validate.enabled = {str(validate).lower()}")
+    rc = main(["pipeline", str(cfg)])
+    err = capsys.readouterr().err
+    report = tmp_path / "pinned" / "report.json"
+    if validate:
+        # no attractor to measure: one error line, and no report
+        assert rc == 4
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not report.exists()
+    else:
+        assert rc == 0
+        doc = io.load_json(report)
+        assert doc["fit"]["free_run_nrmse"] == [float("inf")]
+        assert "Infinity" in report.read_text()
+        assert any(w.startswith("free run diverged") for w in doc["warnings"])
+
+
 def _run_expecting_exit_2(argv):
     """Run ``python -m chaosid argv`` and return its stderr, which must be a
     single ``error:`` report with exit code 2 and no traceback."""
@@ -647,8 +696,17 @@ def _run_expecting_exit_2(argv):
         "input.dt = inf",
         "validate.theiler = -3",
         "validate.max_points = 0",
+        "embedding.tau = -5",
+        "embedding.m = -1",
+        "embedding.max_lag = -1",
+        "ga.segment_window = -4",
+        "ga.segment_stride = -2",
+        "run.seed = -1",
+        "identify.free_run_steps = 0",
         "symmetry --population 1",
-        "identify --free-run-steps -5",
+        "symmetry --window -4",
+        "symmetry --seed -1",
+        "embed --tau -5",
         "embed with a nan cell",
     ],
 )
@@ -657,9 +715,14 @@ def test_cli_invalid_value_exits_2_without_traceback(tmp_path, case):
     if "=" in case:
         argv = ["pipeline", str(_pinned_config(tmp_path, case))]
     elif command == "embed":
-        csv = tmp_path / "gap.csv"
-        csv.write_text("y\n1.0\n2.0\nnan\n3.0\n")
-        argv = ["embed", str(csv), "--out-dir", str(tmp_path)]
+        csv = tmp_path / "series.csv"
+        flags = []
+        if case.endswith("nan cell"):
+            csv.write_text("y\n1.0\n2.0\nnan\n3.0\n")
+        else:
+            _write_wave_csv(csv)
+            flags = case.split()[1:]
+        argv = ["embed", str(csv), *flags, "--out-dir", str(tmp_path)]
     else:
         embedding = tmp_path / "embedding.json"
         states = np.random.default_rng(0).normal(size=(50, 2))
@@ -672,10 +735,13 @@ def test_cli_invalid_value_exits_2_without_traceback(tmp_path, case):
             io.write_symmetry_report(symmetry, report)
             argv = ["identify", str(embedding), str(symmetry), *case.split()[1:]]
         argv += ["--out-dir", str(tmp_path)]
-    _run_expecting_exit_2(argv)
-    if case.startswith("validate."):
+    stderr = _run_expecting_exit_2(argv)
+    if case.startswith(("validate.", "embedding.")):
         # rejected before the first stage writes its artifact
         assert not (tmp_path / "pinned" / "embedding.json").exists()
+    if case.startswith("identify.free_run_steps"):
+        # the free run always covers the embedding; the key is gone
+        assert "unknown config key" in stderr
 
 
 @pytest.mark.parametrize(
