@@ -198,15 +198,15 @@ def _validate(config, embedding, model, fit):
 def cmd_embed(args):
     config = _overlay(CONFIG_DEFAULTS, args)
     series, embedding, ami, fnn, notes = _embed(config)
-    # the diagnostics tables hold every scan, pinned values included
+    # the diagnostics tables hold each scan up to its decision, pinned values included
     channel = config["input.channel"]
     max_lag = _automatic(config, "embedding.max_lag")
     acf = autocorrelation_delay(series, channel=channel, max_lag=max_lag)
     if ami is None:
         ami = average_mutual_information(series, channel=channel, max_lag=max_lag)
     if fnn is None:
-        # a pinned embedding may be valid where the full scan is not: stop
-        # at the largest dimension that leaves two states to compare
+        # a pinned embedding may be valid where a scan that never qualifies
+        # is not: stop at the largest dimension that leaves two states
         tau = embedding.tau
         m_max = min(config["embedding.m_max"], max(1, (len(series.values) - 2) // tau))
         fnn = false_nearest_neighbors(series, channel=channel, tau=tau, m_max=m_max)

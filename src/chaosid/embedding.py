@@ -135,7 +135,7 @@ class DelayScan:
 
 @dataclass
 class AmiScan:
-    """Result of the average mutual information delay estimate."""
+    """AMI delay estimate; ``ami`` runs from lag 0 to one past the minimum, or to max_lag."""
 
     lag: int
     lags: np.ndarray
@@ -147,7 +147,7 @@ class AmiScan:
 
 @dataclass
 class FnnScan:
-    """Result of the false nearest neighbour dimension scan."""
+    """FNN dimension scan; ``fractions`` cover dimensions 1..m, or 1..m_max if none qualifies."""
 
     m: int
     dims: np.ndarray
@@ -234,9 +234,11 @@ def average_mutual_information(series, channel=0, max_lag=None, bins=None):
     Returns
     -------
     AmiScan
-        ``lag`` is the first strict local minimum of the AMI curve.  When no
-        local minimum exists up to ``max_lag``, the autocorrelation delay is
-        used as a fallback and a warning is recorded.
+        ``lag`` is the first strict local minimum L of the AMI curve; the
+        scan stops at lag L + 1, which confirms it, so ``lags`` and ``ami``
+        hold lags 0..L+1.  When no local minimum exists up to ``max_lag``,
+        they hold lags 0..max_lag, the autocorrelation delay is used as a
+        fallback and a warning is recorded.
     """
     s = _get_channel(series, channel)
     n = s.size
@@ -252,9 +254,9 @@ def average_mutual_information(series, channel=0, max_lag=None, bins=None):
     for lag in lags:
         joint = np.bincount(cell[: n - lag] * bins + cell[lag:], minlength=bins * bins)
         ami[lag] = _mutual_information(joint.reshape(bins, bins))
-    for lag in range(1, max_lag):
-        if ami[lag] < ami[lag - 1] and ami[lag] < ami[lag + 1]:
-            return AmiScan(lag=int(lag), lags=lags, ami=ami, bins=bins, minimum_found=True)
+        # lag confirms lag - 1 as the first strict local minimum
+        if lag >= 2 and ami[lag - 2] > ami[lag - 1] < ami[lag]:
+            return AmiScan(int(lag - 1), lags[: lag + 1], ami[: lag + 1], bins, minimum_found=True)
     fallback = autocorrelation_delay(series, channel, max_lag)
     warnings = [
         f"no strict local minimum of AMI within max_lag={max_lag}; "
@@ -272,7 +274,7 @@ def average_mutual_information(series, channel=0, max_lag=None, bins=None):
 
 
 def false_nearest_neighbors(series, channel=0, tau=1, m_max=8):
-    """False nearest neighbour fractions for dimensions 1..m_max.
+    """False nearest neighbour fractions for dimensions 1, 2, ... up to m_max.
 
     For each dimension m the series is embedded at m and m+1 with the same
     delay.  A neighbour pair is false when the coordinate added by the lift
@@ -284,9 +286,10 @@ def false_nearest_neighbors(series, channel=0, tau=1, m_max=8):
     -------
     FnnScan
         ``m`` is the smallest dimension whose fraction falls below
-        ``FNN_THRESHOLD`` (0.05), which ``threshold`` reports.  If no
-        dimension qualifies, ``m`` is ``m_max`` and ``finite_dimension`` is
-        False with a warning.
+        ``FNN_THRESHOLD`` (0.05), which ``threshold`` reports.  The scan
+        stops there: ``dims`` and ``fractions`` hold dimensions 1..m.  If no
+        dimension qualifies, they hold 1..m_max, ``m`` is ``m_max`` and
+        ``finite_dimension`` is False with a warning.
     """
     s = _get_channel(series, channel)
     n = s.size
@@ -312,15 +315,10 @@ def false_nearest_neighbors(series, channel=0, tau=1, m_max=8):
             ratio = np.where(dist > 0.0, gap / dist, np.where(gap > 0.0, np.inf, 0.0))
         false = (ratio > FNN_R_TOL) | (gap > FNN_A_TOL * sigma)
         fractions[m - 1] = float(np.mean(false))
-    qualifying = np.nonzero(fractions < FNN_THRESHOLD)[0]
-    if qualifying.size:
-        return FnnScan(
-            m=int(dims[qualifying[0]]),
-            dims=dims,
-            fractions=fractions,
-            finite_dimension=True,
-            threshold=FNN_THRESHOLD,
-        )
+        if fractions[m - 1] < FNN_THRESHOLD:
+            return FnnScan(
+                int(m), dims[:m], fractions[:m], finite_dimension=True, threshold=FNN_THRESHOLD
+            )
     return FnnScan(
         m=int(m_max),
         dims=dims,

@@ -5,7 +5,9 @@ formula; the autocorrelation delay against the analytic cosine crossing; the
 mutual-information curve against a brute-force binned estimate written with
 plain loops and, bit for bit, against a per-lag ``np.histogram2d``; the
 false-neighbor fractions against an O(N^2) reimplementation
-of the distance tests.
+of the distance tests.  Both scans stop at their decision, so each curve is
+compared with the oracle's prefix up to the stop point the oracle implies,
+and a case that never decides compares the whole range.
 """
 
 import numpy as np
@@ -99,22 +101,35 @@ def _brute_force_ami(s, max_lag, bins):
     return out
 
 
+def _first_strict_minimum(curve):
+    """The first lag L with curve[L - 1] > curve[L] < curve[L + 1], or None."""
+    for lag in range(1, len(curve) - 1):
+        if curve[lag] < curve[lag - 1] and curve[lag] < curve[lag + 1]:
+            return lag
+    return None
+
+
+def _assert_ami_stops_at_oracle_minimum(scan, oracle):
+    """The scan ends one lag past the oracle's first strict minimum, or
+    covers every lag when the oracle has none."""
+    expected = _first_strict_minimum(oracle)
+    stop = len(oracle) if expected is None else expected + 2
+    assert scan.minimum_found == (expected is not None)
+    assert np.array_equal(scan.lags, np.arange(stop))
+    assert scan.ami.shape == (stop,)
+    if expected is not None:
+        assert scan.lag == expected
+
+
 def test_ami_matches_brute_force():
     rng = np.random.default_rng(3)
     s = np.sin(0.17 * np.arange(600)) + 0.1 * rng.normal(size=600)
     series = ci.TimeSeries(s, dt=1.0)
     scan = ci.average_mutual_information(series, max_lag=30)
     oracle = _brute_force_ami(s, 30, scan.bins)
-    assert scan.ami.shape == oracle.shape
-    assert np.allclose(scan.ami, oracle, atol=1e-10)
-    expected = None
-    for lag in range(1, 30):
-        if oracle[lag] < oracle[lag - 1] and oracle[lag] < oracle[lag + 1]:
-            expected = lag
-            break
-    assert expected is not None
-    assert scan.minimum_found
-    assert scan.lag == expected
+    assert _first_strict_minimum(oracle) is not None
+    _assert_ami_stops_at_oracle_minimum(scan, oracle)
+    assert np.allclose(scan.ami, oracle[: scan.ami.size], atol=1e-10)
 
 
 def _histogram2d_ami(s, max_lag, bins):
@@ -134,10 +149,11 @@ def _histogram2d_ami(s, max_lag, bins):
     return out
 
 
-@pytest.mark.parametrize("case", ["noisy sine", "integer valued", "two bins"])
+@pytest.mark.parametrize("case", ["noisy sine", "integer valued", "two bins", "no minimum"])
 def test_ami_equals_per_lag_histogram2d(case):
     rng = np.random.default_rng(41)
     bins = None
+    max_lag = 60
     if case == "noisy sine":
         s = np.sin(0.13 * np.arange(1500)) + 0.2 * rng.normal(size=1500)
     elif case == "integer valued":
@@ -145,12 +161,22 @@ def test_ami_equals_per_lag_histogram2d(case):
         # edge, and every 24 on the closed top edge
         s = rng.integers(0, 25, size=5000).astype(float)
         bins = 12
-    else:
+    elif case == "two bins":
         s = np.cos(0.05 * np.arange(800)) + 0.1 * rng.normal(size=800)
         bins = 2
-    scan = ci.average_mutual_information(ci.TimeSeries(s, dt=1.0), max_lag=60, bins=bins)
-    oracle = _histogram2d_ami(s, 60, scan.bins)
-    assert np.array_equal(scan.ami, oracle)
+    else:
+        # a random walk's AMI falls at every lag up to 20: the scan runs to
+        # max_lag and falls back to the autocorrelation delay
+        s = rng.normal(size=2000).cumsum()
+        max_lag = 20
+    series = ci.TimeSeries(s, dt=1.0)
+    scan = ci.average_mutual_information(series, max_lag=max_lag, bins=bins)
+    oracle = _histogram2d_ami(s, max_lag, scan.bins)
+    _assert_ami_stops_at_oracle_minimum(scan, oracle)
+    assert np.array_equal(scan.ami, oracle[: scan.ami.size])
+    if case == "no minimum":
+        assert scan.lag == ci.autocorrelation_delay(series, max_lag=max_lag).lag
+        assert scan.warnings
 
 
 def test_ami_shuffled_series_is_flat():
@@ -198,16 +224,28 @@ def _brute_force_fnn(s, tau, m_max, r_tol, a_tol):
     return np.asarray(fractions)
 
 
+def _assert_fnn_matches_brute_force(s, qualifies):
+    """The scan ends at the oracle's first dimension below 0.05, or at
+    m_max = 4 when none is, and matches the oracle up to there."""
+    scan = ci.false_nearest_neighbors(ci.TimeSeries(s, dt=1.0), tau=3, m_max=4)
+    oracle = _brute_force_fnn(s, 3, 4, r_tol=10.0, a_tol=2.0)
+    below = np.nonzero(oracle < 0.05)[0]
+    assert (below.size > 0) == qualifies
+    stop = below[0] + 1 if qualifies else 4
+    assert scan.finite_dimension == qualifies
+    assert scan.m == stop
+    assert np.array_equal(scan.dims, np.arange(1, stop + 1))
+    assert np.allclose(scan.fractions, oracle[:stop], atol=1e-12)
+
+
 def test_fnn_matches_brute_force():
     rng = np.random.default_rng(13)
     s = np.sin(0.11 * np.arange(400)) + 0.05 * rng.normal(size=400)
-    series = ci.TimeSeries(s, dt=1.0)
-    scan = ci.false_nearest_neighbors(series, tau=3, m_max=4)
-    oracle = _brute_force_fnn(s, 3, 4, r_tol=10.0, a_tol=2.0)
-    assert np.allclose(scan.fractions, oracle, atol=1e-12)
-    below = np.nonzero(oracle < 0.05)[0]
-    assert below.size > 0
-    assert scan.m == below[0] + 1
+    _assert_fnn_matches_brute_force(s, qualifies=True)
+
+
+def test_fnn_matches_brute_force_when_no_dimension_qualifies():
+    _assert_fnn_matches_brute_force(np.random.default_rng(13).normal(size=400), qualifies=False)
 
 
 def test_fnn_ramp_is_one_dimensional():
@@ -215,6 +253,15 @@ def test_fnn_ramp_is_one_dimensional():
     scan = ci.false_nearest_neighbors(series, tau=1, m_max=4)
     assert scan.finite_dimension
     assert scan.m == 1
+
+
+def test_fnn_stops_before_dimensions_the_series_cannot_embed():
+    # m = 5 at tau 12 leaves no states of a 60-sample series, but m = 2
+    # already qualifies on this closed curve
+    s = np.sin(0.1237 * np.arange(60))
+    scan = ci.false_nearest_neighbors(ci.TimeSeries(s, dt=1.0), tau=12)
+    assert scan.m == 2
+    assert scan.dims.tolist() == [1, 2]
 
 
 def test_fnn_white_noise_never_settles():

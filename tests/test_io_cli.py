@@ -377,15 +377,45 @@ def test_cli_stage_chain(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_embed_diagnostics_stop_at_the_longest_scan_the_series_allows(tmp_path, capsys):
-    csv = tmp_path / "short.csv"
-    _write_wave_csv(csv, n=60)
+def _assert_pinned_embed_diagnostics(tmp_path, csv, stop):
+    """``embed`` with tau 12 and m 2 pinned on a 60-sample series writes
+    the FNN table of dimensions 1..stop, equal to the library's scan."""
     rc = main(["embed", str(csv), "--tau", "12", "--m", "2", "--out-dir", str(tmp_path)])
     assert rc == 0
     fnn = io.read_series(tmp_path / "diagnostics_fnn.csv")
-    # m = 5 would leave 60 - 5 * 12 = 0 states to compare
-    assert fnn.values[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0]
+    oracle = ci.false_nearest_neighbors(io.read_series(csv), tau=12, m_max=4)
+    assert oracle.finite_dimension == (stop < 4)
+    assert fnn.values[:, 0].tolist() == list(range(1, stop + 1))
+    assert np.array_equal(fnn.values[:, 1], oracle.fractions)
+
+
+def test_cli_embed_diagnostics_stop_at_the_longest_scan_the_series_allows(tmp_path, capsys):
+    csv = tmp_path / "short.csv"
+    _write_wave_csv(csv, n=60)
+    # m = 2 is the wave's first dimension below the FNN threshold
+    _assert_pinned_embed_diagnostics(tmp_path, csv, stop=2)
     capsys.readouterr()
+
+
+def test_cli_embed_diagnostics_end_at_the_cap_when_no_dimension_qualifies(tmp_path, capsys):
+    csv = tmp_path / "noise.csv"
+    values = np.random.default_rng(0).normal(size=(60, 1))
+    io.write_series(csv, ci.TimeSeries(values, dt=1.0, labels=("y",)))
+    # no dimension qualifies, and m = 5 would leave 60 - 5 * 12 = 0 states
+    _assert_pinned_embed_diagnostics(tmp_path, csv, stop=4)
+    capsys.readouterr()
+
+
+def test_cli_embed_scans_only_the_dimensions_it_needs(tmp_path, capsys):
+    csv = tmp_path / "short.csv"
+    _write_wave_csv(csv, n=60)
+    # m = 2 qualifies, so the scan never reaches m = 5, which at tau 12
+    # leaves no states of the 60 samples
+    rc = main(["embed", str(csv), "--tau", "12", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    embedding = io.read_embedding(tmp_path / "embedding.json")
+    assert (embedding.tau, embedding.m) == (12, 2)
+    assert "m=2 from false-nearest-neighbor threshold" in capsys.readouterr().out
 
 
 def test_cli_missing_input_exits_2(capsys):

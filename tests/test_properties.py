@@ -1,6 +1,7 @@
 """Property tests: the artifact readers round-trip what the writers wrote,
-the config parser rejects every malformed line, and basis refinement
-recovers any planted sinusoid phase."""
+the config parser rejects every malformed line, basis refinement recovers
+any planted sinusoid phase, and the delay and dimension scans do not see an
+exact rescaling of the series."""
 
 import os
 import tempfile
@@ -175,3 +176,34 @@ def test_refine_basis_recovers_any_planted_phase(radius, angle, b, omega_index, 
     refined = best.evaluate(np.arange(400), 1.0) @ B_fit.T
     assert np.max(np.abs(refined - forcing)) < 1e-6
     assert np.max(report.residual_rms) < 1e-9
+
+
+def _scans(s):
+    """The AMI delay scan and the FNN scan at its delay, as ``embed`` runs them."""
+    series = ci.TimeSeries(s, dt=1.0)
+    ami = ci.average_mutual_information(series)
+    return ami, ci.false_nearest_neighbors(series, tau=ami.lag)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["random walk", "noisy two-tone"]),
+    st.integers(-8, 8),
+)
+def test_delay_and_dimension_scans_ignore_power_of_two_rescaling(seed, kind, k):
+    rng = np.random.default_rng(seed)
+    if kind == "random walk":
+        s = rng.normal(size=600).cumsum()
+    else:
+        t = np.arange(600)
+        s = np.sin(0.09 * t) + 0.5 * np.sin(0.23 * t + rng.uniform(0, 2 * np.pi))
+        s += 0.01 * rng.normal(size=600)
+    # multiplying by 2**k is exact in binary floating point
+    ami, fnn = _scans(s)
+    ami_scaled, fnn_scaled = _scans(s * 2.0**k)
+    assert (ami_scaled.lag, fnn_scaled.m) == (ami.lag, fnn.m)
+    assert np.array_equal(ami_scaled.lags, ami.lags)
+    assert np.array_equal(ami_scaled.ami, ami.ami)
+    assert np.array_equal(fnn_scaled.dims, fnn.dims)
+    assert np.array_equal(fnn_scaled.fractions, fnn.fractions)
