@@ -23,9 +23,9 @@ import numpy as np
 from . import __version__, io
 from .dynamics import fixture_names, load_fixture, simulate, spectral_radius, verify_fixture_files
 from .embedding import (
+    FNN_M_MAX,
     TimeSeries,
     _get_channel,
-    _resolve_max_lag,
     autocorrelation_delay,
     average_mutual_information,
     delay_embed,
@@ -34,13 +34,7 @@ from .embedding import (
 from .errors import ChaosidError, ConfigError, InputError, InvalidValue, NonFiniteState
 from .identify import fit_model
 from .symmetry import GaConfig, attractor_diameter, classify_symmetry, extract_segments, ga_search
-from .validate import (
-    check_dimension_args,
-    compare,
-    correlation_dimension,
-    dominant_period,
-    largest_lyapunov,
-)
+from .validate import compare, correlation_dimension, dominant_period, largest_lyapunov
 
 CONFIG_DEFAULTS = {
     "input.path": "",
@@ -48,20 +42,12 @@ CONFIG_DEFAULTS = {
     "input.dt": 1.0,
     "embedding.tau": 0,
     "embedding.m": 0,
-    "embedding.max_lag": 0,
-    "embedding.m_max": 8,
     "ga.population": 64,
     "ga.generations": 200,
-    "ga.mutation_rate": 0.1,
-    "ga.crossover_rate": 0.7,
     "ga.residual_threshold": 0.05,
     "ga.segment_window": 0,
     "ga.segment_stride": 0,
-    "identify.ridge_lambda": 0.0,
     "validate.enabled": True,
-    "validate.r_count": 32,
-    "validate.theiler": 0,
-    "validate.max_points": 8000,
     "run.seed": 0,
     "output.dir": ".",
 }
@@ -99,24 +85,21 @@ def _embed(config):
     comes back as None.  Returns (series, embedding, ami, fnn, notes).
     """
     tau, m = _automatic(config, "embedding.tau"), _automatic(config, "embedding.m")
-    max_lag, m_max = _automatic(config, "embedding.max_lag"), config["embedding.m_max"]
     series = io.read_series(config["input.path"], dt=config["input.dt"])
     channel = config["input.channel"]
-    # a constant channel and out-of-range limits fail here even with no scan to run
-    max_lag = _resolve_max_lag(max_lag, _get_channel(series, channel).size)
-    if m_max < 1:
-        raise InvalidValue(f"m_max must be >= 1, got {m_max}")
+    # a constant channel fails here even with no scan to run
+    _get_channel(series, channel)
     notes = []
     ami = fnn = None
     if tau is None:
-        ami = average_mutual_information(series, channel=channel, max_lag=max_lag)
+        ami = average_mutual_information(series, channel=channel)
         tau = ami.lag
         notes.append(f"tau={tau} from first mutual-information minimum")
         notes.extend(ami.warnings)
     else:
         notes.append(f"tau={tau} pinned by flag")
     if m is None:
-        fnn = false_nearest_neighbors(series, channel=channel, tau=tau, m_max=m_max)
+        fnn = false_nearest_neighbors(series, channel=channel, tau=tau)
         m = fnn.m
         notes.append(f"m={m} from false-nearest-neighbor threshold {fnn.threshold}")
         notes.extend(fnn.warnings)
@@ -134,8 +117,6 @@ def _symmetry(config, embedding):
     ga_config = GaConfig(
         population=config["ga.population"],
         generations=config["ga.generations"],
-        mutation_rate=config["ga.mutation_rate"],
-        crossover_rate=config["ga.crossover_rate"],
         seed=config["run.seed"],
         residual_threshold=config["ga.residual_threshold"],
     )
@@ -157,7 +138,7 @@ def _identify(config, embedding, report, outputs=None):
         # pure Takens case: the embedding was built from the selected channel,
         # so its coordinate 0 is the observed series whatever the CSV column
         outputs = TimeSeries(embedding.states[:, 0], dt=embedding.dt)
-    model, fit = fit_model(embedding, outputs, report, ridge_lambda=config["identify.ridge_lambda"])
+    model, fit = fit_model(embedding, outputs, report)
     io.write_model(_artifact(config, "model.json"), model)
     io.write_json(_artifact(config, "fit.json"), io.fit_report_to_dict(fit))
     return model, fit
@@ -169,15 +150,11 @@ def _validate(config, embedding, model, fit):
     ``metrics`` block and the comparison's warnings."""
     if fit.free_run is None:
         raise NonFiniteState("the model's free run diverged; fit.json records the step")
-    dimension_args = {
-        "r_count": config["validate.r_count"],
-        "theiler_window": config["validate.theiler"] or embedding.tau * embedding.m,
-        "max_points": config["validate.max_points"],
-    }
+    theiler = embedding.tau * embedding.m
     observed = embedding.states[:, 0]
     free_outputs = fit.free_run @ model.C.T
-    source_dim = correlation_dimension(embedding.states, **dimension_args)
-    model_dim = correlation_dimension(fit.free_run, **dimension_args)
+    source_dim = correlation_dimension(embedding.states, theiler_window=theiler)
+    model_dim = correlation_dimension(fit.free_run, theiler_window=theiler)
     period = dominant_period(observed)
     lyap = largest_lyapunov(embedding, mean_period=period)
     comparison = compare(
@@ -200,15 +177,14 @@ def cmd_embed(args):
     series, embedding, ami, fnn, notes = _embed(config)
     # the diagnostics tables hold each scan up to its decision, pinned values included
     channel = config["input.channel"]
-    max_lag = _automatic(config, "embedding.max_lag")
-    acf = autocorrelation_delay(series, channel=channel, max_lag=max_lag)
+    acf = autocorrelation_delay(series, channel=channel)
     if ami is None:
-        ami = average_mutual_information(series, channel=channel, max_lag=max_lag)
+        ami = average_mutual_information(series, channel=channel)
     if fnn is None:
         # a pinned embedding may be valid where a scan that never qualifies
         # is not: stop at the largest dimension that leaves two states
         tau = embedding.tau
-        m_max = min(config["embedding.m_max"], max(1, (len(series.values) - 2) // tau))
+        m_max = min(FNN_M_MAX, max(1, (len(series.values) - 2) // tau))
         fnn = false_nearest_neighbors(series, channel=channel, tau=tau, m_max=m_max)
     tables = {
         "acf": (("lag", "acf"), enumerate(acf.acf)),
@@ -313,11 +289,6 @@ def cmd_pipeline(args):
     config = _overlay(io.parse_config(args.config, CONFIG_DEFAULTS), args)
     if not config["input.path"]:
         raise ConfigError("config must set input.path")
-    if config["validate.enabled"]:
-        # fail before the stages run, not after they have written artifacts
-        check_dimension_args(
-            config["validate.r_count"], config["validate.theiler"], config["validate.max_points"]
-        )
     timings = {}
     warnings = []
 
@@ -418,8 +389,6 @@ def build_parser():
     _config_flag(p, "--dt", "input.dt", help="sample interval")
     _config_flag(p, "--tau", "embedding.tau", help="delay; 0 chooses by mutual information")
     _config_flag(p, "--m", "embedding.m", help="dimension; 0 chooses by false nearest neighbors")
-    _config_flag(p, "--max-lag", "embedding.max_lag", help="largest lag scanned; 0 for automatic")
-    _config_flag(p, "--m-max", "embedding.m_max", help="largest dimension scanned")
     _config_flag(p, "--out-dir", "output.dir", help="output directory")
     p.set_defaults(func=cmd_embed)
 
@@ -427,8 +396,6 @@ def build_parser():
     p.add_argument("embedding", help="embedding JSON from the embed command")
     _config_flag(p, "--population", "ga.population")
     _config_flag(p, "--generations", "ga.generations")
-    _config_flag(p, "--mutation-rate", "ga.mutation_rate")
-    _config_flag(p, "--crossover-rate", "ga.crossover_rate")
     _config_flag(p, "--seed", "run.seed")
     _config_flag(p, "--threshold", "ga.residual_threshold",
                  help="acceptance residual as a fraction of the segments' diameter")
@@ -441,7 +408,6 @@ def build_parser():
     p.add_argument("embedding", help="embedding JSON")
     p.add_argument("symmetry", help="symmetry report JSON")
     p.add_argument("--series", default="", help="optional output CSV; default uses embedding coordinate 0")
-    _config_flag(p, "--ridge", "identify.ridge_lambda", help="ridge regularization weight")
     _config_flag(p, "--out-dir", "output.dir")
     p.set_defaults(func=cmd_identify)
 

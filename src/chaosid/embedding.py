@@ -34,6 +34,8 @@ from .neighbors import nearest
 FNN_R_TOL = 10.0
 FNN_A_TOL = 2.0
 FNN_THRESHOLD = 0.05
+#: Largest dimension the false nearest neighbour scan tries by default.
+FNN_M_MAX = 8
 
 
 @dataclass(frozen=True)
@@ -273,8 +275,9 @@ def average_mutual_information(series, channel=0, max_lag=None, bins=None):
     )
 
 
-def false_nearest_neighbors(series, channel=0, tau=1, m_max=8):
-    """False nearest neighbour fractions for dimensions 1, 2, ... up to m_max.
+def false_nearest_neighbors(series, channel=0, tau=1, m_max=FNN_M_MAX):
+    """False nearest neighbour fractions for dimensions 1, 2, ... up to
+    ``m_max``, which defaults to ``FNN_M_MAX`` (8).
 
     For each dimension m the series is embedded at m and m+1 with the same
     delay.  A neighbour pair is false when the coordinate added by the lift

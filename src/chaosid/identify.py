@@ -246,13 +246,16 @@ def _best_fit(embedding, candidates, ridge_lambda):
     return candidate, A, B, Z, X_next, report
 
 
-def fit_model(embedding, outputs, report, ridge_lambda=0.0):
+def fit_model(embedding, outputs, report):
     """Identify a full model from an embedding and a symmetry report.
 
     The basis family the symmetry vote recommends is refined over the
     default ``ParameterGrid`` (refinement replaces its placeholder
-    parameters), and the best candidate is fitted by least squares; the
-    output map is fitted separately.  One-step and free-run errors are
+    parameters), and the best candidate is fitted by least squares with no
+    ridge; the output map is fitted separately.  A state regression that is
+    rank deficient for every candidate is refitted with an automatic ridge
+    taken from the recommended basis, and the report's ``ridge_lambda``
+    holds the ridge of the winning fit.  One-step and free-run errors are
     measured against ``outputs``.  The free run starts from the first
     embedding state and covers every row the embedding and ``outputs``
     share; the report keeps its states in ``free_run`` (None when the run
@@ -264,10 +267,6 @@ def fit_model(embedding, outputs, report, ridge_lambda=0.0):
     outputs : TimeSeries
         Observed output channels aligned with the embedding rows.
     report : SymmetryReport
-    ridge_lambda : float
-        Ridge weight of the state regression.  At 0, a regression that is
-        rank deficient for every candidate is refitted with an automatic
-        ridge taken from the recommended basis.
 
     Returns
     -------
@@ -277,7 +276,7 @@ def fit_model(embedding, outputs, report, ridge_lambda=0.0):
     basis = report.recommended_basis
     candidates = list(_candidate_bases(basis, ParameterGrid(), embedding))
     try:
-        basis, A, B, Z, X_next, fit = _best_fit(embedding, candidates, ridge_lambda)
+        basis, A, B, Z, X_next, fit = _best_fit(embedding, candidates, 0.0)
     except RankDeficient:
         Z, _ = build_regression(embedding, basis)
         ridge_lambda = AUTO_RIDGE_FACTOR * np.linalg.norm(Z, 2) ** 2
@@ -302,7 +301,6 @@ def fit_model(embedding, outputs, report, ridge_lambda=0.0):
         embedding_tau=embedding.tau,
         embedding_channel=embedding.source_channel,
     )
-    fit.ridge_lambda = ridge_lambda
     fit.warnings = warnings + fit.warnings
     _measure_errors(model, embedding, outputs, Z, X_next, A, B, fit)
     return model, fit

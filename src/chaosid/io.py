@@ -4,9 +4,9 @@ Three formats live here: a strict CSV dialect for time series and plot-ready
 tables, a canonical JSON rendering for every structured artifact, and a flat
 key=value configuration format.
 
-CSV dialect: comma separators, '.' decimal point, UTF-8, LF or CRLF line
-endings, lines starting with '#' ignored, optional single header row detected
-by being non-numeric.
+CSV dialect: comma separators, '.' decimal point, UTF-8 with or without a
+byte-order mark, LF or CRLF line endings, lines starting with '#' ignored,
+optional single header row detected by being non-numeric.
 
 JSON artifacts are written through :func:`canonical_json`, which sorts object
 keys, indents by one space and renders floats in Python's shortest round-trip
@@ -111,7 +111,7 @@ def read_series(path, dt=1.0):
     labels = None
     rows = []
     width = None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -300,7 +300,7 @@ def read_model(path):
         )
     except KeyError as exc:
         raise InputError(f"{path}: missing model field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: bad model data: {exc}") from exc
 
 
@@ -384,7 +384,7 @@ def read_symmetry_report(path):
         )
     except KeyError as exc:
         raise InputError(f"{path}: missing symmetry field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: bad symmetry data: {exc}") from exc
 
 
@@ -439,7 +439,7 @@ def parse_config(path, defaults):
     if not os.path.exists(path):
         raise NotFoundError(f"no such config file: {path}")
     values = dict(defaults)
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -39,6 +39,11 @@ class TransformClass(enum.Enum):
 
 _CLASS_ORDER = list(TransformClass)
 
+#: Genetic search probabilities: each gene of a child mutates with
+#: MUTATION_RATE, and each pair of parents crosses over with CROSSOVER_RATE.
+MUTATION_RATE = 0.1
+CROSSOVER_RATE = 0.7
+
 
 @dataclass(frozen=True)
 class Segment:
@@ -250,12 +255,14 @@ def extract_segments(embedding, window, stride):
 
 @dataclass(frozen=True)
 class GaConfig:
-    """Settings for the genetic transform search."""
+    """Settings for the genetic transform search.
+
+    The mutation and crossover probabilities are the module constants
+    ``MUTATION_RATE`` and ``CROSSOVER_RATE``.
+    """
 
     population: int = 64
     generations: int = 200
-    mutation_rate: float = 0.1
-    crossover_rate: float = 0.7
     seed: int = 0
     residual_threshold: float = 0.05
 
@@ -266,10 +273,6 @@ class GaConfig:
             raise InvalidValue(f"generations must be >= 1, got {self.generations}")
         if self.seed < 0:
             raise InvalidValue(f"seed must be >= 0, got {self.seed}")
-        for name in ("mutation_rate", "crossover_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise InvalidValue(f"{name} must be in [0, 1], got {rate}")
         if not self.residual_threshold > 0.0:
             raise InvalidValue(
                 f"residual_threshold must be positive, got {self.residual_threshold}"
@@ -306,13 +309,13 @@ def _fix_genome(genome, rng, n_segments):
     return (src, tgt, cls)
 
 
-def _mutate(genome, rng, n_segments, rate):
+def _mutate(genome, rng, n_segments):
     src, tgt, cls = genome
-    if rng.random() < rate:
+    if rng.random() < MUTATION_RATE:
         src = int(rng.integers(n_segments))
-    if rng.random() < rate:
+    if rng.random() < MUTATION_RATE:
         tgt = int(rng.integers(n_segments))
-    if rng.random() < rate:
+    if rng.random() < MUTATION_RATE:
         cls = int(rng.integers(len(_CLASS_ORDER)))
     return _fix_genome((src, tgt, cls), rng, n_segments)
 
@@ -377,14 +380,14 @@ def ga_search(segments, config=None):
         while len(next_pop) < config.population:
             parent_a = _tournament(population, fitness, rng)
             parent_b = _tournament(population, fitness, rng)
-            if rng.random() < config.crossover_rate:
+            if rng.random() < CROSSOVER_RATE:
                 child_a, child_b = _crossover(parent_a, parent_b, rng)
             else:
                 child_a, child_b = parent_a, parent_b
-            child_a = _mutate(child_a, rng, n_segments, config.mutation_rate)
+            child_a = _mutate(child_a, rng, n_segments)
             next_pop.append(child_a)
             if len(next_pop) < config.population:
-                child_b = _mutate(child_b, rng, n_segments, config.mutation_rate)
+                child_b = _mutate(child_b, rng, n_segments)
                 next_pop.append(child_b)
         population = next_pop
         fitness = [fitness_of(g) for g in population]

@@ -19,6 +19,9 @@ from .embedding import DelayEmbedding, TimeSeries, average_mutual_information, d
 from .errors import ChannelMismatch, InsufficientData, InvalidValue, NoScalingRegion
 from .neighbors import nearest, pair_distance_counts
 
+#: Number of log-spaced radius bins of the correlation sum.
+R_COUNT = 32
+
 
 def _points_of(data):
     if isinstance(data, DelayEmbedding):
@@ -43,26 +46,16 @@ class CorrelationDimension:
     warnings: list = field(default_factory=list)
 
 
-def check_dimension_args(r_count, theiler_window, max_points):
-    """Raise InvalidValue unless the ``correlation_dimension`` settings are
-    in range: r_count >= 8, theiler_window >= 0, max_points None or >= 10."""
-    if r_count < 8:
-        raise InvalidValue(f"r_count must be >= 8, got {r_count}")
-    if theiler_window < 0:
-        raise InvalidValue(f"theiler_window must be >= 0, got {theiler_window}")
-    if max_points is not None and max_points < 10:
-        raise InvalidValue(f"max_points must be >= 10, got {max_points}")
-
-
-def correlation_dimension(data, r_count=32, theiler_window=0, max_points=8000):
+def correlation_dimension(data, theiler_window=0, max_points=8000):
     """Grassberger-Procaccia correlation dimension.
+
+    Pairs are counted over ``R_COUNT`` (32) log-spaced radii from 1e-3 of
+    the point set's diameter up to the diameter.
 
     Parameters
     ----------
     data : DelayEmbedding or ndarray
         Point set; an embedding contributes its states.
-    r_count : int
-        Number of log-spaced radius bins.
     theiler_window : int
         Pairs closer than this in time are excluded.
     max_points : int, optional
@@ -79,13 +72,16 @@ def correlation_dimension(data, r_count=32, theiler_window=0, max_points=8000):
     NoScalingRegion
         when no stretch of at least four bins has a locally constant slope.
     InvalidValue
-        when r_count < 8, theiler_window < 0 or max_points < 10.
+        when theiler_window < 0 or max_points < 10.
     """
     points = _points_of(data)
     n = points.shape[0]
     if n < 10:
         raise InsufficientData(f"correlation dimension needs >= 10 points, got {n}")
-    check_dimension_args(r_count, theiler_window, max_points)
+    if theiler_window < 0:
+        raise InvalidValue(f"theiler_window must be >= 0, got {theiler_window}")
+    if max_points is not None and max_points < 10:
+        raise InvalidValue(f"max_points must be >= 10, got {max_points}")
     if max_points is not None and n > max_points:
         keep = np.linspace(0, n - 1, max_points).astype(np.intp)
         points = points[keep]
@@ -99,7 +95,7 @@ def correlation_dimension(data, r_count=32, theiler_window=0, max_points=8000):
     if r_max == 0.0:
         raise NoScalingRegion("all points coincide")
     r_min = r_max * 1e-3
-    radii = np.geomspace(r_min, r_max, r_count)
+    radii = np.geomspace(r_min, r_max, R_COUNT)
     # a catch-all first bin keeps pairs closer than r_min inside C(r)
     edges = np.concatenate([[0.0], radii])
     counts, total = pair_distance_counts(points, edges, theiler_window)

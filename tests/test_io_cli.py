@@ -116,6 +116,15 @@ def test_read_series_crlf(tmp_path):
     assert np.array_equal(series.values, [[1, 2], [3, 4]])
 
 
+@pytest.mark.parametrize("header", ["", "v\n"], ids=["no header", "header"])
+def test_read_series_ignores_a_byte_order_mark(tmp_path, header):
+    path = tmp_path / "s.csv"
+    path.write_bytes(("\ufeff" + header + "1.0\n2.0\n3.0\n").encode("utf-8"))
+    series = io.read_series(path)
+    assert series.labels == (("v",) if header else ("ch0",))
+    assert np.array_equal(series.values[:, 0], [1.0, 2.0, 3.0])
+
+
 def test_read_series_ragged_row(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("1,2\n3\n")
@@ -262,6 +271,12 @@ def test_parse_config_defaults_and_overrides(tmp_path):
     assert config["ga.generations"] == CONFIG_DEFAULTS["ga.generations"]
     path.write_text("validate.enabled = 1\n")
     assert io.parse_config(path, CONFIG_DEFAULTS)["validate.enabled"] is True
+
+
+def test_parse_config_ignores_a_byte_order_mark(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes("\ufeffinput.path = wave.csv\n".encode("utf-8"))
+    assert io.parse_config(path, CONFIG_DEFAULTS)["input.path"] == "wave.csv"
 
 
 def test_parse_config_rejects_unknown_key(tmp_path):
@@ -640,13 +655,6 @@ def _pinned_config(tmp_path, extra):
     return cfg
 
 
-def test_cli_pipeline_pinned_embedding_still_checks_max_lag(tmp_path, capsys):
-    cfg = _pinned_config(tmp_path, "embedding.max_lag = 99999")
-    assert main(["pipeline", str(cfg)]) == 3
-    assert "max_lag" in capsys.readouterr().err
-    assert not (tmp_path / "pinned" / "embedding.json").exists()
-
-
 def _counting(calls, function):
     """``function`` wrapped to append its positional arguments to ``calls``."""
 
@@ -667,6 +675,24 @@ def test_cli_pipeline_simulates_the_model_once(tmp_path, monkeypatch, capsys):
     assert len(calls) == 1
     report = io.load_json(tmp_path / "pinned" / "report.json")
     assert report["fit"]["free_run_nrmse"] == report["metrics"]["free_run_comparison"]["nrmse"]
+    capsys.readouterr()
+
+
+def test_cli_pipeline_dimensions_use_the_default_radii_and_a_tau_m_theiler_window(
+    tmp_path, capsys
+):
+    assert main(["pipeline", str(_pinned_config(tmp_path, ""))]) == 0
+    out = tmp_path / "pinned"
+    embedding = io.read_embedding(out / "embedding.json")
+    outputs = ci.TimeSeries(embedding.states[:, 0], dt=embedding.dt)
+    # refit rather than simulate model.json: the fitted A is a strided view,
+    # and the free run of its C-ordered copy differs in the last bits
+    _, fit = ci.fit_model(embedding, outputs, io.read_symmetry_report(out / "symmetry.json"))
+    theiler = embedding.tau * embedding.m
+    metrics = io.load_json(out / "report.json")["metrics"]
+    for name, points in (("source_dimension", embedding.states), ("model_dimension", fit.free_run)):
+        estimate = ci.correlation_dimension(points, theiler_window=theiler)
+        assert json.loads(io.canonical_json(io.dimension_to_dict(estimate))) == metrics[name]
     capsys.readouterr()
 
 
@@ -714,11 +740,28 @@ def _run_expecting_exit_2(argv):
     return proc.stderr
 
 
+# config keys that no longer exist: each took the one value every run used,
+# which is now a constant or follows from tau and m
+_REMOVED_KEYS = (
+    "embedding.max_lag",
+    "embedding.m_max",
+    "ga.mutation_rate",
+    "ga.crossover_rate",
+    "identify.ridge_lambda",
+    "identify.free_run_steps",
+    "validate.r_count",
+    "validate.theiler",
+    "validate.max_points",
+)
+
+
 @pytest.mark.parametrize(
     "case",
     [
         "embedding.m_max = 0",
         "ga.population = 1",
+        "ga.mutation_rate = 0.1",
+        "ga.crossover_rate = 0.7",
         "validate.r_count = 4",
         "identify.ridge_lambda = -1",
         "identify.ridge_lambda = nan",
@@ -729,6 +772,7 @@ def _run_expecting_exit_2(argv):
         "embedding.tau = -5",
         "embedding.m = -1",
         "embedding.max_lag = -1",
+        "embedding.max_lag = 99999",
         "ga.segment_window = -4",
         "ga.segment_stride = -2",
         "run.seed = -1",
@@ -769,8 +813,7 @@ def test_cli_invalid_value_exits_2_without_traceback(tmp_path, case):
     if case.startswith(("validate.", "embedding.")):
         # rejected before the first stage writes its artifact
         assert not (tmp_path / "pinned" / "embedding.json").exists()
-    if case.startswith("identify.free_run_steps"):
-        # the free run always covers the embedding; the key is gone
+    if case.startswith(_REMOVED_KEYS):
         assert "unknown config key" in stderr
 
 
@@ -781,6 +824,9 @@ def test_cli_invalid_value_exits_2_without_traceback(tmp_path, case):
         "embedding states are ragged",
         "embedding dt is infinite",
         "symmetry threshold is null",
+        "symmetry basis holds a number",
+        "symmetry histogram is a list",
+        "model basis holds a string",
     ],
 )
 def test_cli_malformed_artifact_exits_2_without_traceback(tmp_path, case):
@@ -798,11 +844,24 @@ def test_cli_malformed_artifact_exits_2_without_traceback(tmp_path, case):
         else:
             doc["dt"] = float("inf")
         embedding.write_text(json.dumps(doc))
-    else:
+    elif case.startswith("symmetry"):
         doc = json.loads(symmetry.read_text())
-        doc["threshold"] = None
+        if case.endswith("null"):
+            doc["threshold"] = None
+        elif case.endswith("number"):
+            doc["recommended_basis"] = [1]
+        else:
+            doc["class_histogram"] = []
         symmetry.write_text(json.dumps(doc))
-    if case.startswith("embedding") and "dt" not in case:
+    else:
+        model = tmp_path / "model.json"
+        io.write_model(model, ci.load_fixture(ci.fixture_names()[0]).model)
+        doc = json.loads(model.read_text())
+        doc["basis"] = ["x"]
+        model.write_text(json.dumps(doc))
+    if case.startswith("model"):
+        argv = ["simulate", str(model), "--out-dir", str(tmp_path)]
+    elif case.startswith("embedding") and "dt" not in case:
         argv = ["symmetry", str(embedding), "--out-dir", str(tmp_path)]
     else:
         argv = ["identify", str(embedding), str(symmetry), "--out-dir", str(tmp_path)]
