@@ -52,7 +52,6 @@ from .model import (
 from .symmetry import (
     BasisSeed,
     GaConfig,
-    Segment,
     SymmetryReport,
     SymmetryTransform,
     TransformClass,

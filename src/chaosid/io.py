@@ -80,10 +80,19 @@ def load_json(path):
             raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _expect_schema(doc, schema, path):
+def _read_artifact(path, schema, what, build):
+    """``build(doc)`` on the JSON document at ``path`` after its schema check;
+    a missing field or malformed data becomes an InputError naming the file."""
+    doc = load_json(path)
     found = doc.get("schema") if isinstance(doc, dict) else None
     if found != schema:
         raise InputError(f"{path} has schema {found!r}, expected {schema!r}")
+    try:
+        return build(doc)
+    except KeyError as exc:
+        raise InputError(f"{path}: missing {what} field {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InputError(f"{path}: bad {what} data: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -187,22 +196,19 @@ def _rows(values, width):
     return array.reshape(0, width) if array.shape == (0,) else array
 
 
+def _embedding_from_doc(doc):
+    m = int(doc["m"])
+    return DelayEmbedding(
+        states=_rows(doc["states"], m),
+        tau=int(doc["tau"]),
+        m=m,
+        source_channel=int(doc["source_channel"]),
+        dt=float(doc["dt"]),
+    )
+
+
 def read_embedding(path):
-    doc = load_json(path)
-    _expect_schema(doc, EMBEDDING_SCHEMA, path)
-    try:
-        m = int(doc["m"])
-        return DelayEmbedding(
-            states=_rows(doc["states"], m),
-            tau=int(doc["tau"]),
-            m=m,
-            source_channel=int(doc["source_channel"]),
-            dt=float(doc["dt"]),
-        )
-    except KeyError as exc:
-        raise InputError(f"{path}: missing embedding field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}: bad embedding data: {exc}") from exc
+    return _read_artifact(path, EMBEDDING_SCHEMA, "embedding", _embedding_from_doc)
 
 
 # ---------------------------------------------------------------------------
@@ -285,23 +291,20 @@ def write_model(path, model):
     write_json(path, doc)
 
 
+def _model_from_doc(doc):
+    return StateSpaceModel(
+        A=np.asarray(doc["a"], dtype=float),
+        B=np.asarray(doc["b"], dtype=float),
+        C=_rows(doc["c"], len(doc["a"])),
+        basis=basis_from_list(doc["basis"]),
+        dt=float(doc["dt"]),
+        embedding_tau=int(doc.get("embedding_tau", 0)),
+        embedding_channel=int(doc.get("embedding_channel", 0)),
+    )
+
+
 def read_model(path):
-    doc = load_json(path)
-    _expect_schema(doc, MODEL_SCHEMA, path)
-    try:
-        return StateSpaceModel(
-            A=np.asarray(doc["a"], dtype=float),
-            B=np.asarray(doc["b"], dtype=float),
-            C=_rows(doc["c"], len(doc["a"])),
-            basis=basis_from_list(doc["basis"]),
-            dt=float(doc["dt"]),
-            embedding_tau=int(doc.get("embedding_tau", 0)),
-            embedding_channel=int(doc.get("embedding_channel", 0)),
-        )
-    except KeyError as exc:
-        raise InputError(f"{path}: missing model field {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise InputError(f"{path}: bad model data: {exc}") from exc
+    return _read_artifact(path, MODEL_SCHEMA, "model", _model_from_doc)
 
 
 def fit_report_to_dict(report):
@@ -364,28 +367,24 @@ def write_symmetry_report(path, report):
     write_json(path, symmetry_report_to_dict(report))
 
 
-def read_symmetry_report(path):
-    doc = load_json(path)
-    _expect_schema(doc, SYMMETRY_SCHEMA, path)
-    try:
-        histogram = {
+def _symmetry_report_from_doc(doc):
+    dominant = doc.get("dominant_class")
+    return SymmetryReport(
+        transforms=[transform_from_dict(d) for d in doc["transforms"]],
+        class_histogram={
             TransformClass(name): int(n) for name, n in doc["class_histogram"].items()
-        }
-        dominant = doc.get("dominant_class")
-        return SymmetryReport(
-            transforms=[transform_from_dict(d) for d in doc["transforms"]],
-            class_histogram=histogram,
-            dominant_class=TransformClass(dominant) if dominant else None,
-            recommended_basis=basis_from_list(doc["recommended_basis"]),
-            threshold=float(doc["threshold"]),
-            diameter=float(doc["diameter"]),
-            tie=bool(doc.get("tie", False)),
-            warnings=list(doc.get("warnings", [])),
-        )
-    except KeyError as exc:
-        raise InputError(f"{path}: missing symmetry field {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise InputError(f"{path}: bad symmetry data: {exc}") from exc
+        },
+        dominant_class=TransformClass(dominant) if dominant else None,
+        recommended_basis=basis_from_list(doc["recommended_basis"]),
+        threshold=float(doc["threshold"]),
+        diameter=float(doc["diameter"]),
+        tie=bool(doc.get("tie", False)),
+        warnings=list(doc.get("warnings", [])),
+    )
+
+
+def read_symmetry_report(path):
+    return _read_artifact(path, SYMMETRY_SCHEMA, "symmetry", _symmetry_report_from_doc)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Symmetry detection between trajectory segments.
 
-Segments of the embedded trajectory are compared pairwise by fitting a
-transform of a fixed class (translation, rotation, scaling, rotation plus
-scaling, or general affine) that carries one segment onto the other.  A
-genetic search explores the space of (source segment, target segment,
+Segments of the embedded trajectory, (window, m) views of its states, are
+compared pairwise by fitting a transform of a fixed class (translation,
+rotation, scaling, rotation plus scaling, or general affine) that carries
+one segment onto the other.  The first four are one map, scale * R p + t,
+with the class fixing R and the scale.  A genetic search explores the space of (source segment, target segment,
 class) triples and keeps every fit it evaluated; the ones whose residual
 beats a threshold tied to the attractor size count as detected symmetries.
 The distribution of accepted classes then picks the forcing basis family
@@ -46,28 +47,6 @@ CROSSOVER_RATE = 0.7
 
 
 @dataclass(frozen=True)
-class Segment:
-    """A contiguous run of embedded states."""
-
-    points: np.ndarray
-    start_index: int
-
-    def __post_init__(self):
-        points = np.asarray(self.points, dtype=float)
-        if points.ndim != 2:
-            raise InvalidValue(f"segment points must be 2-D, got shape {points.shape}")
-        object.__setattr__(self, "points", points)
-
-    @property
-    def length(self):
-        return self.points.shape[0]
-
-    @property
-    def dimension(self):
-        return self.points.shape[1]
-
-
-@dataclass(frozen=True)
 class SymmetryTransform:
     """A fitted map T(p) = scale * R p + t, or a general affine map.
 
@@ -92,11 +71,6 @@ class SymmetryTransform:
         return self.scale * (points @ self.rotation.T) + self.translation
 
 
-def _centered(points):
-    centroid = points.mean(axis=0)
-    return points - centroid, centroid
-
-
 def _procrustes_rotation(a_c, b_c):
     """Orthogonal Procrustes with the determinant corrected to +1."""
     h = a_c.T @ b_c
@@ -118,10 +92,16 @@ def _residual(transformed, target):
 def fit_transform(source, target, transform_class):
     """Least squares transform of one class mapping source onto target.
 
+    Every class but affine is the map scale * R p + t, and the class fixes
+    (R, scale): (I, 1) for translation, (Procrustes R, 1) for rotation, (I,
+    centred norm ratio) for scaling and (Procrustes R, its least squares
+    scale) for rotation-scaling; t carries the source centroid onto the
+    target's.  Affine fits a free linear part M p + t by ``lstsq``.
+
     Parameters
     ----------
-    source, target : Segment
-        Equal length segments of equal dimension.
+    source, target : ndarray
+        Equal shaped (window, m) arrays of states, such as two segments.
     transform_class : TransformClass
 
     Returns
@@ -132,100 +112,65 @@ def fit_transform(source, target, transform_class):
     Raises
     ------
     LengthMismatch
-        when the two segments disagree in length or dimension.
+        when the two segments are not 2-D or disagree in length or dimension.
     DegenerateSegment
         when a shape-carrying class is requested and all points of a
         segment coincide.
+    InvalidValue
+        for an unknown class.
     """
-    p = source.points
-    q = target.points
-    if p.shape != q.shape:
-        raise LengthMismatch(f"segment shapes differ: {p.shape} vs {q.shape}")
+    p = np.asarray(source, dtype=float)
+    q = np.asarray(target, dtype=float)
+    if p.ndim != 2 or p.shape != q.shape:
+        raise LengthMismatch(f"segments must be equal 2-D arrays, got {p.shape} and {q.shape}")
+    if transform_class not in _CLASS_ORDER:
+        raise InvalidValue(f"unknown transform class {transform_class!r}")
     dim = p.shape[1]
-    p_c, p_mean = _centered(p)
-    q_c, q_mean = _centered(q)
-    identity = np.eye(dim)
-
-    if transform_class is TransformClass.TRANSLATION:
-        translation = q_mean - p_mean
-        transform = SymmetryTransform(
-            transform_class=transform_class,
-            rotation=identity,
-            scale=1.0,
-            translation=translation,
-            affine=identity,
-            residual=_residual(p + translation, q),
-        )
-        return transform
-
-    p_norm = float(np.linalg.norm(p_c))
-    q_norm = float(np.linalg.norm(q_c))
-    if transform_class is not TransformClass.AFFINE and (p_norm == 0.0 or q_norm == 0.0):
-        raise DegenerateSegment("all points of a segment coincide")
-
-    if transform_class is TransformClass.ROTATION:
-        rotation, _, _ = _procrustes_rotation(p_c, q_c)
-        translation = q_mean - rotation @ p_mean
-        return SymmetryTransform(
-            transform_class=transform_class,
-            rotation=rotation,
-            scale=1.0,
-            translation=translation,
-            affine=identity,
-            residual=_residual(p @ rotation.T + translation, q),
-        )
-
-    if transform_class is TransformClass.SCALING:
-        scale = q_norm / p_norm
-        translation = q_mean - scale * p_mean
-        return SymmetryTransform(
-            transform_class=transform_class,
-            rotation=identity,
-            scale=scale,
-            translation=translation,
-            affine=identity,
-            residual=_residual(scale * p + translation, q),
-        )
-
-    if transform_class is TransformClass.ROTATION_SCALING:
-        rotation, s, signs = _procrustes_rotation(p_c, q_c)
-        scale = float(np.sum(s * signs)) / p_norm**2
-        if scale <= 0.0:
-            # pathological reflection-heavy pair; fall back to the norm ratio
-            scale = q_norm / p_norm
-        translation = q_mean - scale * (rotation @ p_mean)
-        return SymmetryTransform(
-            transform_class=transform_class,
-            rotation=rotation,
-            scale=scale,
-            translation=translation,
-            affine=identity,
-            residual=_residual(scale * (p @ rotation.T) + translation, q),
-        )
-
+    rotation = linear = np.eye(dim)
+    scale = 1.0
     if transform_class is TransformClass.AFFINE:
-        ones = np.ones((p.shape[0], 1))
-        design = np.hstack([p, ones])
+        design = np.hstack([p, np.ones((p.shape[0], 1))])
         coeff, *_ = np.linalg.lstsq(design, q, rcond=None)
-        linear = coeff[:dim].T
-        translation = coeff[dim]
-        return SymmetryTransform(
-            transform_class=transform_class,
-            rotation=identity,
-            scale=1.0,
-            translation=translation,
-            affine=linear,
-            residual=_residual(p @ linear.T + translation, q),
-        )
-
-    raise InvalidValue(f"unknown transform class {transform_class!r}")
+        linear, translation = coeff[:dim].T, coeff[dim]
+        mapped = p @ linear.T + translation
+    else:
+        p_mean = p.mean(axis=0)
+        q_mean = q.mean(axis=0)
+        p_c = p - p_mean
+        q_c = q - q_mean
+        if transform_class is not TransformClass.TRANSLATION:
+            p_norm = float(np.linalg.norm(p_c))
+            q_norm = float(np.linalg.norm(q_c))
+            if p_norm == 0.0 or q_norm == 0.0:
+                raise DegenerateSegment("all points of a segment coincide")
+            if transform_class is TransformClass.SCALING:
+                scale = q_norm / p_norm
+            else:
+                rotation, s, signs = _procrustes_rotation(p_c, q_c)
+            if transform_class is TransformClass.ROTATION_SCALING:
+                scale = float(np.sum(s * signs)) / p_norm**2
+                if scale <= 0.0:
+                    # pathological reflection-heavy pair; fall back to the norm ratio
+                    scale = q_norm / p_norm
+        # a product with 1.0 or the identity is exact, so each class does the
+        # same floating point operations as a formula written for it alone
+        translation = q_mean - scale * (rotation @ p_mean)
+        mapped = scale * (p @ rotation.T) + translation
+    return SymmetryTransform(
+        transform_class=transform_class,
+        rotation=rotation,
+        scale=scale,
+        translation=translation,
+        affine=linear,
+        residual=_residual(mapped, q),
+    )
 
 
 def extract_segments(embedding, window, stride):
     """Cut the embedded trajectory into equal windows.
 
-    Segments start at 0, stride, 2*stride, ... and each one covers exactly
-    ``window`` consecutive states.
+    Segments start at 0, stride, 2*stride, ... and each one is a
+    (window, m) view of ``embedding.states``.
 
     Raises
     ------
@@ -241,11 +186,8 @@ def extract_segments(embedding, window, stride):
             f"window={window} shorter than m+1={embedding.m + 1}"
         )
     n = embedding.n_states
-    segments = []
-    start = 0
-    while start + window <= n:
-        segments.append(Segment(points=embedding.states[start : start + window], start_index=start))
-        start += stride
+    states = embedding.states
+    segments = [states[start : start + window] for start in range(0, n - window + 1, stride)]
     if len(segments) < 2:
         raise InsufficientData(
             f"only {len(segments)} segment(s) of window {window} fit into {n} states"
@@ -282,12 +224,9 @@ class GaConfig:
 def attractor_diameter(segments):
     """Largest per-coordinate range over the given points.
 
-    Accepts either a (rows, m) array of states or a list of Segment objects.
+    Accepts either a (rows, m) array of states or a list of segments.
     """
-    if isinstance(segments, np.ndarray):
-        points = segments
-    else:
-        points = np.vstack([seg.points for seg in segments])
+    points = np.vstack(segments)
     return float(np.max(points.max(axis=0) - points.min(axis=0)))
 
 
@@ -335,9 +274,9 @@ def ga_search(segments, config=None):
     """Genetic search for well fitting segment-pair transforms.
 
     Each genome is a (source index, target index, class) triple with
-    fitness equal to minus the fit residual.  The search keeps a hall of
-    fame of every genome it ever evaluated; at the end, the transforms
-    whose residual beats ``residual_threshold`` times the attractor
+    fitness equal to minus the fit residual.  The search remembers the fit
+    of every genome it ever evaluated; at the end, the transforms whose
+    residual beats ``residual_threshold`` times the attractor
     diameter are returned, deduplicated and sorted by residual.
 
     The search is fully deterministic for a fixed seed.
@@ -347,30 +286,26 @@ def ga_search(segments, config=None):
     n_segments = len(segments)
     if n_segments < 2:
         raise InsufficientData(f"need at least 2 segments, got {n_segments}")
-    lengths = {seg.length for seg in segments}
+    lengths = {len(seg) for seg in segments}
     if len(lengths) != 1:
         raise LengthMismatch(f"segments have mixed lengths {sorted(lengths)}")
     diameter = attractor_diameter(segments)
     threshold = config.residual_threshold * diameter
     rng = np.random.default_rng(config.seed)
-    hall = {}
-    cache = {}
+    fits = {}  # genome -> its transform, or None for a degenerate segment
 
     def fitness_of(genome):
-        if genome in cache:
-            return cache[genome]
-        src, tgt, cls = genome
-        try:
-            transform = fit_transform(
-                segments[src], segments[tgt], _CLASS_ORDER[cls]
-            )
-        except DegenerateSegment:
-            cache[genome] = -np.inf
-            return -np.inf
-        transform = dataclasses.replace(transform, source_segment=src, target_segment=tgt)
-        hall[genome] = transform
-        cache[genome] = -transform.residual
-        return cache[genome]
+        if genome not in fits:
+            src, tgt, cls = genome
+            try:
+                transform = fit_transform(segments[src], segments[tgt], _CLASS_ORDER[cls])
+                fits[genome] = dataclasses.replace(
+                    transform, source_segment=src, target_segment=tgt
+                )
+            except DegenerateSegment:
+                fits[genome] = None
+        transform = fits[genome]
+        return -np.inf if transform is None else -transform.residual
 
     population = [_random_genome(rng, n_segments) for _ in range(config.population)]
     fitness = [fitness_of(g) for g in population]
@@ -392,7 +327,7 @@ def ga_search(segments, config=None):
         population = next_pop
         fitness = [fitness_of(g) for g in population]
 
-    accepted = [t for t in hall.values() if t.residual < threshold]
+    accepted = [t for t in fits.values() if t is not None and t.residual < threshold]
     accepted.sort(
         key=lambda t: (
             t.residual,

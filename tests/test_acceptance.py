@@ -32,10 +32,6 @@ def _rotation_3d(alpha, beta):
     return rz @ rx
 
 
-def _segment(points, start=0):
-    return ci.Segment(points=np.asarray(points, dtype=float), start_index=start)
-
-
 def _embedding_from_states(states, dt=1.0):
     states = np.asarray(states, dtype=float)
     return ci.DelayEmbedding(states=states, tau=1, m=states.shape[1], dt=dt)
@@ -177,15 +173,14 @@ def test_criterion_3_transform_fitting_exactness():
         for trial in range(1000):
             dim = 2 if trial % 2 == 0 else 3
             p, q = _planted_pair(rng, cls, dim)
-            source, target = _segment(p), _segment(q)
-            fit = ci.fit_transform(source, target, cls)
+            fit = ci.fit_transform(p, q, cls)
             if fit.residual < 1e-9:
                 hits += 1
-            affine = ci.fit_transform(source, target, ci.TransformClass.AFFINE)
+            affine = ci.fit_transform(p, q, ci.TransformClass.AFFINE)
             for other in _CLASS_ORDER:
                 if other is ci.TransformClass.AFFINE:
                     continue
-                rival = ci.fit_transform(source, target, other)
+                rival = ci.fit_transform(p, q, other)
                 if affine.residual > rival.residual + 1e-12:
                     affine_dominates = False
         per_class[cls.value] = hits

@@ -643,9 +643,9 @@ def test_cli_pipeline_pinned_constant_channel_fails_up_front(tmp_path, capsys):
     assert not (out / "model.json").exists()
 
 
-def _pinned_config(tmp_path, extra):
+def _pinned_config(tmp_path, extra, out_name="pinned"):
     """A fast pipeline config (tau and m pinned, a tiny GA) plus ``extra`` lines."""
-    cfg = _pipeline_config(tmp_path, "pinned")
+    cfg = _pipeline_config(tmp_path, out_name)
     cfg.write_text(
         cfg.read_text()
         + "embedding.tau = 12\nembedding.m = 2\nga.population = 8\nga.generations = 5\n"
@@ -694,6 +694,28 @@ def test_cli_pipeline_dimensions_use_the_default_radii_and_a_tau_m_theiler_windo
         estimate = ci.correlation_dimension(points, theiler_window=theiler)
         assert json.loads(io.canonical_json(io.dimension_to_dict(estimate))) == metrics[name]
     capsys.readouterr()
+
+
+def test_compare_artifacts_tool_finds_only_a_flipped_digit(tmp_path, capsys):
+    """Two runs of one config differ only in their reports' timings and
+    output.dir, which the tool ignores; one changed digit in model.json
+    makes it name that file and exit 1."""
+    for name in ("a", "b"):
+        assert main(["pipeline", str(_pinned_config(tmp_path, "", out_name=name))]) == 0
+    capsys.readouterr()
+    tool = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools", "compare_artifacts.py")
+    argv = [sys.executable, tool, str(tmp_path / "a"), str(tmp_path / "b")]
+    same = subprocess.run(argv, capture_output=True, text=True)
+    assert same.returncode == 0, same.stdout + same.stderr
+    assert same.stdout == ""
+
+    model = tmp_path / "b" / "model.json"
+    text = model.read_text()
+    at = next(i for i, c in enumerate(text) if c in "123456789")
+    model.write_text(text[:at] + ("2" if text[at] == "1" else "1") + text[at + 1 :])
+    differ = subprocess.run(argv, capture_output=True, text=True)
+    assert differ.returncode == 1
+    assert differ.stdout.split() == ["model.json"]
 
 
 @pytest.mark.parametrize("validate", [True, False])

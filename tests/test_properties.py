@@ -1,7 +1,8 @@
 """Property tests: the artifact readers round-trip what the writers wrote,
 the config parser rejects every malformed line, basis refinement recovers
-any planted sinusoid phase, and the delay and dimension scans do not see an
-exact rescaling of the series."""
+any planted sinusoid phase, the delay and dimension scans do not see an
+exact rescaling of the series, and a change of units moves no fitted
+transform's shape."""
 
 import os
 import tempfile
@@ -207,3 +208,27 @@ def test_delay_and_dimension_scans_ignore_power_of_two_rescaling(seed, kind, k):
     assert np.array_equal(ami_scaled.ami, ami.ami)
     assert np.array_equal(fnn_scaled.dims, fnn.dims)
     assert np.array_equal(fnn_scaled.fractions, fnn.fractions)
+
+
+@PROPERTY
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 4),
+    st.floats(0.1, 10.0),
+    st.floats(-100.0, 100.0),
+)
+def test_change_of_units_keeps_every_transform_shape(seed, dim, a, b):
+    """s -> a s + b maps every delay vector x to a x + b; each class's
+    rotation and scale and the affine linear part stay, and the residual,
+    a distance, is multiplied by a."""
+    rng = np.random.default_rng(seed)
+    rows = int(rng.integers(dim + 2, 30))
+    p = rng.normal(size=(rows, dim))
+    q = rng.normal(size=(rows, dim))
+    for cls in ci.TransformClass:
+        fit = ci.fit_transform(p, q, cls)
+        moved = ci.fit_transform(a * p + b, a * q + b, cls)
+        assert np.allclose(moved.rotation, fit.rotation, rtol=0.0, atol=1e-9)
+        assert moved.scale == pytest.approx(fit.scale, rel=1e-9)
+        assert np.allclose(moved.affine, fit.affine, rtol=0.0, atol=1e-9)
+        assert moved.residual == pytest.approx(a * fit.residual, rel=1e-9)

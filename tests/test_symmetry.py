@@ -1,11 +1,23 @@
 """Tests for segment extraction, transform fitting, the genetic search,
-and the class vote that picks a forcing basis."""
+and the class vote that picks a forcing basis.
+
+Oracle: ``_oracle_fit_transform`` is the earlier five-branch form of
+``fit_transform``, one formula per class, kept verbatim apart from taking
+arrays; the one-construction form must agree with it bit for bit.
+"""
 
 import numpy as np
 import pytest
 
 import chaosid as ci
-from chaosid.symmetry import _CLASS_ORDER, _residual
+from chaosid.errors import DegenerateSegment, InvalidValue, LengthMismatch
+from chaosid.symmetry import (
+    _CLASS_ORDER,
+    SymmetryTransform,
+    TransformClass,
+    _procrustes_rotation,
+    _residual,
+)
 
 
 def _rotation_2d(theta):
@@ -16,10 +28,6 @@ def _rotation_2d(theta):
 def _rotation_3d_z(theta):
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def _segment(points, start=0):
-    return ci.Segment(points=np.asarray(points, dtype=float), start_index=start)
 
 
 def _embedding_from_states(states):
@@ -35,9 +43,11 @@ def test_extract_segments_positions():
     states = np.arange(20.0).reshape(10, 2)
     emb = _embedding_from_states(states)
     segments = ci.extract_segments(emb, window=4, stride=3)
-    assert [s.start_index for s in segments] == [0, 3, 6]
-    assert all(s.length == 4 for s in segments)
-    assert np.array_equal(segments[1].points, states[3:7])
+    assert len(segments) == 3
+    for start, segment in zip([0, 3, 6], segments):
+        assert np.array_equal(segment, states[start : start + 4])
+        # a view of the embedding, not a copy
+        assert np.shares_memory(segment, emb.states)
 
 
 def test_extract_segments_window_too_small():
@@ -65,7 +75,7 @@ def test_translation_fit_recovers_planted_offset():
     for _ in range(20):
         p = rng.normal(size=(14, 3))
         t = rng.normal(size=3)
-        fit = ci.fit_transform(_segment(p), _segment(p + t), ci.TransformClass.TRANSLATION)
+        fit = ci.fit_transform(p, p + t, ci.TransformClass.TRANSLATION)
         assert fit.residual < 1e-12
         assert np.allclose(fit.translation, t, atol=1e-12)
         assert np.allclose(fit.rotation, np.eye(3))
@@ -80,7 +90,7 @@ def test_rotation_fit_recovers_planted_rotation():
         p = rng.normal(size=(10, 2))
         t = rng.normal(size=2)
         q = p @ rot.T + t
-        fit = ci.fit_transform(_segment(p), _segment(q), ci.TransformClass.ROTATION)
+        fit = ci.fit_transform(p, q, ci.TransformClass.ROTATION)
         assert fit.residual < 1e-9
         assert np.allclose(fit.rotation, rot, atol=1e-9)
         assert np.allclose(fit.translation, t, atol=1e-9)
@@ -91,7 +101,7 @@ def test_rotation_fit_is_proper_orthogonal():
     for _ in range(20):
         p = rng.normal(size=(8, 3))
         q = rng.normal(size=(8, 3))
-        fit = ci.fit_transform(_segment(p), _segment(q), ci.TransformClass.ROTATION)
+        fit = ci.fit_transform(p, q, ci.TransformClass.ROTATION)
         r = fit.rotation
         assert np.allclose(r @ r.T, np.eye(3), atol=1e-9)
         assert np.isclose(np.linalg.det(r), 1.0, atol=1e-9)
@@ -103,7 +113,7 @@ def test_scaling_fit_recovers_planted_scale():
         s = rng.uniform(0.2, 3.0)
         p = rng.normal(size=(12, 2))
         t = rng.normal(size=2)
-        fit = ci.fit_transform(_segment(p), _segment(s * p + t), ci.TransformClass.SCALING)
+        fit = ci.fit_transform(p, s * p + t, ci.TransformClass.SCALING)
         assert fit.residual < 1e-9
         assert np.isclose(fit.scale, s, atol=1e-9)
         assert np.allclose(fit.translation, t, atol=1e-9)
@@ -118,7 +128,7 @@ def test_rotation_scaling_fit_recovers_both():
         p = rng.normal(size=(10, 2))
         t = rng.normal(size=2)
         q = s * (p @ rot.T) + t
-        fit = ci.fit_transform(_segment(p), _segment(q), ci.TransformClass.ROTATION_SCALING)
+        fit = ci.fit_transform(p, q, ci.TransformClass.ROTATION_SCALING)
         assert fit.residual < 1e-8
         assert np.isclose(fit.scale, s, atol=1e-8)
         assert np.allclose(fit.rotation, rot, atol=1e-8)
@@ -131,7 +141,7 @@ def test_affine_fit_recovers_planted_map():
         t = rng.normal(size=3)
         p = rng.normal(size=(15, 3))
         q = p @ m.T + t
-        fit = ci.fit_transform(_segment(p), _segment(q), ci.TransformClass.AFFINE)
+        fit = ci.fit_transform(p, q, ci.TransformClass.AFFINE)
         assert fit.residual < 1e-8
         assert np.allclose(fit.affine, m, atol=1e-8)
         assert np.allclose(fit.translation, t, atol=1e-8)
@@ -145,14 +155,14 @@ def test_affine_never_beaten_by_special_classes():
     for _ in range(15):
         p = rng.normal(size=(12, 2))
         q = rng.normal(size=(12, 2))
-        affine = ci.fit_transform(_segment(p), _segment(q), ci.TransformClass.AFFINE)
+        affine = ci.fit_transform(p, q, ci.TransformClass.AFFINE)
         for cls in (
             ci.TransformClass.TRANSLATION,
             ci.TransformClass.ROTATION,
             ci.TransformClass.SCALING,
             ci.TransformClass.ROTATION_SCALING,
         ):
-            special = ci.fit_transform(_segment(p), _segment(q), cls)
+            special = ci.fit_transform(p, q, cls)
             assert affine.residual <= special.residual + 1e-12
 
 
@@ -163,7 +173,7 @@ def test_apply_recomputes_stored_residual(cls):
     for _ in range(5):
         p = rng.normal(size=(15, 3))
         q = 1.3 * p @ _rotation_3d_z(0.7).T + 0.5 + 0.05 * rng.normal(size=(15, 3))
-        fit = ci.fit_transform(_segment(p), _segment(q), cls)
+        fit = ci.fit_transform(p, q, cls)
         assert _residual(fit.apply(p), q) == pytest.approx(fit.residual, rel=1e-12)
 
 
@@ -171,9 +181,17 @@ def test_fit_transform_shape_mismatch():
     p = np.zeros((5, 2))
     q = np.zeros((6, 2))
     with pytest.raises(ci.LengthMismatch):
-        ci.fit_transform(_segment(p), _segment(q), ci.TransformClass.ROTATION)
+        ci.fit_transform(p, q, ci.TransformClass.ROTATION)
     with pytest.raises(ci.LengthMismatch):
-        ci.fit_transform(_segment(np.zeros((5, 2))), _segment(np.zeros((5, 3))), ci.TransformClass.ROTATION)
+        ci.fit_transform(np.zeros((5, 2)), np.zeros((5, 3)), ci.TransformClass.ROTATION)
+    with pytest.raises(ci.LengthMismatch):
+        ci.fit_transform(np.zeros(5), np.zeros(5), ci.TransformClass.TRANSLATION)
+
+
+def test_fit_transform_unknown_class():
+    p = np.arange(12.0).reshape(6, 2)
+    with pytest.raises(ci.InvalidValue):
+        ci.fit_transform(p, p, "rotation")
 
 
 def test_fit_transform_degenerate_segment():
@@ -185,10 +203,168 @@ def test_fit_transform_degenerate_segment():
         ci.TransformClass.ROTATION_SCALING,
     ):
         with pytest.raises(ci.DegenerateSegment):
-            ci.fit_transform(_segment(p), _segment(q), cls)
+            ci.fit_transform(p, q, cls)
     # translation has no shape to lose and must still work
-    fit = ci.fit_transform(_segment(p), _segment(p + 2.0), ci.TransformClass.TRANSLATION)
+    fit = ci.fit_transform(p, p + 2.0, ci.TransformClass.TRANSLATION)
     assert fit.residual < 1e-12
+
+
+def _centered(points):
+    centroid = points.mean(axis=0)
+    return points - centroid, centroid
+
+
+def _oracle_fit_transform(source, target, transform_class):
+    """One formula per class, as ``fit_transform`` was written before the
+    classes shared the map scale * R p + t."""
+    p = np.asarray(source, dtype=float)
+    q = np.asarray(target, dtype=float)
+    if p.shape != q.shape:
+        raise LengthMismatch(f"segment shapes differ: {p.shape} vs {q.shape}")
+    dim = p.shape[1]
+    p_c, p_mean = _centered(p)
+    q_c, q_mean = _centered(q)
+    identity = np.eye(dim)
+
+    if transform_class is TransformClass.TRANSLATION:
+        translation = q_mean - p_mean
+        transform = SymmetryTransform(
+            transform_class=transform_class,
+            rotation=identity,
+            scale=1.0,
+            translation=translation,
+            affine=identity,
+            residual=_residual(p + translation, q),
+        )
+        return transform
+
+    p_norm = float(np.linalg.norm(p_c))
+    q_norm = float(np.linalg.norm(q_c))
+    if transform_class is not TransformClass.AFFINE and (p_norm == 0.0 or q_norm == 0.0):
+        raise DegenerateSegment("all points of a segment coincide")
+
+    if transform_class is TransformClass.ROTATION:
+        rotation, _, _ = _procrustes_rotation(p_c, q_c)
+        translation = q_mean - rotation @ p_mean
+        return SymmetryTransform(
+            transform_class=transform_class,
+            rotation=rotation,
+            scale=1.0,
+            translation=translation,
+            affine=identity,
+            residual=_residual(p @ rotation.T + translation, q),
+        )
+
+    if transform_class is TransformClass.SCALING:
+        scale = q_norm / p_norm
+        translation = q_mean - scale * p_mean
+        return SymmetryTransform(
+            transform_class=transform_class,
+            rotation=identity,
+            scale=scale,
+            translation=translation,
+            affine=identity,
+            residual=_residual(scale * p + translation, q),
+        )
+
+    if transform_class is TransformClass.ROTATION_SCALING:
+        rotation, s, signs = _procrustes_rotation(p_c, q_c)
+        scale = float(np.sum(s * signs)) / p_norm**2
+        if scale <= 0.0:
+            # pathological reflection-heavy pair; fall back to the norm ratio
+            scale = q_norm / p_norm
+        translation = q_mean - scale * (rotation @ p_mean)
+        return SymmetryTransform(
+            transform_class=transform_class,
+            rotation=rotation,
+            scale=scale,
+            translation=translation,
+            affine=identity,
+            residual=_residual(scale * (p @ rotation.T) + translation, q),
+        )
+
+    if transform_class is TransformClass.AFFINE:
+        ones = np.ones((p.shape[0], 1))
+        design = np.hstack([p, ones])
+        coeff, *_ = np.linalg.lstsq(design, q, rcond=None)
+        linear = coeff[:dim].T
+        translation = coeff[dim]
+        return SymmetryTransform(
+            transform_class=transform_class,
+            rotation=identity,
+            scale=1.0,
+            translation=translation,
+            affine=linear,
+            residual=_residual(p @ linear.T + translation, q),
+        )
+
+    raise InvalidValue(f"unknown transform class {transform_class!r}")
+
+
+def _assert_bitwise_equal(fit, oracle):
+    assert fit.transform_class is oracle.transform_class
+    assert np.array_equal(fit.rotation, oracle.rotation)
+    assert np.array_equal(fit.translation, oracle.translation)
+    assert np.array_equal(fit.affine, oracle.affine)
+    assert fit.scale == oracle.scale
+    assert fit.residual == oracle.residual
+
+
+def _random_pairs(seed, count):
+    """Unrelated and planted pairs in dimensions 1-4, with offsets and
+    scales spread over 0.1-100."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        dim = int(rng.integers(1, 5))
+        rows = int(rng.integers(dim + 1, 40))
+        spread = 10.0 ** rng.uniform(-1, 2, size=2)
+        offset = rng.choice([-1.0, 1.0], size=(2, dim)) * 10.0 ** rng.uniform(-1, 2, size=(2, dim))
+        p = spread[0] * rng.normal(size=(rows, dim)) + offset[0]
+        if k % 2:
+            q = spread[1] * rng.normal(size=(rows, dim)) + offset[1]
+        else:
+            q = (spread[1] / spread[0]) * p @ rng.normal(size=(dim, dim)) + offset[1]
+        yield p, q
+
+
+def _rossler_pairs(count):
+    """Pairs of delay-embedded Rossler segments, as the pipeline cuts them."""
+    trajectory = ci.rk4_integrate(ci.rossler(), np.array([1.0, 1.0, 1.0]), dt=0.05,
+                                  steps=3000, transient_skip=500)
+    emb = ci.delay_embed(ci.TimeSeries(trajectory.channel(0), dt=0.05), tau=26, m=3)
+    segments = ci.extract_segments(emb, window=156, stride=78)
+    rng = np.random.default_rng(5)
+    for _ in range(count):
+        src, tgt = rng.choice(len(segments), size=2, replace=False)
+        yield segments[src], segments[tgt]
+
+
+def test_fit_transform_equals_five_branch_oracle_bitwise():
+    pairs = list(_random_pairs(70, 300)) + list(_rossler_pairs(40))
+    for p, q in pairs:
+        for cls in _CLASS_ORDER:
+            _assert_bitwise_equal(ci.fit_transform(p, q, cls), _oracle_fit_transform(p, q, cls))
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        (np.ones((6, 2)), np.arange(12.0).reshape(6, 2)),
+        (np.arange(12.0).reshape(6, 2), np.full((6, 2), -3.0)),
+        (np.zeros((5, 2)), np.zeros((6, 2))),
+        (np.zeros((5, 2)), np.zeros((5, 3))),
+    ],
+    ids=["constant source", "constant target", "length mismatch", "dimension mismatch"],
+)
+def test_fit_transform_raises_where_the_oracle_raises(p, q):
+    for cls in _CLASS_ORDER:
+        try:
+            expected = _oracle_fit_transform(p, q, cls)
+        except (DegenerateSegment, LengthMismatch) as exc:
+            with pytest.raises(type(exc)):
+                ci.fit_transform(p, q, cls)
+        else:
+            _assert_bitwise_equal(ci.fit_transform(p, q, cls), expected)
 
 
 def test_rotation_angle_known_values():
@@ -201,7 +377,7 @@ def test_rotation_angle_known_values():
 def test_attractor_diameter_is_max_coordinate_range():
     points = np.array([[0.0, -3.0], [4.0, 4.0], [1.0, 0.0]])
     assert ci.attractor_diameter(points) == 7.0
-    segments = [_segment(points[:2]), _segment(points[1:])]
+    segments = [points[:2], points[1:]]
     assert ci.attractor_diameter(segments) == 7.0
 
 
@@ -270,14 +446,14 @@ def test_ga_search_deterministic_for_fixed_seed():
 
 
 def test_ga_search_needs_two_segments():
-    seg = _segment(np.random.default_rng(0).normal(size=(8, 2)))
+    seg = np.random.default_rng(0).normal(size=(8, 2))
     with pytest.raises(ci.InsufficientData):
         ci.ga_search([seg])
 
 
 def test_ga_search_rejects_mixed_lengths():
     rng = np.random.default_rng(1)
-    segs = [_segment(rng.normal(size=(8, 2))), _segment(rng.normal(size=(9, 2)))]
+    segs = [rng.normal(size=(8, 2)), rng.normal(size=(9, 2))]
     with pytest.raises(ci.LengthMismatch):
         ci.ga_search(segs)
 
