@@ -184,9 +184,12 @@ class StateSpaceModel:
     embedding_channel: int = 0
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        B = np.asarray(self.B, dtype=float)
-        C = np.atleast_2d(np.asarray(self.C, dtype=float))
+        # C-ordered whatever the source, so that ``A @ x`` sums in the same
+        # order for a fitted model (column views of one solution) and for
+        # the same model read back from model.json
+        A = np.atleast_2d(np.ascontiguousarray(self.A, dtype=float))
+        B = np.ascontiguousarray(self.B, dtype=float)
+        C = np.atleast_2d(np.ascontiguousarray(self.C, dtype=float))
         if B.ndim == 1:
             B = B.reshape(-1, 1)
         object.__setattr__(self, "A", A)

@@ -685,8 +685,6 @@ def test_cli_pipeline_dimensions_use_the_default_radii_and_a_tau_m_theiler_windo
     out = tmp_path / "pinned"
     embedding = io.read_embedding(out / "embedding.json")
     outputs = ci.TimeSeries(embedding.states[:, 0], dt=embedding.dt)
-    # refit rather than simulate model.json: the fitted A is a strided view,
-    # and the free run of its C-ordered copy differs in the last bits
     _, fit = ci.fit_model(embedding, outputs, io.read_symmetry_report(out / "symmetry.json"))
     theiler = embedding.tau * embedding.m
     metrics = io.load_json(out / "report.json")["metrics"]
@@ -716,6 +714,20 @@ def test_compare_artifacts_tool_finds_only_a_flipped_digit(tmp_path, capsys):
     differ = subprocess.run(argv, capture_output=True, text=True)
     assert differ.returncode == 1
     assert differ.stdout.split() == ["model.json"]
+
+
+def test_cli_pipeline_model_json_reproduces_the_free_run_bitwise(tmp_path, capsys):
+    """Simulating the written model.json gives the pipeline's own free run,
+    bit for bit, whatever memory layout the fitted matrices had."""
+    assert main(["pipeline", str(_pinned_config(tmp_path, ""))]) == 0
+    out = tmp_path / "pinned"
+    embedding = io.read_embedding(out / "embedding.json")
+    outputs = ci.TimeSeries(embedding.states[:, 0], dt=embedding.dt)
+    _, fit = ci.fit_model(embedding, outputs, io.read_symmetry_report(out / "symmetry.json"))
+    model = io.read_model(out / "model.json")
+    states, _ = ci.simulate(model, embedding.states[0], len(fit.free_run))
+    assert np.array_equal(states, fit.free_run)
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("validate", [True, False])
