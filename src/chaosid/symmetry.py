@@ -4,11 +4,12 @@ Segments of the embedded trajectory, (window, m) views of its states, are
 compared pairwise by fitting a transform of a fixed class (translation,
 rotation, scaling, rotation plus scaling, or general affine) that carries
 one segment onto the other.  The first four are one map, scale * R p + t,
-with the class fixing R and the scale.  A genetic search explores the space of (source segment, target segment,
-class) triples and keeps every fit it evaluated; the ones whose residual
-beats a threshold tied to the attractor size count as detected symmetries.
-The distribution of accepted classes then picks the forcing basis family
-for the identification stage: rotations vote for sinusoids, scalings for
+with the class fixing R and the scale.  A genetic search explores the
+space of (source segment, target segment, class) triples and keeps every
+fit it evaluated; the ones whose residual beats a threshold tied to the
+attractor size count as detected symmetries.  The distribution of
+accepted classes then picks the forcing basis family for the
+identification stage: rotations vote for sinusoids, scalings for
 exponentials, and everything else falls back to a low order polynomial.
 """
 
@@ -147,11 +148,11 @@ def fit_transform(source, target, transform_class):
                 scale = q_norm / p_norm
             else:
                 rotation, s, signs = _procrustes_rotation(p_c, q_c)
-            if transform_class is TransformClass.ROTATION_SCALING:
-                scale = float(np.sum(s * signs)) / p_norm**2
-                if scale <= 0.0:
-                    # pathological reflection-heavy pair; fall back to the norm ratio
-                    scale = q_norm / p_norm
+                if transform_class is TransformClass.ROTATION_SCALING:
+                    scale = float(np.sum(s * signs)) / p_norm**2
+                    if scale <= 0.0:
+                        # pathological reflection-heavy pair; fall back to the norm ratio
+                        scale = q_norm / p_norm
         # a product with 1.0 or the identity is exact, so each class does the
         # same floating point operations as a formula written for it alone
         translation = q_mean - scale * (rotation @ p_mean)
@@ -226,7 +227,8 @@ def attractor_diameter(segments):
 
     Accepts either a (rows, m) array of states or a list of segments.
     """
-    points = np.vstack(segments)
+    # vstack would first split an array into one small array per row
+    points = segments if isinstance(segments, np.ndarray) else np.vstack(segments)
     return float(np.max(points.max(axis=0) - points.min(axis=0)))
 
 
@@ -298,12 +300,12 @@ def ga_search(segments, config=None):
         if genome not in fits:
             src, tgt, cls = genome
             try:
-                transform = fit_transform(segments[src], segments[tgt], _CLASS_ORDER[cls])
-                fits[genome] = dataclasses.replace(
-                    transform, source_segment=src, target_segment=tgt
-                )
+                fit = fit_transform(segments[src], segments[tgt], _CLASS_ORDER[cls])
             except DegenerateSegment:
-                fits[genome] = None
+                fit = None
+            if fit is not None:
+                fit = dataclasses.replace(fit, source_segment=src, target_segment=tgt)
+            fits[genome] = fit
         transform = fits[genome]
         return -np.inf if transform is None else -transform.residual
 
