@@ -132,11 +132,13 @@ def simulate(model, x0=None, steps=1000):
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(steps - 1):
                 x = model.A @ x + model.B @ phi[k]
-                if not np.all(np.isfinite(x)):
-                    raise NonFiniteState(
-                        f"simulation diverged at step {k + 1}", step=k + 1
-                    )
                 states[k + 1] = x
+        # checked once after the loop: the first non-finite row is the step
+        # that diverged
+        bad = np.flatnonzero(~np.isfinite(states[1:]).all(axis=1))
+        if bad.size:
+            step = int(bad[0]) + 1
+            raise NonFiniteState(f"simulation diverged at step {step}", step=step)
     outputs = states @ model.C.T
     return states, outputs
 

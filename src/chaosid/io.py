@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import numpy as np
 
@@ -54,14 +55,71 @@ def _builtin(value):
     raise TypeError(f"cannot serialize {type(value).__name__} to JSON")
 
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _render_floats(array, level):
+    """A non-empty float array as ``json.dumps(array.tolist(), indent=1)``
+    renders it ``level`` levels deep, without json's per-value encoder."""
+    cells = list(map(float.__repr__, np.ravel(array).tolist()))
+    if not np.isfinite(array).all():
+        cells = [_NON_FINITE.get(cell, cell) for cell in cells]
+    # innermost axis first: each pass joins runs of cells into one list
+    for depth in range(array.ndim - 1, -1, -1):
+        pad = "\n" + " " * (level + depth + 1)
+        close = "\n" + " " * (level + depth) + "]"
+        width = array.shape[depth]
+        cells = [
+            "[" + pad + ("," + pad).join(cells[i : i + width]) + close
+            for i in range(0, len(cells), width)
+        ]
+    return cells[0]
+
+
 def canonical_json(value):
     """Render ``value`` as deterministic JSON text.
 
     Keys are sorted, the indent is one space, floats use Python's shortest
     round-trip repr, and non-finite numbers use the Infinity/NaN literals
     that :func:`json.loads` accepts.
+
+    ``json`` renders each float of an indented document in Python, so
+    non-empty float arrays are rendered by :func:`_render_floats` instead,
+    to the same text.  ``json.dumps`` first writes a placeholder string for
+    each; the placeholder is lengthened until no other text contains it.
     """
-    return json.dumps(value, sort_keys=True, indent=1, default=_builtin)
+    arrays = []
+    tag = "\0"
+
+    def default(obj):
+        # tolist() yields Python floats only for dtypes no wider than double
+        if (
+            isinstance(obj, np.ndarray)
+            and obj.dtype.kind == "f"
+            and obj.dtype.itemsize <= 8
+            and obj.ndim
+            and obj.size
+        ):
+            arrays.append(obj)
+            return f"{tag}{len(arrays) - 1}"
+        return _builtin(obj)
+
+    while True:
+        arrays.clear()
+        text = json.dumps(value, sort_keys=True, indent=1, default=default)
+        # the quote that opens a placeholder, then the escaped tag
+        opening = json.dumps(tag)[:-1]
+        if text.count(opening) == len(arrays):
+            break
+        tag += "\0"
+    parts = re.split(re.escape(opening) + r'(\d+)"', text)
+    out = [parts[0]]
+    for index, tail in zip(parts[1::2], parts[2::2]):
+        # the placeholder's line is indented by its nesting level
+        line = out[-1].rsplit("\n", 1)[-1]
+        level = len(line) - len(line.lstrip(" "))
+        out += [_render_floats(arrays[int(index)], level), tail]
+    return "".join(out)
 
 
 def write_json(path, value):

@@ -8,14 +8,16 @@ min(m, 3) coordinates, and each row is compared only with the points in the
 3^k boxes around its own.  A row whose nearest candidate lies within eps is
 final, and the other rows are searched again with eps doubled.  The
 correlation sum needs every pair, so ``pair_distance_counts`` keeps an
-O(n^2) pass over blocks of rows, each compared only with the later rows.
+O(n^2) pass over blocks of rows, each compared only with the later rows,
+and bins the squared distances against squared thresholds without taking
+a square root.
 """
 
 import itertools
 
 import numpy as np
 
-_CHUNK = 256
+_CHUNK = 128
 # rows of the direct search that sets the first box edge
 _EDGE_SAMPLE = 64
 # candidate pairs expanded at once; bounds the memory of one box pass
@@ -148,18 +150,55 @@ def nearest(points, exclude):
     return nn, dist
 
 
+def _last_double(t, ok, toward):
+    """The last double from ``t`` toward ``toward`` for which ``ok`` holds,
+    where ``ok`` holds on that side of some point and fails on the other."""
+    while not ok(t):
+        t = np.nextafter(t, -toward)
+    while (u := np.nextafter(t, toward)) != t and ok(u):
+        t = u
+    return t
+
+
+def _squared_thresholds(edges):
+    """Thresholds on squared distances that bin them as ``np.histogram``
+    bins their square roots against ``edges``, the last bin closed.
+
+    A lower edge e becomes the smallest double t with sqrt(t) >= e, or -inf
+    when e <= 0, so that a squared distance rounded below zero still counts
+    as distance 0.  The last edge becomes the largest t with sqrt(t) <= e.
+    Each is found by stepping one double at a time from e*e.  sqrt is
+    correctly rounded and monotone, so sqrt(max(d2, 0)) >= e exactly when
+    d2 >= t, and likewise for the closed edge.
+    """
+    out = np.full(edges.size, -np.inf)
+    for i, e in enumerate(edges[:-1]):
+        if e > 0.0:
+            out[i] = _last_double(e * e, lambda t: np.sqrt(t) >= e, -np.inf)
+    e = edges[-1]
+    if e >= 0.0:
+        out[-1] = _last_double(e * e, lambda t: np.sqrt(t) <= e, np.inf)
+    return out
+
+
 def pair_distance_counts(points, edges, theiler):
     """Histogram of the distances of the pairs j - i > ``theiler`` against
-    ``edges``, each pair counted once.
+    ``edges``, each pair counted once; the bins are those of
+    ``np.histogram``, the last one closed.
 
     Returns (counts per bin, total number of admissible pairs).  Each block
     of rows is compared only with the columns from its first row plus
     ``theiler`` + 1 on.  Centring first keeps an offset in the data from
-    swamping the distances in the |a|^2 + |b|^2 - 2 a.b form.
+    swamping the distances in the |a|^2 + |b|^2 - 2 a.b form.  The squared
+    distances are binned against ``_squared_thresholds(edges)``, which puts
+    every pair in the bin its distance sqrt(max(d2, 0)) falls in, so no
+    root is taken.
     """
     p = points - points.mean(axis=0)
+    p2 = 2.0 * p
     sq = np.einsum("ij,ij->i", p, p)
     n = p.shape[0]
+    thresholds = _squared_thresholds(edges)
     counts = np.zeros(edges.size - 1, dtype=np.int64)
     # two reused buffers: fresh multi-megabyte temporaries cost page faults
     buf = np.empty((2, min(_CHUNK, n) * n))
@@ -169,14 +208,12 @@ def pair_distance_counts(points, edges, theiler):
         d2 = buf[0, : rows * cols].reshape(rows, cols)
         dot = buf[1, : rows * cols].reshape(rows, cols)
         np.add(sq[start : start + rows, None], sq[None, first:], out=d2)
-        np.matmul(p[start : start + rows], p[first:].T, out=dot)
-        dot *= 2.0
+        # scaling by 2 is exact short of underflow, so this is 2 (p_i . p_j)
+        np.matmul(p2[start : start + rows], p[first:].T, out=dot)
         d2 -= dot
-        np.maximum(d2, 0.0, out=d2)
         # entry (r, c) pairs row start + r with row first + c, which lies
         # inside the band when c < r; inf falls outside every bin
         d2[np.tril_indices(rows, -1, cols)] = np.inf
-        np.sqrt(d2, out=d2)
-        counts += np.histogram(d2, bins=edges)[0]
+        counts += np.histogram(d2, bins=thresholds)[0]
     pairs = max(n - theiler - 1, 0)
     return counts, pairs * (pairs + 1) // 2

@@ -130,6 +130,41 @@ def test_simulate_divergence_reports_step():
     assert info.value.exit_code == 4
 
 
+def _first_divergent_step(model, x0, steps):
+    """Per-step oracle: the first step whose state is not finite, or None."""
+    phi = model.basis.evaluate(np.arange(steps - 1), model.dt)
+    x = np.asarray(x0, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps - 1):
+            x = model.A @ x + model.B @ phi[k]
+            if not np.all(np.isfinite(x)):
+                return k + 1
+    return None
+
+
+@pytest.mark.parametrize(
+    "A, B, x0",
+    [
+        ([[2.0]], np.zeros((1, 0)), [1.0]),
+        ([[1.5, -1.2], [1.2, 1.5]], np.zeros((2, 0)), [1e-3, 0.0]),
+        # forcing pushes one coordinate past the double range first, and
+        # inf - inf then makes NaN
+        ([[1.0, 0.0], [1.0, -1.0]], [[1e308], [-1e308]], [0.0, 0.0]),
+    ],
+)
+def test_simulate_divergence_step_matches_a_per_step_check(A, B, x0):
+    basis = ci.ForcingBasis((ci.Sinusoid(omega=0.7, phi=0.3),)) if np.size(B) else None
+    model = _model(A, B=B, basis=basis, dt=0.5)
+    step = _first_divergent_step(model, x0, 2000)
+    assert step is not None
+    with pytest.raises(ci.NonFiniteState, match=f"simulation diverged at step {step}$") as info:
+        ci.simulate(model, x0=x0, steps=2000)
+    assert info.value.step == step
+    # one step short of the divergence the run completes
+    states, _ = ci.simulate(model, x0=x0, steps=step)
+    assert np.all(np.isfinite(states))
+
+
 def test_simulate_is_reproducible():
     model = _model(np.array([[0.99, 0.1], [-0.1, 0.97]]))
     a, _ = ci.simulate(model, x0=[0.3, 0.7], steps=500)

@@ -64,6 +64,46 @@ def test_canonical_json_handles_arrays_and_bools():
     assert back["pair"] == [1, "a"]
 
 
+def _json_oracle(value):
+    """The plain json rendering, which renders every float in Python."""
+    return json.dumps(value, sort_keys=True, indent=1, default=io._builtin)
+
+
+def test_canonical_json_renders_float_arrays_as_json_does():
+    rng = np.random.default_rng(2)
+    cube = rng.normal(size=(2, 3, 4)) * 10.0 ** rng.integers(-20, 20, size=(2, 3, 4))
+    cube[0, 1, 2], cube[1, 0, 0], cube[1, 2, 3], cube[0, 0, 0] = np.nan, np.inf, -np.inf, -0.0
+    docs = [
+        rng.normal(size=5),
+        rng.normal(size=(4, 3)),
+        cube,
+        np.zeros((1, 0)),
+        np.zeros((0, 3)),
+        np.zeros(0),
+        np.array(2.5),
+        np.float32([0.1, 1e-8, 3.0]),
+        np.array([0.1, 1.5], dtype=np.longdouble),
+        np.arange(4),
+        {"b": np.zeros((1, 0)), "a": cube, "c": [1, np.ones((1, 1)), "x"]},
+        [[{"deep": [cube[0], {"deeper": [rng.normal(size=2), np.array([np.nan])]}]}]],
+        {"many": [rng.normal(size=2) for _ in range(12)], "empty": [], "nested": {}},
+    ]
+    for doc in docs:
+        assert io.canonical_json(doc) == _json_oracle(doc)
+
+
+def test_canonical_json_placeholders_cannot_collide_with_strings():
+    # strings made of the placeholder's characters, as keys and values
+    nul = "\0"
+    doc = {
+        nul: nul + "0",
+        nul * 2 + "1": [nul * 3, np.ones(2)],
+        '"' + nul: np.ones((2, 1)),
+        "x": {nul + "0": np.arange(3.0), "y": nul * 2 + "0"},
+    }
+    assert io.canonical_json(doc) == _json_oracle(doc)
+
+
 def test_canonical_json_rejects_unsupported_objects():
     with pytest.raises(TypeError):
         io.canonical_json({"x": object()})

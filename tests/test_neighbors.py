@@ -8,7 +8,7 @@ installed.
 import numpy as np
 import pytest
 
-from chaosid.neighbors import nearest, pair_distance_counts
+from chaosid.neighbors import _squared_thresholds, nearest, pair_distance_counts
 
 
 def _oracle_nearest(points, exclude):
@@ -188,6 +188,58 @@ def test_pair_distance_counts_match_direct_oracle(theiler):
         counts_ref, total_ref = _oracle_counts(points, edges, theiler)
         assert total == total_ref
         assert np.array_equal(counts, counts_ref)
+
+
+# geometric and square-root edges, each starting at 0 and above 0; the
+# first is the correlation dimension's layout on the reference (r_max 35.6)
+_EDGE_SETS = [
+    np.concatenate([[0.0], np.geomspace(35.6e-3, 35.6, 32)]),
+    np.geomspace(0.05, 7.0, 20),
+    np.sqrt(np.arange(0.0, 40.0)),
+    np.sqrt(np.arange(3.0, 40.0)),
+]
+
+
+def _ulp_steps(x, steps):
+    out = [x]
+    for direction in (np.inf, -np.inf):
+        y = x
+        for _ in range(steps):
+            y = np.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+def test_squared_thresholds_bin_as_the_root_would():
+    for edges in _EDGE_SETS:
+        thresholds = _squared_thresholds(edges)
+        d2 = [v for e in edges for v in _ulp_steps(e * e, 3)]
+        d2 += [-1.0, -1e-300, -0.0, 0.0, 5e-324, np.inf]
+        d2 += list(np.arange(0.0, 45.0))
+        d2 = np.array(d2)
+        d = np.sqrt(np.maximum(d2, 0.0))
+        # one value at a time, so that a pair moved into the next bin and
+        # another moved back cannot cancel
+        for v2, v in zip(d2, d):
+            assert np.array_equal(
+                np.histogram([v2], bins=thresholds)[0], np.histogram([v], bins=edges)[0]
+            ), (edges[0], v2)
+
+
+@pytest.mark.parametrize("theiler", [0, 2])
+def test_pair_distance_counts_with_distances_on_the_edges(theiler):
+    # integer lattices whose means are exact in binary, so every squared
+    # distance is an exact integer and lands on a square-root edge
+    line = np.arange(16.0).reshape(-1, 1)
+    grid = np.array([[x, y] for x in range(4) for y in range(4)], dtype=float)
+    cube = np.array([[x, y, z] for x in range(3) for y in range(3) for z in range(3)], dtype=float)
+    for points in (line, grid, cube):
+        top = int(np.ceil(np.linalg.norm(points.max(axis=0) - points.min(axis=0)) ** 2))
+        for edges in (np.sqrt(np.arange(0.0, top + 1)), np.sqrt(np.arange(2.0, top))):
+            counts, total = pair_distance_counts(points, edges, theiler)
+            counts_ref, total_ref = _oracle_counts(points, edges, theiler)
+            assert total == total_ref
+            assert np.array_equal(counts, counts_ref)
 
 
 def test_pair_distance_counts_window_beyond_the_set():
