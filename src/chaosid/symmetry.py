@@ -232,6 +232,54 @@ def attractor_diameter(segments):
     return float(np.max(points.max(axis=0) - points.min(axis=0)))
 
 
+def _raw_words(bits):
+    """The 64-bit outputs of a bit generator, as Python ints, forever."""
+    while True:
+        yield from bits.random_raw(1024).tolist()
+
+
+class _Pcg64Replay:
+    """The scalar ``random()`` and ``integers`` draws of
+    ``np.random.default_rng(seed)``, replayed in Python from its raw PCG64
+    words (O'Neill 2014), at a fraction of the generator's per-call cost.
+
+    ``random()`` takes a whole word.  ``integers`` takes a 32-bit half, the
+    low one of a fresh word first, the high one on the next call, and
+    bounds it by Lemire's multiply-and-reject method (Lemire 2019), the
+    way numpy's ``Generator`` does for ranges up to 2**32.
+    """
+
+    def __init__(self, seed):
+        self._next_word = _raw_words(np.random.PCG64(seed)).__next__
+        self._half = None
+
+    def random(self):
+        return (self._next_word() >> 11) * 2.0**-53
+
+    def _next_uint32(self):
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        word = self._next_word()
+        self._half = word >> 32
+        return word & 0xFFFFFFFF
+
+    def integers(self, low, high=None):
+        """A draw from [0, low), or from [low, high)."""
+        if high is not None:
+            return low + self.integers(high - low)
+        n = low
+        if n == 1:  # numpy returns the one value without drawing
+            return 0
+        product = self._next_uint32() * n
+        if (product & 0xFFFFFFFF) < n:
+            threshold = (0x100000000 - n) % n
+            while (product & 0xFFFFFFFF) < threshold:
+                product = self._next_uint32() * n
+        return product >> 32
+
+
 def _random_genome(rng, n_segments):
     src = int(rng.integers(n_segments))
     tgt = int(rng.integers(n_segments - 1))
@@ -281,7 +329,9 @@ def ga_search(segments, config=None):
     residual beats ``residual_threshold`` times the attractor
     diameter are returned, deduplicated and sorted by residual.
 
-    The search is fully deterministic for a fixed seed.
+    The search is fully deterministic for a fixed seed: its draws are
+    those of ``np.random.default_rng(config.seed)``, replayed from the
+    generator's raw words by ``_Pcg64Replay``.
     """
     if config is None:
         config = GaConfig()
@@ -293,7 +343,7 @@ def ga_search(segments, config=None):
         raise LengthMismatch(f"segments have mixed lengths {sorted(lengths)}")
     diameter = attractor_diameter(segments)
     threshold = config.residual_threshold * diameter
-    rng = np.random.default_rng(config.seed)
+    rng = _Pcg64Replay(config.seed)
     fits = {}  # genome -> its transform, or None for a degenerate segment
 
     def fitness_of(genome):

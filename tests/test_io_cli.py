@@ -104,6 +104,18 @@ def test_canonical_json_placeholders_cannot_collide_with_strings():
     assert io.canonical_json(doc) == _json_oracle(doc)
 
 
+def test_canonical_json_splices_rendered_text_at_its_nesting_level():
+    inner = {"b": [1.5, np.ones((2, 2))], "a": {"x": "two\nlines", "y": []}, "e": {}}
+    rendered = io.Rendered(io.canonical_json(inner))
+    for place in (
+        lambda v: v,
+        lambda v: {"k": v, "a": 2},
+        lambda v: [[v, 1.5], np.zeros(2)],
+        lambda v: {"z": {"y": [v, v]}},
+    ):
+        assert io.canonical_json(place(rendered)) == _json_oracle(place(inner))
+
+
 def test_canonical_json_rejects_unsupported_objects():
     with pytest.raises(TypeError):
         io.canonical_json({"x": object()})
@@ -737,7 +749,9 @@ def test_cli_pipeline_dimensions_use_the_default_radii_and_a_tau_m_theiler_windo
 def test_compare_artifacts_tool_finds_only_a_flipped_digit(tmp_path, capsys):
     """Two runs of one config differ only in their reports' timings and
     output.dir, which the tool ignores; one changed digit in model.json
-    makes it name that file and exit 1."""
+    makes it name that file and exit 1, and so does a report whose
+    symmetry block is indented one level too deep, although it parses the
+    same."""
     for name in ("a", "b"):
         assert main(["pipeline", str(_pinned_config(tmp_path, "", out_name=name))]) == 0
     capsys.readouterr()
@@ -754,6 +768,15 @@ def test_compare_artifacts_tool_finds_only_a_flipped_digit(tmp_path, capsys):
     differ = subprocess.run(argv, capture_output=True, text=True)
     assert differ.returncode == 1
     assert differ.stdout.split() == ["model.json"]
+
+    report = tmp_path / "b" / "report.json"
+    doc = json.loads(report.read_text())
+    deeper = io.Rendered(io.canonical_json(doc["symmetry"]).replace("\n", "\n "))
+    report.write_text(io.canonical_json({**doc, "symmetry": deeper}) + "\n")
+    assert json.loads(report.read_text()) == doc
+    differ = subprocess.run(argv, capture_output=True, text=True)
+    assert differ.returncode == 1
+    assert differ.stdout.split() == ["model.json", "report.json"]
 
 
 def test_cli_pipeline_model_json_reproduces_the_free_run_bitwise(tmp_path, capsys):

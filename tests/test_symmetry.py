@@ -1,22 +1,36 @@
 """Tests for segment extraction, transform fitting, the genetic search,
 and the class vote that picks a forcing basis.
 
-Oracle: ``_oracle_fit_transform`` is the earlier five-branch form of
+Oracles: ``_oracle_fit_transform`` is the earlier five-branch form of
 ``fit_transform``, one formula per class, kept verbatim apart from taking
 arrays; the one-construction form must agree with it bit for bit.
+``_oracle_ga_search`` is ``ga_search`` as it was when it drew from
+``np.random.default_rng``, kept verbatim; the search on replayed draws must
+return the same transforms, bit for bit and in the same order.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 import chaosid as ci
-from chaosid.errors import DegenerateSegment, InvalidValue, LengthMismatch
+from chaosid.errors import DegenerateSegment, InsufficientData, InvalidValue, LengthMismatch
 from chaosid.symmetry import (
     _CLASS_ORDER,
+    CROSSOVER_RATE,
+    GaConfig,
     SymmetryTransform,
     TransformClass,
+    _crossover,
+    _mutate,
+    _Pcg64Replay,
     _procrustes_rotation,
+    _random_genome,
     _residual,
+    _tournament,
+    attractor_diameter,
+    fit_transform,
 )
 
 
@@ -327,12 +341,17 @@ def _random_pairs(seed, count):
         yield p, q
 
 
-def _rossler_pairs(count):
-    """Pairs of delay-embedded Rossler segments, as the pipeline cuts them."""
+def _rossler_segments():
+    """Delay-embedded Rossler segments, as the pipeline cuts them."""
     trajectory = ci.rk4_integrate(ci.rossler(), np.array([1.0, 1.0, 1.0]), dt=0.05,
                                   steps=3000, transient_skip=500)
     emb = ci.delay_embed(ci.TimeSeries(trajectory.channel(0), dt=0.05), tau=26, m=3)
-    segments = ci.extract_segments(emb, window=156, stride=78)
+    return ci.extract_segments(emb, window=156, stride=78)
+
+
+def _rossler_pairs(count):
+    """Pairs of Rossler segments."""
+    segments = _rossler_segments()
     rng = np.random.default_rng(5)
     for _ in range(count):
         src, tgt = rng.choice(len(segments), size=2, replace=False)
@@ -456,6 +475,128 @@ def test_ga_search_rejects_mixed_lengths():
     segs = [rng.normal(size=(8, 2)), rng.normal(size=(9, 2))]
     with pytest.raises(ci.LengthMismatch):
         ci.ga_search(segs)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pcg64_replay_draws_what_numpy_draws(seed):
+    """Long random interleavings of every draw the search makes, with
+    bounds near 2**32 where Lemire's method rejects; a numpy release that
+    changes ``Generator``'s draws fails here."""
+    bounds = [1, 2, 5, 64, 65, 253, 2**31 + 7, 2**32 - 1]
+    generator = np.random.default_rng(seed)
+    replay = _Pcg64Replay(seed)
+    picks = np.random.default_rng(100 + seed).integers(len(bounds) + 2, size=20000)
+    for pick in picks.tolist():
+        if pick == len(bounds):
+            expected, drawn = generator.random(), replay.random()
+        elif pick == len(bounds) + 1:
+            expected, drawn = generator.integers(1, 3), replay.integers(1, 3)
+        else:
+            expected, drawn = generator.integers(bounds[pick]), replay.integers(bounds[pick])
+        assert drawn == expected, (pick, drawn, expected)
+    # both streams still stand at the same place
+    assert replay.random() == generator.random()
+
+
+def _oracle_ga_search(segments, config=None):
+    """``ga_search`` as it was when it drew from numpy's generator."""
+    if config is None:
+        config = GaConfig()
+    n_segments = len(segments)
+    if n_segments < 2:
+        raise InsufficientData(f"need at least 2 segments, got {n_segments}")
+    lengths = {len(seg) for seg in segments}
+    if len(lengths) != 1:
+        raise LengthMismatch(f"segments have mixed lengths {sorted(lengths)}")
+    diameter = attractor_diameter(segments)
+    threshold = config.residual_threshold * diameter
+    rng = np.random.default_rng(config.seed)
+    fits = {}  # genome -> its transform, or None for a degenerate segment
+
+    def fitness_of(genome):
+        if genome not in fits:
+            src, tgt, cls = genome
+            try:
+                fit = fit_transform(segments[src], segments[tgt], _CLASS_ORDER[cls])
+            except DegenerateSegment:
+                fit = None
+            if fit is not None:
+                fit = dataclasses.replace(fit, source_segment=src, target_segment=tgt)
+            fits[genome] = fit
+        transform = fits[genome]
+        return -np.inf if transform is None else -transform.residual
+
+    population = [_random_genome(rng, n_segments) for _ in range(config.population)]
+    fitness = [fitness_of(g) for g in population]
+    for _ in range(config.generations):
+        elite_idx = int(np.argmax(fitness))
+        next_pop = [population[elite_idx]]
+        while len(next_pop) < config.population:
+            parent_a = _tournament(population, fitness, rng)
+            parent_b = _tournament(population, fitness, rng)
+            if rng.random() < CROSSOVER_RATE:
+                child_a, child_b = _crossover(parent_a, parent_b, rng)
+            else:
+                child_a, child_b = parent_a, parent_b
+            child_a = _mutate(child_a, rng, n_segments)
+            next_pop.append(child_a)
+            if len(next_pop) < config.population:
+                child_b = _mutate(child_b, rng, n_segments)
+                next_pop.append(child_b)
+        population = next_pop
+        fitness = [fitness_of(g) for g in population]
+
+    accepted = [t for t in fits.values() if t is not None and t.residual < threshold]
+    accepted.sort(
+        key=lambda t: (
+            t.residual,
+            t.source_segment,
+            t.target_segment,
+            _CLASS_ORDER.index(t.transform_class),
+        )
+    )
+    return accepted
+
+
+def _assert_same_search(segments, config):
+    found = ci.ga_search(segments, config)
+    oracle = _oracle_ga_search(segments, config)
+    assert found, "nothing accepted; the comparison would be empty"
+    assert len(found) == len(oracle)
+    for fit, expected in zip(found, oracle):
+        assert (fit.source_segment, fit.target_segment) == (
+            expected.source_segment, expected.target_segment)
+        _assert_bitwise_equal(fit, expected)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_ga_search_equals_numpy_generator_oracle_on_rossler(seed):
+    _assert_same_search(_rossler_segments(), GaConfig(generations=100, seed=seed))
+
+
+@pytest.mark.parametrize(
+    "n_segments, population, generations",
+    [(2, 4, 2), (6, 2, 40), (6, 3, 40)],
+    ids=["two-segments", "population-2", "population-3"],
+)
+def test_ga_search_equals_numpy_generator_oracle_at_the_edges(
+    n_segments, population, generations
+):
+    """Two segments make ``integers(1)``, which draws nothing; the search is
+    kept short there, since a long one visits all ten genomes whatever it
+    draws.  An odd population skips the second child's mutation."""
+    segments = _random_walk_segments(11, n_segments=n_segments)
+    for seed in range(3):
+        config = GaConfig(population=population, generations=generations, seed=seed,
+                          residual_threshold=0.5)
+        _assert_same_search(segments, config)
+
+
+def test_ga_search_equals_numpy_generator_oracle_with_a_constant_segment():
+    """Shape-carrying fits to a constant segment get fitness -inf."""
+    segments = _random_walk_segments(12)
+    segments[2] = np.full_like(segments[2], 3.0)
+    _assert_same_search(segments, GaConfig(generations=60, seed=1, residual_threshold=0.5))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,11 @@ Every ``embedding.json``, ``symmetry.json``, ``model.json`` and ``fit.json``
 found under A or B is matched by its path relative to the tree root and
 compared byte for byte.  ``report.json`` is compared as parsed JSON after
 dropping ``timings``, ``config.input.path`` and ``config.output.dir``, the
-fields that depend on when and where the run happened.  A file found in
-only one tree counts as a difference.  Each differing file is printed, and
+fields that depend on when and where the run happened, and its text must
+also be ``canonical_json`` of what it parses to, plus a newline, so a
+report rendered with a wrong indent differs too.  A file found in only one
+tree counts as a difference.  ``chaosid`` is imported from ``src/`` of the
+checkout that holds this script.  Each differing file is printed, and
 the exit code is 1 on any difference, else 0.
 """
 
@@ -16,6 +19,10 @@ from __future__ import annotations
 import json
 import os
 import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+from chaosid.io import canonical_json
 
 BYTE_EXACT = ("embedding.json", "symmetry.json", "model.json", "fit.json")
 REPORT = "report.json"
@@ -32,8 +39,13 @@ def artifacts(root):
 
 
 def _report_without_run_fields(path):
+    """The parsed report without its run fields, or None when its text is
+    not the canonical rendering of what it parses to."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        text = fh.read()
+    doc = json.loads(text)
+    if text != canonical_json(doc) + "\n":
+        return None
     doc.pop("timings", None)
     config = doc.get("config", {})
     config.pop("input.path", None)
@@ -43,7 +55,8 @@ def _report_without_run_fields(path):
 
 def same(path_a, path_b):
     if os.path.basename(path_a) == REPORT:
-        return _report_without_run_fields(path_a) == _report_without_run_fields(path_b)
+        doc_a = _report_without_run_fields(path_a)
+        return doc_a is not None and doc_a == _report_without_run_fields(path_b)
     with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
         return fa.read() == fb.read()
 
