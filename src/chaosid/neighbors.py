@@ -11,6 +11,14 @@ correlation sum needs every pair, so ``pair_distance_counts`` keeps an
 O(n^2) pass over blocks of rows, each compared only with the later rows,
 and bins the squared distances against squared thresholds without taking
 a square root.
+
+Given a cut, the pass bins only the squared distances below the cut's
+threshold and counts the others only in the total.  The correlation
+dimension takes the cut from a pilot count on every 8th point, with the
+Theiler window thinned by 8, at the upper edge of the first bin where the
+pilot's C(r) reaches 0.3.  Its scaling fit reads no bin with C(r) > 0.2,
+so a cut below which more than 0.2 of all pairs fall leaves every bin the
+fit reads exact; otherwise it counts every pair again in full.
 """
 
 import itertools
@@ -18,6 +26,9 @@ import itertools
 import numpy as np
 
 _CHUNK = 128
+# rows of a block whose squared distances are formed at once, in a buffer
+# that stays in cache
+_GROUP = 8
 # rows of the direct search that sets the first box edge
 _EDGE_SAMPLE = 64
 # candidate pairs expanded at once; bounds the memory of one box pass
@@ -181,7 +192,27 @@ def _squared_thresholds(edges):
     return out
 
 
-def pair_distance_counts(points, edges, theiler):
+def _blocks(n, theiler):
+    """The row blocks of the pair count: (start, rows, first, cols, band).
+
+    Block rows start .. start + rows - 1 are compared with the ``cols``
+    rows from ``first`` = start + ``theiler`` + 1 on.  Entry (r, c) pairs
+    row start + r with row first + c, which lies inside the band when
+    c < r; ``band`` indexes those entries, as
+    ``np.tril_indices(rows, -1, cols)`` does.  That set depends only on
+    rows and min(rows, cols), so it is built once per such shape.
+    """
+    shape = band = None
+    for start in range(0, n - theiler - 1, _CHUNK):
+        first = start + theiler + 1
+        rows, cols = min(_CHUNK, n - start), n - first
+        if shape != (rows, min(rows, cols)):
+            shape = (rows, min(rows, cols))
+            band = np.tril_indices(rows, -1, shape[1])
+        yield start, rows, first, cols, band
+
+
+def pair_distance_counts(points, edges, theiler, bins=None):
     """Histogram of the distances of the pairs j - i > ``theiler`` against
     ``edges``, each pair counted once; the bins are those of
     ``np.histogram``, the last one closed.
@@ -193,6 +224,16 @@ def pair_distance_counts(points, edges, theiler):
     distances are binned against ``_squared_thresholds(edges)``, which puts
     every pair in the bin its distance sqrt(max(d2, 0)) falls in, so no
     root is taken.
+
+    The squared distances of a block are formed ``_GROUP`` rows at a
+    time.  Without a cut each group is written back over its spent rows of
+    the block's dot products, and the block is binned at once.  With
+    ``bins`` (0 < bins < number of bins), the cut is the lower edge of bin
+    ``bins``: only the pairs below it are binned, and that bin and the
+    later ones stay empty, their pairs counted only in the total.  Each
+    group's squared distances below the cut's threshold are gathered into
+    the spent dot-product rows, so no block-sized mask or copy is made.
+    The counts of the first ``bins`` bins are those of the full histogram.
     """
     p = points - points.mean(axis=0)
     p2 = 2.0 * p
@@ -200,20 +241,39 @@ def pair_distance_counts(points, edges, theiler):
     n = p.shape[0]
     thresholds = _squared_thresholds(edges)
     counts = np.zeros(edges.size - 1, dtype=np.int64)
-    # two reused buffers: fresh multi-megabyte temporaries cost page faults
-    buf = np.empty((2, min(_CHUNK, n) * n))
-    for start in range(0, n - theiler - 1, _CHUNK):
-        first = start + theiler + 1
-        rows, cols = min(_CHUNK, n - start), n - first
-        d2 = buf[0, : rows * cols].reshape(rows, cols)
-        dot = buf[1, : rows * cols].reshape(rows, cols)
-        np.add(sq[start : start + rows, None], sq[None, first:], out=d2)
+    # one reused buffer for a block's dot products and a group's squared
+    # distances: fresh multi-megabyte temporaries cost page faults, and two
+    # separate buffers raised perfbench's rossler-ref peak RSS by 0.6 MiB
+    block = min(_CHUNK, n) * n
+    buf = np.empty(block + min(_GROUP, n) * n)
+    dot_buf, d2_buf = buf[:block], buf[block:]
+    if bins is not None:
+        cut = thresholds[bins]
+        below = np.empty(d2_buf.size, dtype=bool)
+    for start, rows, first, cols, band in _blocks(n, theiler):
+        dot = dot_buf[: rows * cols].reshape(rows, cols)
         # scaling by 2 is exact short of underflow, so this is 2 (p_i . p_j)
         np.matmul(p2[start : start + rows], p[first:].T, out=dot)
-        d2 -= dot
-        # entry (r, c) pairs row start + r with row first + c, which lies
-        # inside the band when c < r; inf falls outside every bin
-        d2[np.tril_indices(rows, -1, cols)] = np.inf
-        counts += np.histogram(d2, bins=thresholds)[0]
+        # a band pair's squared distance becomes +inf, outside every bin
+        # and above every cut
+        dot[band] = -np.inf
+        spent, kept = dot.reshape(-1), 0
+        for lo in range(0, rows, _GROUP):
+            hi = min(lo + _GROUP, rows)
+            d2 = d2_buf[: (hi - lo) * cols].reshape(hi - lo, cols)
+            np.add(sq[start + lo : start + hi, None], sq[None, first:], out=d2)
+            if bins is None:
+                np.subtract(d2, dot[lo:hi], out=dot[lo:hi])
+                continue
+            d2 -= dot[lo:hi]
+            mask = np.less(d2, cut, out=below[: d2.size].reshape(d2.shape))
+            size = np.count_nonzero(mask)
+            # rows before hi are spent, and kept + size <= hi * cols
+            np.compress(mask.ravel(), d2, out=spent[kept : kept + size])
+            kept += size
+        if bins is None:
+            counts += np.histogram(dot, bins=thresholds)[0]
+        else:
+            counts[:bins] += np.histogram(spent[:kept], bins=thresholds[: bins + 1])[0]
     pairs = max(n - theiler - 1, 0)
     return counts, pairs * (pairs + 1) // 2

@@ -11,6 +11,7 @@ search neighbours with :mod:`chaosid.neighbors`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,12 @@ from .neighbors import nearest, pair_distance_counts
 
 #: Number of log-spaced radius bins of the correlation sum.
 R_COUNT = 32
+# the scaling fit reads only bins with C(r) at or below this level
+_FIT_LEVEL = 0.2
+# the pilot count takes every this many points, and places the cut at the
+# first bin where its C(r) reaches _PILOT_LEVEL
+_PILOT_STRIDE = 8
+_PILOT_LEVEL = 0.3
 
 
 def _points_of(data):
@@ -41,23 +48,56 @@ class CorrelationDimension:
     fit_range: tuple
     reliable: bool
     n_points: int
-    radii: np.ndarray = None
-    correlation: np.ndarray = None
     warnings: list = field(default_factory=list)
+
+
+def _integer(name, value):
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidValue(f"{name} must be an integer, got {value!r}") from None
+
+
+def _fit_counts(points, edges, theiler):
+    """Pair counts per bin, exact in every bin the scaling fit can read,
+    and the number of admissible pairs.
+
+    A pilot count on every ``_PILOT_STRIDE``-th point, with the Theiler
+    window thinned by the same factor, puts the cut at the upper edge of
+    the first bin where the pilot's C(r) reaches ``_PILOT_LEVEL``; only
+    the pairs below it are binned.  When more than ``_FIT_LEVEL`` of all
+    pairs fall below the cut, C(r) exceeds that level in every later bin,
+    so the fit reads none of them.  Otherwise the pairs are counted again
+    in full.
+    """
+    pilot, pilot_total = pair_distance_counts(
+        points[::_PILOT_STRIDE], edges, -(-theiler // _PILOT_STRIDE)
+    )
+    reached = np.flatnonzero(np.cumsum(pilot) >= _PILOT_LEVEL * pilot_total)
+    if pilot_total and reached.size and reached[0] + 1 < pilot.size:
+        counts, total = pair_distance_counts(points, edges, theiler, int(reached[0]) + 1)
+        if counts.sum() / total > _FIT_LEVEL:
+            return counts, total
+    return pair_distance_counts(points, edges, theiler)
 
 
 def correlation_dimension(data, theiler_window=0, max_points=8000):
     """Grassberger-Procaccia correlation dimension.
 
     Pairs are counted over ``R_COUNT`` (32) log-spaced radii from 1e-3 of
-    the point set's diameter up to the diameter.
+    the point set's diameter up to the diameter.  Only the pairs below a
+    cut taken from a pilot count on every 8th point are binned; unless more
+    than 0.2 of all pairs fall below it, the pairs are counted again in
+    full.  Either way every bin the scaling fit reads is exact, so the
+    result is that of a full count.
 
     Parameters
     ----------
     data : DelayEmbedding or ndarray
         Point set; an embedding contributes its states.
     theiler_window : int
-        Pairs closer than this in time are excluded.
+        Pairs closer than this in time are excluded.  Python and numpy
+        integers are accepted.
     max_points : int, optional
         Evenly strided subsample bound; None uses every point.
 
@@ -72,12 +112,18 @@ def correlation_dimension(data, theiler_window=0, max_points=8000):
     NoScalingRegion
         when no stretch of at least four bins has a locally constant slope.
     InvalidValue
-        when theiler_window < 0 or max_points < 10.
+        when a point is not finite, theiler_window or max_points is not an
+        integer, theiler_window < 0 or max_points < 10.
     """
     points = _points_of(data)
     n = points.shape[0]
     if n < 10:
         raise InsufficientData(f"correlation dimension needs >= 10 points, got {n}")
+    if not np.isfinite(points).all():
+        raise InvalidValue("correlation dimension needs finite points")
+    theiler_window = _integer("theiler_window", theiler_window)
+    if max_points is not None:
+        max_points = _integer("max_points", max_points)
     if theiler_window < 0:
         raise InvalidValue(f"theiler_window must be >= 0, got {theiler_window}")
     if max_points is not None and max_points < 10:
@@ -98,7 +144,7 @@ def correlation_dimension(data, theiler_window=0, max_points=8000):
     radii = np.geomspace(r_min, r_max, R_COUNT)
     # a catch-all first bin keeps pairs closer than r_min inside C(r)
     edges = np.concatenate([[0.0], radii])
-    counts, total = pair_distance_counts(points, edges, theiler_window)
+    counts, total = _fit_counts(points, edges, theiler_window)
     if total == 0:
         raise InsufficientData("Theiler window excluded every pair")
     cumulative = np.cumsum(counts)
@@ -106,7 +152,7 @@ def correlation_dimension(data, theiler_window=0, max_points=8000):
 
     # keep bins with enough pairs for a stable log value, and stay below the
     # saturation shoulder where edge effects flatten the curve
-    valid = (cumulative >= 10) & (c_r <= 0.2)
+    valid = (cumulative >= 10) & (c_r <= _FIT_LEVEL)
     log_r = np.log(radii)
     with np.errstate(divide="ignore"):
         log_c = np.where(valid, np.log(np.maximum(c_r, 1e-300)), np.nan)
@@ -137,8 +183,6 @@ def correlation_dimension(data, theiler_window=0, max_points=8000):
         fit_range=(float(radii[lo]), float(radii[hi + 1])),
         reliable=reliable,
         n_points=n,
-        radii=radii,
-        correlation=c_r,
         warnings=warnings,
     )
 

@@ -8,7 +8,8 @@ installed.
 import numpy as np
 import pytest
 
-from chaosid.neighbors import _squared_thresholds, nearest, pair_distance_counts
+from chaosid import neighbors
+from chaosid.neighbors import _blocks, _squared_thresholds, nearest, pair_distance_counts
 
 
 def _oracle_nearest(points, exclude):
@@ -179,15 +180,24 @@ def test_nearest_exclude_beyond_the_set_leaves_every_row_inf(exclude):
     assert not nn.any()
 
 
+def _assert_counts_match_oracle(points, edges, theiler):
+    """The full count, and each cut: a cut at bin k keeps the first k bins
+    of the full histogram and leaves the rest empty, and the total still
+    counts every pair."""
+    counts_ref, total_ref = _oracle_counts(points, edges, theiler)
+    for bins in [None, *range(1, edges.size - 1)]:
+        counts, total = pair_distance_counts(points, edges, theiler, bins)
+        kept = np.arange(counts.size) < (counts.size if bins is None else bins)
+        assert total == total_ref
+        assert np.array_equal(counts, np.where(kept, counts_ref, 0)), bins
+
+
 @pytest.mark.parametrize("theiler", [0, 3])
 def test_pair_distance_counts_match_direct_oracle(theiler):
     for points in _random_sets():
         span = np.linalg.norm(points.max(axis=0) - points.min(axis=0))
         edges = np.concatenate([[0.0], np.geomspace(span * 1e-3, span, 12)])
-        counts, total = pair_distance_counts(points, edges, theiler)
-        counts_ref, total_ref = _oracle_counts(points, edges, theiler)
-        assert total == total_ref
-        assert np.array_equal(counts, counts_ref)
+        _assert_counts_match_oracle(points, edges, theiler)
 
 
 # geometric and square-root edges, each starting at 0 and above 0; the
@@ -229,17 +239,31 @@ def test_squared_thresholds_bin_as_the_root_would():
 @pytest.mark.parametrize("theiler", [0, 2])
 def test_pair_distance_counts_with_distances_on_the_edges(theiler):
     # integer lattices whose means are exact in binary, so every squared
-    # distance is an exact integer and lands on a square-root edge
+    # distance is an exact integer and lands on a square-root edge, and a
+    # pair exactly at a cut belongs to the first bin above it
     line = np.arange(16.0).reshape(-1, 1)
     grid = np.array([[x, y] for x in range(4) for y in range(4)], dtype=float)
     cube = np.array([[x, y, z] for x in range(3) for y in range(3) for z in range(3)], dtype=float)
     for points in (line, grid, cube):
         top = int(np.ceil(np.linalg.norm(points.max(axis=0) - points.min(axis=0)) ** 2))
         for edges in (np.sqrt(np.arange(0.0, top + 1)), np.sqrt(np.arange(2.0, top))):
-            counts, total = pair_distance_counts(points, edges, theiler)
-            counts_ref, total_ref = _oracle_counts(points, edges, theiler)
-            assert total == total_ref
-            assert np.array_equal(counts, counts_ref)
+            _assert_counts_match_oracle(points, edges, theiler)
+
+
+@pytest.mark.parametrize("chunk", [4, 7, 128])
+@pytest.mark.parametrize("n, theiler", [(10, 0), (30, 3), (131, 0), (301, 5), (1000, 77)])
+def test_band_index_set_equals_the_per_block_tril_indices(monkeypatch, chunk, n, theiler):
+    """The band set is built once per block shape; every block, the last
+    ones with fewer columns than rows included, gets what
+    ``np.tril_indices(rows, -1, cols)`` gives."""
+    monkeypatch.setattr(neighbors, "_CHUNK", chunk)
+    blocks = list(_blocks(n, theiler))
+    assert [b[0] for b in blocks] == list(range(0, n - theiler - 1, chunk))
+    for start, rows, first, cols, band in blocks:
+        assert (rows, first, cols) == (min(chunk, n - start), start + theiler + 1, n - start - theiler - 1)
+        ref = np.tril_indices(rows, -1, cols)
+        assert np.array_equal(band[0], ref[0]) and np.array_equal(band[1], ref[1])
+    assert blocks[-1][3] < blocks[-1][1]
 
 
 def test_pair_distance_counts_window_beyond_the_set():

@@ -1,11 +1,13 @@
 """Property tests: the artifact readers round-trip what the writers wrote,
 the config parser rejects every malformed line, basis refinement recovers
 any planted sinusoid phase, the delay and dimension scans do not see an
-exact rescaling of the series, and a change of units moves no fitted
-transform's shape."""
+exact rescaling of the series, a change of units moves no fitted
+transform's shape, and the cut pair count gives the correlation dimension
+of a full count."""
 
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import chaosid as ci  # noqa: E402
-from chaosid import io  # noqa: E402
+from chaosid import io, validate  # noqa: E402
 from chaosid.cli import CONFIG_DEFAULTS  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
@@ -232,3 +234,52 @@ def test_change_of_units_keeps_every_transform_shape(seed, dim, a, b):
         assert moved.scale == pytest.approx(fit.scale, rel=1e-9)
         assert np.allclose(moved.affine, fit.affine, rtol=0.0, atol=1e-9)
         assert moved.residual == pytest.approx(a * fit.residual, rel=1e-9)
+
+
+def _dimension_outcome(points, theiler, max_points):
+    try:
+        est = ci.correlation_dimension(points, theiler_window=theiler, max_points=max_points)
+    except (ci.InsufficientData, ci.NoScalingRegion) as exc:
+        return type(exc), str(exc)
+    return est.dimension, est.fit_range, est.r_squared, est.reliable
+
+
+@settings(PROPERTY, max_examples=80)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["cube", "nested", "curve", "clusters", "cycle", "walk"]),
+    st.integers(10, 800),
+    st.integers(1, 4),
+    st.integers(0, 40),
+    st.sampled_from([None, 200, 8000]),
+)
+def test_cut_pair_count_gives_the_full_count_fit(seed, kind, n, dim, theiler, max_points):
+    """Whether the cut holds or the pairs are counted again, dimension,
+    fit range, r^2 and reliability are those of a full count."""
+    rng = np.random.default_rng(seed)
+    if kind == "cube":
+        points = rng.uniform(size=(n, dim))
+    elif kind == "nested":
+        # every 8th point in a small box, which a pilot of every 8th sees alone
+        points = rng.uniform(size=(n, dim))
+        points[::8] = 0.4 + 0.2 * rng.uniform(size=points[::8].shape)
+    elif kind == "curve":
+        t = np.sort(rng.uniform(0.0, 20.0, n))
+        points = np.stack([np.sin((k + 1) * t + k) for k in range(dim)], axis=1)
+    elif kind == "clusters":
+        centres = rng.normal(size=(int(rng.integers(1, 12)), dim))
+        points = centres[rng.integers(0, centres.shape[0], n)] + 0.05 * rng.normal(size=(n, dim))
+    elif kind == "cycle":
+        # visited in turn, so a strided pilot may see only some of them
+        centres = rng.normal(size=(int(rng.integers(2, 17)), dim))
+        points = centres[np.arange(n) % centres.shape[0]] + 0.05 * rng.uniform(size=(n, dim))
+    else:
+        points = rng.normal(size=(n, dim)).cumsum(axis=0)
+    cut = _dimension_outcome(points, theiler, max_points)
+    full_count = validate.pair_distance_counts
+
+    def uncut(points, edges, theiler, bins=None):
+        return full_count(points, edges, theiler)
+
+    with mock.patch.object(validate, "pair_distance_counts", uncut):
+        assert _dimension_outcome(points, theiler, max_points) == cut

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import chaosid as ci
+from chaosid import validate
 from chaosid.neighbors import nearest
 
 
@@ -75,6 +76,86 @@ def test_correlation_dimension_theiler_excludes_all_pairs():
     points = np.column_stack([np.linspace(0.0, 1.0, 50), np.zeros(50)])
     with pytest.raises(ci.InsufficientData):
         ci.correlation_dimension(points, theiler_window=60)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_correlation_dimension_rejects_non_finite_points(bad):
+    points = np.random.default_rng(46).uniform(0.0, 1.0, size=(500, 2))
+    points[123, 1] = bad
+    with pytest.raises(ci.InvalidValue, match="finite"):
+        ci.correlation_dimension(points)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"theiler_window": 2.0},
+        {"theiler_window": np.float64(3.0)},
+        {"max_points": 10.5},
+        {"max_points": 1000.0},
+    ],
+)
+def test_correlation_dimension_rejects_non_integral_counts(kwargs):
+    points = np.random.default_rng(47).uniform(0.0, 1.0, size=(500, 2))
+    with pytest.raises(ci.InvalidValue, match="integer"):
+        ci.correlation_dimension(points, **kwargs)
+
+
+@pytest.mark.parametrize("integer", [int, np.int64, np.int32, np.intp])
+def test_correlation_dimension_accepts_python_and_numpy_integers(integer):
+    points = np.random.default_rng(48).uniform(0.0, 1.0, size=(1500, 2))
+    ref = ci.correlation_dimension(points, theiler_window=3, max_points=1000)
+    est = ci.correlation_dimension(points, theiler_window=integer(3), max_points=integer(1000))
+    assert est == ref
+
+
+_PAIR_DISTANCE_COUNTS = validate.pair_distance_counts
+
+
+def _full_count_only(points, edges, theiler, bins=None):
+    """``pair_distance_counts`` that ignores the cut: the uncut oracle."""
+    return _PAIR_DISTANCE_COUNTS(points, edges, theiler)
+
+
+def test_correlation_dimension_recounts_in_full_when_the_cut_is_too_low(monkeypatch):
+    """Every 8th point lies in a small square inside the unit square, so
+    the pilot, which takes exactly those points, reaches C = 0.3 where the
+    whole set's C is far below 0.2.  The cut fails the check, the pairs are
+    counted again in full, and the fit reads bins above the cut."""
+    rng = np.random.default_rng(50)
+    points = rng.uniform(0.0, 1.0, size=(2000, 2))
+    points[::8] = 0.4 + 0.2 * rng.uniform(0.0, 1.0, size=(250, 2))
+    calls = []
+
+    def spy(points, edges, theiler, bins=None):
+        counts, total = _PAIR_DISTANCE_COUNTS(points, edges, theiler, bins)
+        calls.append((points.shape[0], bins, counts.sum() / total, edges))
+        return counts, total
+
+    monkeypatch.setattr(validate, "pair_distance_counts", spy)
+    est = ci.correlation_dimension(points)
+    (pilot, _, _, _), (_, cut, below, edges), (_, full, _, _) = calls
+    assert pilot == 250 and cut is not None and below < 0.2 and full is None
+    assert est.fit_range[1] > edges[cut]
+    monkeypatch.setattr(validate, "pair_distance_counts", _full_count_only)
+    assert est == ci.correlation_dimension(points)
+
+
+def test_correlation_dimension_cut_count_matches_the_full_count(monkeypatch, rossler_series):
+    s = rossler_series.values[:, 0]
+    points = s[np.arange(s.size - 52)[:, None] + np.arange(3) * 26]
+    bins = []
+
+    def spy(points, edges, theiler, cut=None):
+        bins.append(cut)
+        return _PAIR_DISTANCE_COUNTS(points, edges, theiler, cut)
+
+    monkeypatch.setattr(validate, "pair_distance_counts", spy)
+    est = ci.correlation_dimension(points, theiler_window=78)
+    # the pilot, then the cut count, and no recount
+    assert len(bins) == 2 and bins[0] is None and bins[1] is not None
+    monkeypatch.setattr(validate, "pair_distance_counts", _full_count_only)
+    assert est == ci.correlation_dimension(points, theiler_window=78)
 
 
 # ---------------------------------------------------------------------------
