@@ -17,6 +17,7 @@ survive a round trip exactly.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -59,22 +60,46 @@ def _builtin(value):
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _render_floats(array, level):
-    """A non-empty float array as ``json.dumps(array.tolist(), indent=1)``
-    renders it ``level`` levels deep, without json's per-value encoder."""
-    cells = list(map(float.__repr__, np.ravel(array).tolist()))
-    if not np.isfinite(array).all():
-        cells = [_NON_FINITE.get(cell, cell) for cell in cells]
+def _nest(cells, shape, level):
+    """Cell texts in the nested lists ``json.dumps(..., indent=1)`` writes
+    for an array of this shape ``level`` levels deep."""
     # innermost axis first: each pass joins runs of cells into one list
-    for depth in range(array.ndim - 1, -1, -1):
+    for depth in range(len(shape) - 1, -1, -1):
         pad = "\n" + " " * (level + depth + 1)
         close = "\n" + " " * (level + depth) + "]"
-        width = array.shape[depth]
+        width = shape[depth]
         cells = [
             "[" + pad + ("," + pad).join(cells[i : i + width]) + close
             for i in range(0, len(cells), width)
         ]
     return cells[0]
+
+
+def _float_texts(array):
+    """The values of a float array as json writes them, in C order."""
+    values = np.ravel(array).tolist()
+    cells = list(map(float.__repr__, values))
+    # a sum that is not finite has a non-finite term, or overflowed
+    if not math.isfinite(sum(values)):
+        cells = [_NON_FINITE.get(cell, cell) for cell in cells]
+    return cells
+
+
+def _render_floats(array, level, templates):
+    """A non-empty float array as ``json.dumps(array.tolist(), indent=1)``
+    renders it ``level`` levels deep, without json's per-value encoder.
+
+    From the second array of a shape at a level on, its nested lists come
+    from a text kept in ``templates`` with a ``{}`` for each value.
+    """
+    key = (array.shape, level)
+    if key not in templates:
+        templates[key] = None
+        # unnamed, the texts of a large array are freed by _nest's first pass
+        return _nest(_float_texts(array), array.shape, level)
+    if templates[key] is None:
+        templates[key] = _nest(["{}"] * array.size, array.shape, level)
+    return templates[key].format(*_float_texts(array))
 
 
 @dataclass(frozen=True)
@@ -125,6 +150,7 @@ def canonical_json(value):
         tag += "\0"
     parts = re.split(re.escape(opening) + r'(\d+)"', text)
     out = [parts[0]]
+    templates = {}
     for index, tail in zip(parts[1::2], parts[2::2]):
         # the placeholder's line is indented by its nesting level
         line = out[-1].rsplit("\n", 1)[-1]
@@ -133,7 +159,7 @@ def canonical_json(value):
         if isinstance(piece, Rendered):
             out += [piece.text.replace("\n", "\n" + " " * level), tail]
         else:
-            out += [_render_floats(piece, level), tail]
+            out += [_render_floats(piece, level, templates), tail]
     return "".join(out)
 
 

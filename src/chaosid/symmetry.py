@@ -7,7 +7,10 @@ one segment onto the other.  The first four are one map, scale * R p + t,
 with the class fixing R and the scale.  A genetic search explores the
 space of (source segment, target segment, class) triples and keeps every
 fit it evaluated; the ones whose residual beats a threshold tied to the
-attractor size count as detected symmetries.  The distribution of
+attractor size count as detected symmetries.  The search is one loop over
+generations with its random draws replayed from the raw PCG64 stream, and
+it computes each segment's mean and centred norm once, on first use, for
+all the fits of that segment.  The distribution of
 accepted classes then picks the forcing basis family for the
 identification stage: rotations vote for sinusoids, scalings for
 exponentials, and everything else falls back to a low order polynomial.
@@ -15,8 +18,9 @@ exponentials, and everything else falls back to a low order polynomial.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,8 +90,53 @@ def _procrustes_rotation(a_c, b_c):
 
 
 def _residual(transformed, target):
+    """RMS point mismatch: the mean over rows of each row's squared distance."""
     diff = transformed - target
-    return float(np.sqrt(np.mean(np.sum(diff**2, axis=1))))
+    return math.sqrt(np.add.reduce(np.add.reduce(diff * diff, axis=1)) / len(diff))
+
+
+def _check_shapes(p, q):
+    if p.ndim != 2 or p.shape != q.shape:
+        raise LengthMismatch(f"segments must be equal 2-D arrays, got {p.shape} and {q.shape}")
+
+
+def _segment_stats(points):
+    """A segment's (points, mean, centred norm), the statistics ``_fit`` reads."""
+    mean = points.mean(axis=0)
+    return points, mean, float(np.linalg.norm(points - mean))
+
+
+def _fit(a, b, transform_class, source_segment=-1, target_segment=-1):
+    """``fit_transform`` of checked segments, given as their ``_segment_stats``."""
+    p, p_mean, p_norm = a
+    q, q_mean, q_norm = b
+    dim = p.shape[1]
+    rotation = linear = np.eye(dim)
+    scale = 1.0
+    if transform_class is TransformClass.AFFINE:
+        design = np.concatenate((p, np.ones((len(p), 1))), axis=1)
+        coeff, *_ = np.linalg.lstsq(design, q, rcond=None)
+        linear, translation = coeff[:dim].T, coeff[dim]
+        mapped = p @ linear.T + translation
+    else:
+        if transform_class is not TransformClass.TRANSLATION:
+            if p_norm == 0.0 or q_norm == 0.0:
+                raise DegenerateSegment("all points of a segment coincide")
+            if transform_class is TransformClass.SCALING:
+                scale = q_norm / p_norm
+            else:
+                rotation, s, signs = _procrustes_rotation(p - p_mean, q - q_mean)
+                if transform_class is TransformClass.ROTATION_SCALING:
+                    scale = float(np.sum(s * signs)) / p_norm**2
+                    if scale <= 0.0:
+                        # pathological reflection-heavy pair; fall back to the norm ratio
+                        scale = q_norm / p_norm
+        # a product with 1.0 or the identity is exact, so each class does the
+        # same floating point operations as a formula written for it alone
+        translation = q_mean - scale * (rotation @ p_mean)
+        mapped = scale * (p @ rotation.T) + translation
+    return SymmetryTransform(transform_class, rotation, scale, translation, linear,
+                             _residual(mapped, q), source_segment, target_segment)
 
 
 def fit_transform(source, target, transform_class):
@@ -122,49 +171,10 @@ def fit_transform(source, target, transform_class):
     """
     p = np.asarray(source, dtype=float)
     q = np.asarray(target, dtype=float)
-    if p.ndim != 2 or p.shape != q.shape:
-        raise LengthMismatch(f"segments must be equal 2-D arrays, got {p.shape} and {q.shape}")
+    _check_shapes(p, q)
     if transform_class not in _CLASS_ORDER:
         raise InvalidValue(f"unknown transform class {transform_class!r}")
-    dim = p.shape[1]
-    rotation = linear = np.eye(dim)
-    scale = 1.0
-    if transform_class is TransformClass.AFFINE:
-        design = np.hstack([p, np.ones((p.shape[0], 1))])
-        coeff, *_ = np.linalg.lstsq(design, q, rcond=None)
-        linear, translation = coeff[:dim].T, coeff[dim]
-        mapped = p @ linear.T + translation
-    else:
-        p_mean = p.mean(axis=0)
-        q_mean = q.mean(axis=0)
-        p_c = p - p_mean
-        q_c = q - q_mean
-        if transform_class is not TransformClass.TRANSLATION:
-            p_norm = float(np.linalg.norm(p_c))
-            q_norm = float(np.linalg.norm(q_c))
-            if p_norm == 0.0 or q_norm == 0.0:
-                raise DegenerateSegment("all points of a segment coincide")
-            if transform_class is TransformClass.SCALING:
-                scale = q_norm / p_norm
-            else:
-                rotation, s, signs = _procrustes_rotation(p_c, q_c)
-                if transform_class is TransformClass.ROTATION_SCALING:
-                    scale = float(np.sum(s * signs)) / p_norm**2
-                    if scale <= 0.0:
-                        # pathological reflection-heavy pair; fall back to the norm ratio
-                        scale = q_norm / p_norm
-        # a product with 1.0 or the identity is exact, so each class does the
-        # same floating point operations as a formula written for it alone
-        translation = q_mean - scale * (rotation @ p_mean)
-        mapped = scale * (p @ rotation.T) + translation
-    return SymmetryTransform(
-        transform_class=transform_class,
-        rotation=rotation,
-        scale=scale,
-        translation=translation,
-        affine=linear,
-        residual=_residual(mapped, q),
-    )
+    return _fit(_segment_stats(p), _segment_stats(q), transform_class)
 
 
 def extract_segments(embedding, window, stride):
@@ -232,92 +242,46 @@ def attractor_diameter(segments):
     return float(np.max(points.max(axis=0) - points.min(axis=0)))
 
 
-def _raw_words(bits):
-    """The 64-bit outputs of a bit generator, as Python ints, forever."""
-    while True:
-        yield from bits.random_raw(1024).tolist()
+def _pcg64_draws(seed):
+    """The scalar ``random()`` and ``integers(n)`` draws of
+    ``np.random.default_rng(seed)``, as two closures ``(uniform, below)``
+    over one stream of its raw PCG64 words (O'Neill 2014), at a fraction
+    of the generator's per-call cost.
 
-
-class _Pcg64Replay:
-    """The scalar ``random()`` and ``integers`` draws of
-    ``np.random.default_rng(seed)``, replayed in Python from its raw PCG64
-    words (O'Neill 2014), at a fraction of the generator's per-call cost.
-
-    ``random()`` takes a whole word.  ``integers`` takes a 32-bit half, the
-    low one of a fresh word first, the high one on the next call, and
-    bounds it by Lemire's multiply-and-reject method (Lemire 2019), the
-    way numpy's ``Generator`` does for ranges up to 2**32.
+    ``uniform()`` takes a whole word.  ``below(n)`` takes a 32-bit half,
+    the low one of a fresh word first, the high one on the next call, and
+    bounds it by Lemire's multiply-and-reject method (Lemire 2019), the way
+    numpy's ``Generator`` does for ranges up to 2**32; ``below(1)`` returns
+    0 without drawing, as numpy does.
     """
+    bits = np.random.PCG64(seed)
+    # the words as Python ints, 1024 at a time, forever
+    word = itertools.chain.from_iterable(
+        iter(lambda: bits.random_raw(1024).tolist(), None)
+    ).__next__
+    high = None  # the unused high half of the last word split in two
 
-    def __init__(self, seed):
-        self._next_word = _raw_words(np.random.PCG64(seed)).__next__
-        self._half = None
+    def uniform():
+        return (word() >> 11) * 2.0**-53
 
-    def random(self):
-        return (self._next_word() >> 11) * 2.0**-53
-
-    def _next_uint32(self):
-        half = self._half
-        if half is not None:
-            self._half = None
-            return half
-        word = self._next_word()
-        self._half = word >> 32
-        return word & 0xFFFFFFFF
-
-    def integers(self, low, high=None):
-        """A draw from [0, low), or from [low, high)."""
-        if high is not None:
-            return low + self.integers(high - low)
-        n = low
-        if n == 1:  # numpy returns the one value without drawing
+    def below(n):
+        nonlocal high
+        if n == 1:
             return 0
-        product = self._next_uint32() * n
-        if (product & 0xFFFFFFFF) < n:
-            threshold = (0x100000000 - n) % n
-            while (product & 0xFFFFFFFF) < threshold:
-                product = self._next_uint32() * n
-        return product >> 32
+        while True:
+            if high is None:
+                w = word()
+                high = w >> 32
+                product = (w & 0xFFFFFFFF) * n
+            else:
+                product = high * n
+                high = None
+            low = product & 0xFFFFFFFF
+            # the threshold (2**32 - n) % n is below n
+            if low >= n or low >= (0x100000000 - n) % n:
+                return product >> 32
 
-
-def _random_genome(rng, n_segments):
-    src = int(rng.integers(n_segments))
-    tgt = int(rng.integers(n_segments - 1))
-    if tgt >= src:
-        tgt += 1
-    cls = int(rng.integers(len(_CLASS_ORDER)))
-    return (src, tgt, cls)
-
-
-def _fix_genome(genome, rng, n_segments):
-    src, tgt, cls = genome
-    if src == tgt:
-        tgt = int(rng.integers(n_segments - 1))
-        if tgt >= src:
-            tgt += 1
-    return (src, tgt, cls)
-
-
-def _mutate(genome, rng, n_segments):
-    src, tgt, cls = genome
-    if rng.random() < MUTATION_RATE:
-        src = int(rng.integers(n_segments))
-    if rng.random() < MUTATION_RATE:
-        tgt = int(rng.integers(n_segments))
-    if rng.random() < MUTATION_RATE:
-        cls = int(rng.integers(len(_CLASS_ORDER)))
-    return _fix_genome((src, tgt, cls), rng, n_segments)
-
-
-def _crossover(a, b, rng):
-    cut = int(rng.integers(1, 3))
-    return a[:cut] + b[cut:], b[:cut] + a[cut:]
-
-
-def _tournament(population, fitness, rng):
-    i = int(rng.integers(len(population)))
-    j = int(rng.integers(len(population)))
-    return population[i] if fitness[i] >= fitness[j] else population[j]
+    return uniform, below
 
 
 def ga_search(segments, config=None):
@@ -329,9 +293,16 @@ def ga_search(segments, config=None):
     residual beats ``residual_threshold`` times the attractor
     diameter are returned, deduplicated and sorted by residual.
 
+    Each generation keeps its fittest genome and fills the rest by
+    tournaments of two, one-point crossover with ``CROSSOVER_RATE`` and
+    per-gene mutation with ``MUTATION_RATE``; a child whose source and
+    target coincide draws a new target.  A segment's mean and centred norm
+    are computed the first time a genome uses it, so a new genome costs one
+    ``_fit`` on the two segments' statistics.
+
     The search is fully deterministic for a fixed seed: its draws are
     those of ``np.random.default_rng(config.seed)``, replayed from the
-    generator's raw words by ``_Pcg64Replay``.
+    generator's raw words by ``_pcg64_draws``.
     """
     if config is None:
         config = GaConfig()
@@ -343,41 +314,62 @@ def ga_search(segments, config=None):
         raise LengthMismatch(f"segments have mixed lengths {sorted(lengths)}")
     diameter = attractor_diameter(segments)
     threshold = config.residual_threshold * diameter
-    rng = _Pcg64Replay(config.seed)
+    uniform, below = _pcg64_draws(config.seed)
+    size = config.population
+    n_classes = len(_CLASS_ORDER)
+    stats = [None] * n_segments  # _segment_stats, on first use
     fits = {}  # genome -> its transform, or None for a degenerate segment
+    scores = {}  # genome -> its fitness
 
-    def fitness_of(genome):
-        if genome not in fits:
-            src, tgt, cls = genome
-            try:
-                fit = fit_transform(segments[src], segments[tgt], _CLASS_ORDER[cls])
-            except DegenerateSegment:
-                fit = None
-            if fit is not None:
-                fit = dataclasses.replace(fit, source_segment=src, target_segment=tgt)
-            fits[genome] = fit
-        transform = fits[genome]
-        return -np.inf if transform is None else -transform.residual
+    def score(genome):
+        """Fit a genome not seen before; returns its fitness."""
+        src, tgt, cls = genome
+        for k in (src, tgt):
+            if stats[k] is None:
+                stats[k] = _segment_stats(np.asarray(segments[k], dtype=float))
+        _check_shapes(stats[src][0], stats[tgt][0])
+        try:
+            fit = _fit(stats[src], stats[tgt], _CLASS_ORDER[cls], src, tgt)
+            fitness = -fit.residual
+        except DegenerateSegment:
+            fit, fitness = None, -np.inf
+        fits[genome] = fit
+        scores[genome] = fitness
+        return fitness
 
-    population = [_random_genome(rng, n_segments) for _ in range(config.population)]
-    fitness = [fitness_of(g) for g in population]
+    population = []
+    for _ in range(size):
+        src = below(n_segments)
+        tgt = below(n_segments - 1)
+        population.append((src, tgt + (tgt >= src), below(n_classes)))
+    fitness = [scores[g] if g in scores else score(g) for g in population]
     for _ in range(config.generations):
-        elite_idx = int(np.argmax(fitness))
-        next_pop = [population[elite_idx]]
-        while len(next_pop) < config.population:
-            parent_a = _tournament(population, fitness, rng)
-            parent_b = _tournament(population, fitness, rng)
-            if rng.random() < CROSSOVER_RATE:
-                child_a, child_b = _crossover(parent_a, parent_b, rng)
+        next_pop = [population[int(np.array(fitness).argmax())]]
+        while len(next_pop) < size:
+            i, j = below(size), below(size)
+            parent_a = population[i] if fitness[i] >= fitness[j] else population[j]
+            i, j = below(size), below(size)
+            parent_b = population[i] if fitness[i] >= fitness[j] else population[j]
+            if uniform() < CROSSOVER_RATE:
+                cut = 1 + below(2)
+                children = (parent_a[:cut] + parent_b[cut:], parent_b[:cut] + parent_a[cut:])
             else:
-                child_a, child_b = parent_a, parent_b
-            child_a = _mutate(child_a, rng, n_segments)
-            next_pop.append(child_a)
-            if len(next_pop) < config.population:
-                child_b = _mutate(child_b, rng, n_segments)
-                next_pop.append(child_b)
+                children = (parent_a, parent_b)
+            for src, tgt, cls in children:
+                if len(next_pop) == size:
+                    break
+                if uniform() < MUTATION_RATE:
+                    src = below(n_segments)
+                if uniform() < MUTATION_RATE:
+                    tgt = below(n_segments)
+                if uniform() < MUTATION_RATE:
+                    cls = below(n_classes)
+                if src == tgt:
+                    tgt = below(n_segments - 1)
+                    tgt += tgt >= src
+                next_pop.append((src, tgt, cls))
         population = next_pop
-        fitness = [fitness_of(g) for g in population]
+        fitness = [scores[g] if g in scores else score(g) for g in population]
 
     accepted = [t for t in fits.values() if t is not None and t.residual < threshold]
     accepted.sort(

@@ -11,6 +11,7 @@ search neighbours with :mod:`chaosid.neighbors`.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -136,6 +137,12 @@ def correlation_dimension(data, theiler_window=0, max_points=8000):
         theiler_window = int(np.ceil(theiler_window * max_points / n))
         n = max_points
 
+    # far from unit scale the squared distances overflow or lose precision;
+    # a power of two that brings the largest coordinate range into [1, 2)
+    # scales every distance exactly.  Halves keep that range finite.
+    half = float(np.max(points.max(axis=0) / 2 - points.min(axis=0) / 2))
+    shift = -math.frexp(half)[1] if half and not 2.0**-257 <= half <= 2.0**255 else 0
+    points = np.ldexp(points, shift) if shift else points
     span = points.max(axis=0) - points.min(axis=0)
     r_max = float(np.linalg.norm(span))
     if r_max == 0.0:
@@ -180,7 +187,7 @@ def correlation_dimension(data, theiler_window=0, max_points=8000):
     return CorrelationDimension(
         dimension=float(coeff[0]),
         r_squared=r_squared,
-        fit_range=(float(radii[lo]), float(radii[hi + 1])),
+        fit_range=(math.ldexp(radii[lo], -shift), math.ldexp(radii[hi + 1], -shift)),
         reliable=reliable,
         n_points=n,
         warnings=warnings,

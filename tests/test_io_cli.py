@@ -1,5 +1,6 @@
 """Tests for serialization, config parsing, and the command line tool."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -114,6 +115,58 @@ def test_canonical_json_splices_rendered_text_at_its_nesting_level():
         lambda v: {"z": {"y": [v, v]}},
     ):
         assert io.canonical_json(place(rendered)) == _json_oracle(place(inner))
+
+
+def _small_arrays(rng, count):
+    """Small float arrays of mixed shapes, with -0.0, NaN and +-inf among
+    values spread over many decades."""
+    shapes = [(1,), (2,), (3,), (1, 1), (2, 2), (3, 1), (1, 3), (2, 3), (2, 1, 2)]
+    arrays = []
+    for k in range(count):
+        shape = shapes[k % len(shapes)]
+        array = rng.normal(size=shape) * 10.0 ** rng.integers(-30, 30, size=shape)
+        flat = array.reshape(-1)
+        flat[rng.integers(flat.size)] = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0][k % 6]
+        arrays.append(array)
+    return arrays
+
+
+def _symmetry_document():
+    """The symmetry document of a search: hundreds of transforms, with
+    non-finite values planted in one."""
+    states = np.cumsum(np.random.default_rng(8).normal(size=(600, 3)), axis=0)
+    segments = ci.extract_segments(ci.DelayEmbedding(states=states, tau=1, m=3),
+                                   window=30, stride=15)
+    accepted = ci.ga_search(segments, ci.GaConfig(generations=20, residual_threshold=0.5))
+    accepted[3] = dataclasses.replace(accepted[3], rotation=np.full((3, 3), np.nan),
+                                      translation=np.array([np.inf, -0.0, -np.inf]))
+    doc = io.symmetry_report_to_dict(ci.classify_symmetry(accepted, np.inf, diameter=1.0))
+    assert len(doc["transforms"]) > 100
+    return doc
+
+
+def test_canonical_json_renders_many_small_arrays_as_json_does():
+    """Many arrays of a few shapes, each shape at several nesting levels,
+    and a spliced rendering holding more of them."""
+    rng = np.random.default_rng(5)
+    arrays = iter(_small_arrays(rng, 400))
+    inner = {"z": [next(arrays) for _ in range(5)], "a": {"deep": [[next(arrays)]]}}
+    symmetry = _symmetry_document()
+    doc = {
+        "records": [
+            {"m": next(arrays), "t": next(arrays), "r": float(rng.normal()), "i": k, "s": "x"}
+            for k in range(60)
+        ],
+        "nested": [[{"q": [next(arrays), {"w": next(arrays)}]} for _ in range(20)]],
+        "flat": [next(arrays) for _ in range(100)],
+        "spliced": [io.Rendered(io.canonical_json(inner)), next(arrays)],
+        "symmetry": io.Rendered(io.canonical_json(symmetry)),
+        "transforms": symmetry["transforms"][:9],
+        "empty": [np.zeros(0), {}, []],
+    }
+    oracle = dict(doc, spliced=[inner, doc["spliced"][1]], symmetry=symmetry)
+    assert io.canonical_json(symmetry) == _json_oracle(symmetry)
+    assert io.canonical_json(doc) == _json_oracle(oracle)
 
 
 def test_canonical_json_rejects_unsupported_objects():

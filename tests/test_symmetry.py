@@ -5,8 +5,9 @@ Oracles: ``_oracle_fit_transform`` is the earlier five-branch form of
 ``fit_transform``, one formula per class, kept verbatim apart from taking
 arrays; the one-construction form must agree with it bit for bit.
 ``_oracle_ga_search`` is ``ga_search`` as it was when it drew from
-``np.random.default_rng``, kept verbatim; the search on replayed draws must
-return the same transforms, bit for bit and in the same order.
+``np.random.default_rng``, kept verbatim with the genome helpers it called;
+the one-loop search on replayed draws must return the same transforms, bit
+for bit and in the same order.
 """
 
 import dataclasses
@@ -19,16 +20,13 @@ from chaosid.errors import DegenerateSegment, InsufficientData, InvalidValue, Le
 from chaosid.symmetry import (
     _CLASS_ORDER,
     CROSSOVER_RATE,
+    MUTATION_RATE,
     GaConfig,
     SymmetryTransform,
     TransformClass,
-    _crossover,
-    _mutate,
-    _Pcg64Replay,
+    _pcg64_draws,
     _procrustes_rotation,
-    _random_genome,
     _residual,
-    _tournament,
     attractor_diameter,
     fit_transform,
 )
@@ -386,6 +384,17 @@ def test_fit_transform_raises_where_the_oracle_raises(p, q):
             _assert_bitwise_equal(ci.fit_transform(p, q, cls), expected)
 
 
+def test_residual_equals_the_numpy_mean_of_row_sums_bitwise():
+    """``_residual`` calls the reductions under ``np.sum`` and ``np.mean``."""
+    rng = np.random.default_rng(9)
+    for _ in range(300):
+        shape = (int(rng.integers(1, 300)), int(rng.integers(1, 5)))
+        a = rng.normal(size=shape) * 10.0 ** rng.uniform(-5, 5)
+        b = rng.normal(size=shape)
+        diff = a - b
+        assert _residual(a, b) == float(np.sqrt(np.mean(np.sum(diff**2, axis=1))))
+
+
 def test_rotation_angle_known_values():
     assert np.isclose(ci.rotation_angle(_rotation_2d(0.7)), 0.7, atol=1e-9)
     assert np.isclose(ci.rotation_angle(_rotation_2d(-1.2)), 1.2, atol=1e-9)
@@ -484,18 +493,58 @@ def test_pcg64_replay_draws_what_numpy_draws(seed):
     changes ``Generator``'s draws fails here."""
     bounds = [1, 2, 5, 64, 65, 253, 2**31 + 7, 2**32 - 1]
     generator = np.random.default_rng(seed)
-    replay = _Pcg64Replay(seed)
+    uniform, below = _pcg64_draws(seed)
     picks = np.random.default_rng(100 + seed).integers(len(bounds) + 2, size=20000)
     for pick in picks.tolist():
         if pick == len(bounds):
-            expected, drawn = generator.random(), replay.random()
+            expected, drawn = generator.random(), uniform()
         elif pick == len(bounds) + 1:
-            expected, drawn = generator.integers(1, 3), replay.integers(1, 3)
+            expected, drawn = generator.integers(1, 3), 1 + below(2)
         else:
-            expected, drawn = generator.integers(bounds[pick]), replay.integers(bounds[pick])
+            expected, drawn = generator.integers(bounds[pick]), below(bounds[pick])
         assert drawn == expected, (pick, drawn, expected)
     # both streams still stand at the same place
-    assert replay.random() == generator.random()
+    assert uniform() == generator.random()
+
+
+def _random_genome(rng, n_segments):
+    src = int(rng.integers(n_segments))
+    tgt = int(rng.integers(n_segments - 1))
+    if tgt >= src:
+        tgt += 1
+    cls = int(rng.integers(len(_CLASS_ORDER)))
+    return (src, tgt, cls)
+
+
+def _fix_genome(genome, rng, n_segments):
+    src, tgt, cls = genome
+    if src == tgt:
+        tgt = int(rng.integers(n_segments - 1))
+        if tgt >= src:
+            tgt += 1
+    return (src, tgt, cls)
+
+
+def _mutate(genome, rng, n_segments):
+    src, tgt, cls = genome
+    if rng.random() < MUTATION_RATE:
+        src = int(rng.integers(n_segments))
+    if rng.random() < MUTATION_RATE:
+        tgt = int(rng.integers(n_segments))
+    if rng.random() < MUTATION_RATE:
+        cls = int(rng.integers(len(_CLASS_ORDER)))
+    return _fix_genome((src, tgt, cls), rng, n_segments)
+
+
+def _crossover(a, b, rng):
+    cut = int(rng.integers(1, 3))
+    return a[:cut] + b[cut:], b[:cut] + a[cut:]
+
+
+def _tournament(population, fitness, rng):
+    i = int(rng.integers(len(population)))
+    j = int(rng.integers(len(population)))
+    return population[i] if fitness[i] >= fitness[j] else population[j]
 
 
 def _oracle_ga_search(segments, config=None):
@@ -590,6 +639,24 @@ def test_ga_search_equals_numpy_generator_oracle_at_the_edges(
         config = GaConfig(population=population, generations=generations, seed=seed,
                           residual_threshold=0.5)
         _assert_same_search(segments, config)
+
+
+def _damped_segments():
+    """A noisy damped sinusoid, embedded and cut as the pipeline cuts a
+    2000-sample series of that family (tau 16, m 2, window 64, stride 32)."""
+    t = np.arange(2000) * 0.1
+    clean = np.exp(-0.005 * t) * np.sin(t + 1.0)
+    noise = np.random.default_rng(4).standard_normal(t.size)
+    emb = ci.delay_embed(ci.TimeSeries(clean + 0.001 * np.std(clean) * noise, dt=0.1),
+                         tau=16, m=2)
+    return ci.extract_segments(emb, window=64, stride=32)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_ga_search_equals_numpy_generator_oracle_at_the_defaults(seed):
+    """The pipeline's population and generation count, on segments of the
+    shape the pipeline cuts."""
+    _assert_same_search(_damped_segments(), GaConfig(seed=seed))
 
 
 def test_ga_search_equals_numpy_generator_oracle_with_a_constant_segment():

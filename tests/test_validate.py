@@ -46,6 +46,23 @@ def test_correlation_dimension_scale_invariant():
     assert abs(a.dimension - b.dimension) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "scale, offset",
+    [(1e160, 0.0), (2.0**600, 0.0), (1e-160, 0.0), (1e-200, 0.0), (1.6e308, -0.8e308)],
+    ids=["1e160", "2**600", "1e-160", "1e-200", "range beyond the largest double"],
+)
+def test_correlation_dimension_at_extreme_scales(scale, offset):
+    """Squared distances of such sets overflow or go subnormal; the points
+    are brought to unit scale by a power of two first.  Warnings are
+    errors in this suite, so an overflow fails here too."""
+    points = np.random.default_rng(0).uniform(size=(500, 2))
+    unit = ci.correlation_dimension(points)
+    scaled = ci.correlation_dimension(points * scale + offset)
+    assert scaled.dimension == pytest.approx(unit.dimension, rel=1e-9)
+    assert scaled.r_squared == pytest.approx(unit.r_squared, rel=1e-9)
+    assert scaled.fit_range == pytest.approx([r * scale for r in unit.fit_range], rel=1e-9)
+
+
 def test_correlation_dimension_coincident_points():
     with pytest.raises(ci.NoScalingRegion):
         ci.correlation_dimension(np.ones((100, 2)))
