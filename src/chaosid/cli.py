@@ -111,8 +111,8 @@ def _embed(config):
 
 
 def _symmetry(config, embedding):
-    """Search segment transforms, classify them and write ``symmetry.json``.
-    Returns the report and the text written."""
+    """Search segment transforms, classify them and write ``symmetry.json``;
+    returns the report."""
     window = _automatic(config, "ga.segment_window") or 2 * embedding.tau * embedding.m
     stride = _automatic(config, "ga.segment_stride") or max(window // 2, 1)
     ga_config = GaConfig(
@@ -128,8 +128,8 @@ def _symmetry(config, embedding):
     report = classify_symmetry(
         transforms, ga_config.residual_threshold * diameter, diameter=diameter
     )
-    text = io.write_symmetry_report(_artifact(config, "symmetry.json"), report)
-    return report, text
+    io.write_symmetry_report(_artifact(config, "symmetry.json"), report)
+    return report
 
 
 def _identify(config, embedding, report, outputs=None):
@@ -203,7 +203,7 @@ def cmd_embed(args):
 
 def cmd_symmetry(args):
     config = _overlay(CONFIG_DEFAULTS, args)
-    report, _ = _symmetry(config, io.read_embedding(args.embedding))
+    report = _symmetry(config, io.read_embedding(args.embedding))
     histogram = {cls.value: n for cls, n in report.class_histogram.items()}
     print(f"accepted transforms: {len(report.transforms)}")
     print(f"class histogram: {histogram}")
@@ -303,7 +303,7 @@ def cmd_pipeline(args):
     for note in notes:
         print(note)
 
-    report, symmetry_text = timed("symmetry", _symmetry, embedding)
+    report = timed("symmetry", _symmetry, embedding)
     warnings.extend(report.warnings)
     dominant = report.dominant_class.value if report.dominant_class else "none"
     print(f"dominant class: {dominant}")
@@ -320,6 +320,8 @@ def cmd_pipeline(args):
         print(f"correlation dimension: source {metrics['source_dimension']['dimension']:.3f}, "
               f"model {metrics['model_dimension']['dimension']:.3f}")
 
+    symmetry_doc = io.symmetry_report_to_dict(report)
+    del symmetry_doc["transforms"]
     report_doc = {
         "schema": io.REPORT_SCHEMA,
         "version": __version__,
@@ -330,8 +332,9 @@ def cmd_pipeline(args):
             "n_states": embedding.states.shape[0],
             "notes": notes,
         },
-        # symmetry.json's text, not rendered a second time
-        "symmetry": io.Rendered(symmetry_text),
+        # the decision; the transforms are only in symmetry.json
+        "symmetry": symmetry_doc,
+        "symmetry_path": "symmetry.json",
         "model_path": "model.json",
         "fit": io.fit_report_to_dict(fit),
         "metrics": metrics,

@@ -20,7 +20,6 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,14 +101,6 @@ def _render_floats(array, level, templates):
     return templates[key].format(*_float_texts(array))
 
 
-@dataclass(frozen=True)
-class Rendered:
-    """Text from :func:`canonical_json`, which a larger document takes as
-    its value where it stands, re-indented, without rendering it again."""
-
-    text: str
-
-
 def canonical_json(value):
     """Render ``value`` as deterministic JSON text.
 
@@ -119,33 +110,31 @@ def canonical_json(value):
 
     ``json`` renders each float of an indented document in Python, so
     non-empty float arrays are rendered by :func:`_render_floats` instead,
-    to the same text, and a :class:`Rendered` value is spliced in as it
-    is, each of its lines indented to its nesting level.  ``json.dumps``
-    first writes a placeholder string for each; the placeholder is
-    lengthened until no other text contains it.
+    to the same text.  ``json.dumps`` first writes a placeholder string for
+    each; the placeholder is lengthened until no other text contains it.
     """
-    pieces = []
+    arrays = []
     tag = "\0"
 
     def default(obj):
         # tolist() yields Python floats only for dtypes no wider than double
-        if isinstance(obj, Rendered) or (
+        if (
             isinstance(obj, np.ndarray)
             and obj.dtype.kind == "f"
             and obj.dtype.itemsize <= 8
             and obj.ndim
             and obj.size
         ):
-            pieces.append(obj)
-            return f"{tag}{len(pieces) - 1}"
+            arrays.append(obj)
+            return f"{tag}{len(arrays) - 1}"
         return _builtin(obj)
 
     while True:
-        pieces.clear()
+        arrays.clear()
         text = json.dumps(value, sort_keys=True, indent=1, default=default)
         # the quote that opens a placeholder, then the escaped tag
         opening = json.dumps(tag)[:-1]
-        if text.count(opening) == len(pieces):
+        if text.count(opening) == len(arrays):
             break
         tag += "\0"
     parts = re.split(re.escape(opening) + r'(\d+)"', text)
@@ -155,21 +144,15 @@ def canonical_json(value):
         # the placeholder's line is indented by its nesting level
         line = out[-1].rsplit("\n", 1)[-1]
         level = len(line) - len(line.lstrip(" "))
-        piece = pieces[int(index)]
-        if isinstance(piece, Rendered):
-            out += [piece.text.replace("\n", "\n" + " " * level), tail]
-        else:
-            out += [_render_floats(piece, level, templates), tail]
+        out += [_render_floats(arrays[int(index)], level, templates), tail]
     return "".join(out)
 
 
 def write_json(path, value):
-    """Write ``canonical_json(value)`` and a newline; returns the rendered text."""
-    text = canonical_json(value)
+    """Write ``canonical_json(value)`` and a newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(canonical_json(value))
         fh.write("\n")
-    return text
 
 
 def load_json(path):
@@ -466,8 +449,7 @@ def symmetry_report_to_dict(report):
 
 
 def write_symmetry_report(path, report):
-    """Write ``symmetry.json``; returns its text, as :func:`write_json` does."""
-    return write_json(path, symmetry_report_to_dict(report))
+    write_json(path, symmetry_report_to_dict(report))
 
 
 def _symmetry_report_from_doc(doc):

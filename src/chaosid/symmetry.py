@@ -291,7 +291,8 @@ def ga_search(segments, config=None):
     fitness equal to minus the fit residual.  The search remembers the fit
     of every genome it ever evaluated; at the end, the transforms whose
     residual beats ``residual_threshold`` times the attractor
-    diameter are returned, deduplicated and sorted by residual.
+    diameter are returned, deduplicated and sorted by residual.  Segments
+    of more than one shape, or not 2-D, raise ``LengthMismatch``.
 
     Each generation keeps its fittest genome and fills the rest by
     tournaments of two, one-point crossover with ``CROSSOVER_RATE`` and
@@ -309,9 +310,9 @@ def ga_search(segments, config=None):
     n_segments = len(segments)
     if n_segments < 2:
         raise InsufficientData(f"need at least 2 segments, got {n_segments}")
-    lengths = {len(seg) for seg in segments}
-    if len(lengths) != 1:
-        raise LengthMismatch(f"segments have mixed lengths {sorted(lengths)}")
+    shapes = {np.shape(seg) for seg in segments}
+    if len(shapes) != 1 or np.ndim(segments[0]) != 2:
+        raise LengthMismatch(f"segments must share one 2-D shape, got {sorted(shapes)}")
     diameter = attractor_diameter(segments)
     threshold = config.residual_threshold * diameter
     uniform, below = _pcg64_draws(config.seed)
@@ -327,7 +328,6 @@ def ga_search(segments, config=None):
         for k in (src, tgt):
             if stats[k] is None:
                 stats[k] = _segment_stats(np.asarray(segments[k], dtype=float))
-        _check_shapes(stats[src][0], stats[tgt][0])
         try:
             fit = _fit(stats[src], stats[tgt], _CLASS_ORDER[cls], src, tgt)
             fitness = -fit.residual

@@ -105,18 +105,6 @@ def test_canonical_json_placeholders_cannot_collide_with_strings():
     assert io.canonical_json(doc) == _json_oracle(doc)
 
 
-def test_canonical_json_splices_rendered_text_at_its_nesting_level():
-    inner = {"b": [1.5, np.ones((2, 2))], "a": {"x": "two\nlines", "y": []}, "e": {}}
-    rendered = io.Rendered(io.canonical_json(inner))
-    for place in (
-        lambda v: v,
-        lambda v: {"k": v, "a": 2},
-        lambda v: [[v, 1.5], np.zeros(2)],
-        lambda v: {"z": {"y": [v, v]}},
-    ):
-        assert io.canonical_json(place(rendered)) == _json_oracle(place(inner))
-
-
 def _small_arrays(rng, count):
     """Small float arrays of mixed shapes, with -0.0, NaN and +-inf among
     values spread over many decades."""
@@ -147,7 +135,7 @@ def _symmetry_document():
 
 def test_canonical_json_renders_many_small_arrays_as_json_does():
     """Many arrays of a few shapes, each shape at several nesting levels,
-    and a spliced rendering holding more of them."""
+    and documents holding more of them nested deeper."""
     rng = np.random.default_rng(5)
     arrays = iter(_small_arrays(rng, 400))
     inner = {"z": [next(arrays) for _ in range(5)], "a": {"deep": [[next(arrays)]]}}
@@ -159,14 +147,13 @@ def test_canonical_json_renders_many_small_arrays_as_json_does():
         ],
         "nested": [[{"q": [next(arrays), {"w": next(arrays)}]} for _ in range(20)]],
         "flat": [next(arrays) for _ in range(100)],
-        "spliced": [io.Rendered(io.canonical_json(inner)), next(arrays)],
-        "symmetry": io.Rendered(io.canonical_json(symmetry)),
+        "inner": [inner, next(arrays)],
+        "symmetry": symmetry,
         "transforms": symmetry["transforms"][:9],
         "empty": [np.zeros(0), {}, []],
     }
-    oracle = dict(doc, spliced=[inner, doc["spliced"][1]], symmetry=symmetry)
     assert io.canonical_json(symmetry) == _json_oracle(symmetry)
-    assert io.canonical_json(doc) == _json_oracle(oracle)
+    assert io.canonical_json(doc) == _json_oracle(doc)
 
 
 def test_canonical_json_rejects_unsupported_objects():
@@ -662,6 +649,12 @@ def test_cli_pipeline_end_to_end_and_deterministic(tmp_path, capsys):
     assert report["schema"] == "run-report/1"
     assert report["metrics"] is not None
     assert report["embedding"]["m"] >= 2
+    # the report keeps the decision; the transforms live in symmetry.json
+    symmetry = io.load_json(run1 / "symmetry.json")
+    del symmetry["transforms"]
+    assert report["symmetry"] == symmetry
+    assert report["symmetry_path"] == "symmetry.json"
+    assert "transforms" not in report["symmetry"]
 
     rc = main(["pipeline", str(cfg), "--out-dir", str(tmp_path / "run2")])
     assert rc == 0
@@ -803,7 +796,7 @@ def test_compare_artifacts_tool_finds_only_a_flipped_digit(tmp_path, capsys):
     """Two runs of one config differ only in their reports' timings and
     output.dir, which the tool ignores; one changed digit in model.json
     makes it name that file and exit 1, and so does a report whose
-    symmetry block is indented one level too deep, although it parses the
+    symmetry block is indented one space too deep, although it parses the
     same."""
     for name in ("a", "b"):
         assert main(["pipeline", str(_pinned_config(tmp_path, "", out_name=name))]) == 0
@@ -823,9 +816,12 @@ def test_compare_artifacts_tool_finds_only_a_flipped_digit(tmp_path, capsys):
     assert differ.stdout.split() == ["model.json"]
 
     report = tmp_path / "b" / "report.json"
-    doc = json.loads(report.read_text())
-    deeper = io.Rendered(io.canonical_json(doc["symmetry"]).replace("\n", "\n "))
-    report.write_text(io.canonical_json({**doc, "symmetry": deeper}) + "\n")
+    text = report.read_text()
+    doc = json.loads(text)
+    # the block as written at its nesting level, then one space deeper
+    block = '"symmetry": ' + io.canonical_json(doc["symmetry"]).replace("\n", "\n ")
+    assert text.count(block) == 1
+    report.write_text(text.replace(block, block.replace("\n", "\n ")))
     assert json.loads(report.read_text()) == doc
     differ = subprocess.run(argv, capture_output=True, text=True)
     assert differ.returncode == 1

@@ -480,10 +480,11 @@ def test_ga_search_needs_two_segments():
 
 
 def test_ga_search_rejects_mixed_lengths():
+    """Mixed lengths, mixed column counts and segments that are not 2-D."""
     rng = np.random.default_rng(1)
-    segs = [rng.normal(size=(8, 2)), rng.normal(size=(9, 2))]
-    with pytest.raises(ci.LengthMismatch):
-        ci.ga_search(segs)
+    for shapes in ([(8, 2), (9, 2)], [(8, 2), (8, 3)], [(8,), (8,)], [(8, 2, 1)] * 2):
+        with pytest.raises(ci.LengthMismatch):
+            ci.ga_search([rng.normal(size=shape) for shape in shapes])
 
 
 @pytest.mark.parametrize("seed", range(4))
