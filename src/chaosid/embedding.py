@@ -24,7 +24,7 @@ from .errors import (
     NotFoundError,
     ZeroVariance,
 )
-from .neighbors import nearest
+from .neighbors import nearest, unit_scale
 
 #: False nearest neighbour criteria (Kennedy, Brown & Abarbanel 1992): a
 #: neighbour is false when the lifted coordinate separates it by more than
@@ -300,6 +300,9 @@ def false_nearest_neighbors(series, channel=0, tau=1, m_max=FNN_M_MAX):
         raise InvalidValue(f"tau must be >= 1, got {tau}")
     if m_max < 1:
         raise InvalidValue(f"m_max must be >= 1, got {m_max}")
+    # a power-of-two scale changes no distance ratio and no comparison
+    # with sigma
+    s = unit_scale(s)[0]
     sigma = float(np.std(s))
     dims = np.arange(1, m_max + 1)
     fractions = np.empty(m_max)

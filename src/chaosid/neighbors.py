@@ -6,8 +6,14 @@ out.
 (Schreiber 1995): the points are put into boxes of edge eps on their first
 min(m, 3) coordinates, and each row is compared only with the points in the
 3^k boxes around its own.  A row whose nearest candidate lies within eps is
-final, and the other rows are searched again with eps doubled.  The
-correlation sum needs every pair, so ``pair_distance_counts`` keeps an
+final, and the other rows are searched again with eps doubled.  Its
+scratch memory grows with n, not with the sample or the pair count: the
+first box edge is found one sample row at a time in two reused n-length
+buffers, and a box pass expands its candidate pairs in chunks of whole
+rows, each fewer than ``_PAIR_BUDGET`` (2^15) pairs beyond those of its
+first row, beside the 3^(k-1) key ranges it holds per row.
+
+The correlation sum needs every pair, so ``pair_distance_counts`` keeps an
 O(n^2) pass over blocks of rows, each compared only with the later rows,
 and bins the squared distances against squared thresholds without taking
 a square root.
@@ -19,9 +25,14 @@ Theiler window thinned by 8, at the upper edge of the first bin where the
 pilot's C(r) reaches 0.3.  Its scaling fit reads no bin with C(r) > 0.2,
 so a cut below which more than 0.2 of all pairs fall leaves every bin the
 fit reads exact; otherwise it counts every pair again in full.
+
+Every caller first passes its data through ``unit_scale``, which moves a
+set far from unit scale to it by an exact power of two, so that squared
+distances neither overflow nor underflow.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -31,8 +42,9 @@ _CHUNK = 128
 _GROUP = 8
 # rows of the direct search that sets the first box edge
 _EDGE_SAMPLE = 64
-# candidate pairs expanded at once; bounds the memory of one box pass
-_PAIR_BUDGET = 1 << 18
+# candidate pairs a box pass expands at once, beyond the first row of a
+# chunk; it holds about ten arrays of this length
+_PAIR_BUDGET = 1 << 15
 # a row is final only clearly inside eps, so that rounding in the box
 # coordinates cannot push an equally near point two boxes away
 _MARGIN = 1.0 - 1e-6
@@ -40,22 +52,47 @@ _MARGIN = 1.0 - 1e-6
 _MAX_CELLS = 1 << 20
 
 
+def unit_scale(values):
+    """``values`` times 2**shift, and shift.
+
+    Far from unit scale squared distances and powers overflow or lose
+    precision.  When the largest range of a column (of the array itself
+    when it is 1-D) lies outside [2^-256, 2^256], shift brings it into
+    [1, 2); multiplying by a power of two scales every distance exactly.
+    Otherwise shift is 0 and ``values`` is returned as it is.  Halves keep
+    the range finite.
+    """
+    half = float(np.max(values.max(axis=0) / 2 - values.min(axis=0) / 2))
+    shift = -math.frexp(half)[1] if half and not 2.0**-257 <= half <= 2.0**255 else 0
+    return (np.ldexp(values, shift) if shift else values), shift
+
+
 def _box_edge(coords, exclude, span):
     """First box edge: the 0.75 quantile of the exact nearest distances of
     up to 64 strided rows, found by direct differences.  When that is 0, as
     in quantised data full of duplicates, it is the mean spacing of n
     points over the span of the box coordinates instead.  ``coords`` holds
-    the points' coordinates as rows."""
+    the points' coordinates as rows.
+
+    The sample rows are taken one at a time into two reused n-length
+    buffers, each adding its squared coordinate differences in coordinate
+    order, so the scratch memory is 2 n doubles whatever the sample size.
+    """
     m, n = coords.shape
     sample = np.arange(0, n, -(-n // _EDGE_SAMPLE))
-    d2 = np.zeros((sample.size, n))
-    for x in coords:
-        diff = x[None, :] - x[sample, None]
-        d2 += diff * diff
-    # a column index clipped at either end stays inside its row's band
-    band = np.arange(-min(exclude, n), min(exclude, n) + 1)
-    d2[np.arange(sample.size)[:, None], np.clip(sample[:, None] + band, 0, n - 1)] = np.inf
-    d = np.sqrt(d2.min(axis=1))
+    d2 = np.empty(n)
+    diff = np.empty(n)
+    nearest2 = np.empty(sample.size)
+    for r, i in enumerate(sample.tolist()):
+        d2.fill(0.0)
+        for x in coords:
+            np.subtract(x, x[i], out=diff)
+            np.multiply(diff, diff, out=diff)
+            d2 += diff
+        # the band clipped at either end of the row
+        d2[max(i - exclude, 0) : i + exclude + 1] = np.inf
+        nearest2[r] = d2.min()
+    d = np.sqrt(nearest2)
     d = d[np.isfinite(d)]
     eps = float(np.quantile(d, 0.75)) if d.size else 0.0
     if eps == 0.0:
@@ -140,15 +177,24 @@ def nearest(points, exclude):
     rows are searched again at 2 eps.  Once eps reaches the span of the box
     coordinates every point is in an adjacent box, so that pass is
     exhaustive and ends the search.
+
+    The scratch memory is O(3^(k-1) n) plus the candidate pairs of one
+    chunk of whole rows, fewer than ``_PAIR_BUDGET`` beyond those of the
+    chunk's first row; the first box edge takes two n-length buffers.  A
+    chunk never splits a row, so the result does not depend on the budget.
     """
     n = points.shape[0]
     nn = np.zeros(n, dtype=np.intp)
-    if n > 1:
+    i = np.arange(n)
+    # a row within ``exclude`` of both ends has no admissible partner, and
+    # searching for one would run every pass up to the exhaustive one
+    alone = (i <= exclude) & (i >= n - 1 - exclude)
+    rows = np.flatnonzero(~alone)
+    if rows.size:
         coords = np.ascontiguousarray(points.T, dtype=float)
         box = coords[:3]
         span = float((box.max(axis=1) - box.min(axis=1)).max())
         eps = _box_edge(coords, exclude, span)
-        rows = np.arange(n)
         while rows.size:
             found, d2 = _box_pass(coords, exclude, eps, rows)
             final = (d2 <= (eps * _MARGIN) ** 2) | (eps >= span)
@@ -156,8 +202,7 @@ def nearest(points, exclude):
             rows = rows[~final]
             eps *= 2.0
     dist = np.linalg.norm(points - points[nn], axis=1)
-    i = np.arange(n)
-    dist[(i <= exclude) & (i >= n - 1 - exclude)] = np.inf
+    dist[alone] = np.inf
     return nn, dist
 
 

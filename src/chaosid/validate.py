@@ -19,7 +19,7 @@ import numpy as np
 
 from .embedding import DelayEmbedding, TimeSeries, average_mutual_information, delay_embed
 from .errors import ChannelMismatch, InsufficientData, InvalidValue, NoScalingRegion
-from .neighbors import nearest, pair_distance_counts
+from .neighbors import nearest, pair_distance_counts, unit_scale
 
 #: Number of log-spaced radius bins of the correlation sum.
 R_COUNT = 32
@@ -137,12 +137,7 @@ def correlation_dimension(data, theiler_window=0, max_points=8000):
         theiler_window = int(np.ceil(theiler_window * max_points / n))
         n = max_points
 
-    # far from unit scale the squared distances overflow or lose precision;
-    # a power of two that brings the largest coordinate range into [1, 2)
-    # scales every distance exactly.  Halves keep that range finite.
-    half = float(np.max(points.max(axis=0) / 2 - points.min(axis=0) / 2))
-    shift = -math.frexp(half)[1] if half and not 2.0**-257 <= half <= 2.0**255 else 0
-    points = np.ldexp(points, shift) if shift else points
+    points, shift = unit_scale(points)
     span = points.max(axis=0) - points.min(axis=0)
     r_max = float(np.linalg.norm(span))
     if r_max == 0.0:
@@ -237,6 +232,7 @@ def dominant_period(values):
     n = x.size
     if n < 4:
         raise InsufficientData(f"period estimate needs >= 4 samples, got {n}")
+    x = unit_scale(x)[0]
     power = np.abs(np.fft.rfft(x - x.mean())) ** 2
     power[0] = 0.0
     peak = int(np.argmax(power))
@@ -270,10 +266,12 @@ def largest_lyapunov(embedding, mean_period=10.0, fit_range=None):
     LyapunovEstimate
         exponent in units of 1 / time.
     """
-    states = embedding.states
-    n = states.shape[0]
+    n = embedding.n_states
     if n < 20:
         raise InsufficientData(f"Lyapunov estimate needs >= 20 states, got {n}")
+    # a power-of-two scale moves every log distance by one constant, which
+    # the slope does not see
+    states = unit_scale(embedding.states)[0]
     separation = max(1, int(round(mean_period)))
     # at least 5 steps, and at least 15 states to pair, from n >= 20
     horizon = min(max(3 * separation, 10), n // 4)

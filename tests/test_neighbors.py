@@ -1,9 +1,12 @@
 """The shared neighbour-search kernel.
 
 Oracles: a direct O(N^2) loop over index pairs that measures every distance
-as the norm of the difference, and scipy's k-d tree where scipy is
-installed.
+as the norm of the difference, scipy's k-d tree where scipy is installed,
+and for the first box edge the dense (64, n) distance matrix it was once
+computed from.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +36,31 @@ def _oracle_counts(points, edges, theiler):
         for j in range(i + theiler + 1, n)
     ]
     return np.histogram(d, bins=edges)[0], len(d)
+
+
+def _dense_box_edge(coords, exclude, span):
+    """The first box edge from one dense (64, n) matrix of squared
+    distances, the squares added in coordinate order."""
+    m, n = coords.shape
+    sample = np.arange(0, n, -(-n // 64))
+    d2 = np.zeros((sample.size, n))
+    for x in coords:
+        diff = x[None, :] - x[sample, None]
+        d2 += diff * diff
+    band = np.arange(-min(exclude, n), min(exclude, n) + 1)
+    d2[np.arange(sample.size)[:, None], np.clip(sample[:, None] + band, 0, n - 1)] = np.inf
+    d = np.sqrt(d2.min(axis=1))
+    d = d[np.isfinite(d)]
+    eps = float(np.quantile(d, 0.75)) if d.size else 0.0
+    if eps == 0.0:
+        eps = span / n ** (1.0 / min(m, 3))
+    if eps == 0.0:
+        return 1.0
+    return max(eps, span / (1 << 20))
+
+
+def _delay_set(s, tau, m):
+    return s[np.arange(s.size - (m - 1) * tau)[:, None] + np.arange(m) * tau]
 
 
 def _random_sets():
@@ -304,3 +332,88 @@ def test_nearest_matches_kd_tree_on_the_reference_delay_set(rossler_series, m):
     tree_d, tree_i = spatial.cKDTree(points).query(points, k=2)
     assert np.array_equal(nn, tree_i[:, 1])
     np.testing.assert_allclose(dist, tree_d[:, 1], rtol=1e-12, atol=0.0)
+
+
+def _assert_box_edge_matches_dense(points, exclude):
+    coords = np.ascontiguousarray(points.T, dtype=float)
+    box = coords[:3]
+    span = float((box.max(axis=1) - box.min(axis=1)).max())
+    edge = neighbors._box_edge(coords, exclude, span)
+    assert edge == _dense_box_edge(coords, exclude, span), (points.shape, exclude)
+    return edge, span
+
+
+@pytest.mark.parametrize("exclude", [0, 3])
+def test_box_edge_matches_the_dense_matrix_below_64_rows(exclude):
+    for n, m in [(2, 1), (17, 2), (40, 3), (63, 5)]:
+        _assert_box_edge_matches_dense(np.random.default_rng(n).normal(size=(n, m)), exclude)
+
+
+@pytest.mark.parametrize("exclude", [60, 120, 199])
+def test_box_edge_matches_the_dense_matrix_with_the_band_clipped_at_both_ends(exclude):
+    """Sample rows near either end have their band clipped at that end, and
+    from exclude 100 on the middle rows' band covers the whole set."""
+    points = np.random.default_rng(10).normal(size=(200, 3))
+    _assert_box_edge_matches_dense(points, exclude)
+
+
+@pytest.mark.parametrize("exclude", [50, 51, 80])
+def test_box_edge_without_admissible_pairs_is_the_mean_spacing(exclude):
+    points = np.random.default_rng(11).normal(size=(50, 2))
+    edge, span = _assert_box_edge_matches_dense(points, exclude)
+    assert edge == span / 50**0.5
+
+
+@pytest.mark.parametrize("m", [2, 5])
+def test_box_edge_of_quantised_delay_vectors_is_the_mean_spacing(m):
+    s = np.round(5.0 * np.sin(0.07 * np.arange(3000)))
+    edge, span = _assert_box_edge_matches_dense(_delay_set(s, 5, m), 0)
+    assert edge == span / (3000 - (m - 1) * 5) ** (1.0 / min(m, 3))
+
+
+@pytest.mark.parametrize("exclude", [0, 117])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_box_edge_matches_the_dense_matrix_on_the_reference_delay_set(rossler_series, m, exclude):
+    _assert_box_edge_matches_dense(_delay_set(rossler_series.values[:, 0], 26, m), exclude)
+
+
+def test_nearest_does_not_depend_on_the_pair_budget(monkeypatch):
+    """Chunks hold whole rows.  With budget 1 every row with a candidate
+    is a chunk of its own; with 7 and 64 a row with more candidates than
+    the budget starts a new chunk.  Indices equal the oracle's, and indices
+    and distances those of the default budget, bit for bit."""
+    rng = np.random.default_rng(12)
+    t = np.arange(360) * (2.0 * np.pi / 120.0)
+    cases = [(points, exclude) for points in _random_sets() for exclude in (0, 5)]
+    cases += [
+        (np.array(list(np.ndindex(5, 5, 5)), dtype=float), 1),
+        (np.stack([np.cos(t), np.sin(t), 0.1 * np.sin(3.0 * t)], axis=1), 40),
+        (rng.normal(size=(60, 3))[rng.integers(0, 60, size=200)], 0),
+    ]
+    for points, exclude in cases:
+        nn_default, dist_default = nearest(points, exclude)
+        nn_ref, dist_ref = _oracle_nearest(points, exclude)
+        assert np.array_equal(nn_default, nn_ref)
+        np.testing.assert_allclose(dist_default, dist_ref, rtol=1e-12, atol=0.0)
+        for budget in (1, 7, 64):
+            monkeypatch.setattr(neighbors, "_PAIR_BUDGET", budget)
+            nn, dist = nearest(points, exclude)
+            monkeypatch.undo()
+            assert np.array_equal(nn, nn_ref), budget
+            assert np.array_equal(dist, dist_default), budget
+
+
+@pytest.mark.parametrize("exclude", [0, 117])
+def test_nearest_scratch_memory_stays_bounded_on_the_reference_delay_set(rossler_series, exclude):
+    """Scratch linear in n: about 9 MiB here, the results included.  A
+    dense (64, n) distance matrix for the first box edge alone would take
+    about 30 MiB."""
+    points = _delay_set(rossler_series.values[:, 0], 26, 3)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        nearest(points, exclude)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20, peak / 2**20

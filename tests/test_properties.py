@@ -1,9 +1,10 @@
 """Property tests: the artifact readers round-trip what the writers wrote,
 the config parser rejects every malformed line, basis refinement recovers
-any planted sinusoid phase, the delay and dimension scans do not see an
-exact rescaling of the series, a change of units moves no fitted
-transform's shape, and the cut pair count gives the correlation dimension
-of a full count."""
+any planted sinusoid phase, the delay and dimension scans, the dominant
+period and the Lyapunov exponent do not see an exact power-of-two
+rescaling of the series, even one far from unit scale, a change of units
+moves no fitted transform's shape, and the cut pair count gives the
+correlation dimension of a full count."""
 
 import os
 import tempfile
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import chaosid as ci  # noqa: E402
@@ -188,12 +189,20 @@ def _scans(s):
     return ami, ci.false_nearest_neighbors(series, tau=ami.lag)
 
 
+# scales at which squared distances or powers overflow or underflow
+EXTREME_SCALES = (-600, -540, 500, 600)
+
+
 @settings(PROPERTY, max_examples=40)
 @given(
     st.integers(0, 2**32 - 1),
     st.sampled_from(["random walk", "noisy two-tone"]),
-    st.integers(-8, 8),
+    st.integers(-8, 8) | st.sampled_from(EXTREME_SCALES),
 )
+@example(0, "random walk", -600)
+@example(1, "noisy two-tone", -540)
+@example(2, "random walk", 500)
+@example(3, "noisy two-tone", 600)
 def test_delay_and_dimension_scans_ignore_power_of_two_rescaling(seed, kind, k):
     rng = np.random.default_rng(seed)
     if kind == "random walk":
@@ -210,6 +219,21 @@ def test_delay_and_dimension_scans_ignore_power_of_two_rescaling(seed, kind, k):
     assert np.array_equal(ami_scaled.ami, ami.ami)
     assert np.array_equal(fnn_scaled.dims, fnn.dims)
     assert np.array_equal(fnn_scaled.fractions, fnn.fractions)
+
+
+@pytest.mark.parametrize("k", EXTREME_SCALES)
+def test_period_and_lyapunov_ignore_extreme_power_of_two_rescaling(rossler_series, k):
+    """2**k moves every log distance of the divergence curve by one
+    constant, so only rounding can move the slope."""
+    s = rossler_series.values[:2000, 0]
+    period = ci.dominant_period(s)
+    assert ci.dominant_period(s * 2.0**k) == period
+
+    def exponent(values):
+        emb = ci.delay_embed(ci.TimeSeries(values, dt=0.05), tau=20, m=3)
+        return ci.largest_lyapunov(emb, mean_period=period).exponent
+
+    assert exponent(s * 2.0**k) == pytest.approx(exponent(s), rel=1e-9, abs=0.0)
 
 
 @PROPERTY
