@@ -16,15 +16,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .errors import InsufficientData, InvalidValue, NonFiniteState, RankDeficient
+from .errors import InsufficientData, InvalidValue, NonFiniteState, OverflowUnsafe, RankDeficient
 from .model import Exponential, FitReport, ForcingBasis, Sinusoid, StateSpaceModel
 
 #: Singular value ratio below which the regressor counts as rank deficient.
 RANK_TOLERANCE = 1e-12
 
 #: Automatic ridge used when an unregularized solve is rank deficient,
-#: expressed as a multiple of the largest squared singular value.
+#: expressed as a multiple of the largest squared singular value of the
+#: embedding states.
 AUTO_RIDGE_FACTOR = 1e-8
+
+#: Relative margin by which a candidate's lower bound must exceed the best
+#: exact one-step RMS before that candidate, and every later one in bound
+#: order, is left unfitted.  It covers rounding in both scores: on the
+#: benchmark series no bound came out more than 3e-15 relative above its
+#: exact score.  Only fits exact to rounding, whose order is rounding
+#: noise, could need more.
+BOUND_SLACK = 1e-6
 
 
 def build_regression(embedding, basis):
@@ -137,6 +146,8 @@ class ParameterGrid:
     rate: np.ndarray = None
 
     def resolved(self, n_states, dt):
+        """(omega, rate) as float arrays; raises InvalidValue for a grid
+        that is empty, not 1-D or not finite."""
         span = n_states * dt
         omega = self.omega
         if omega is None:
@@ -145,7 +156,14 @@ class ParameterGrid:
         if rate is None:
             bound = 2.0 / span * np.log(1e3)
             rate = np.linspace(-bound, bound, 17)
-        return np.asarray(omega, dtype=float), np.asarray(rate, dtype=float)
+        grids = np.asarray(omega, dtype=float), np.asarray(rate, dtype=float)
+        for name, values in zip(("omega", "rate"), grids):
+            if values.ndim != 1 or values.size == 0 or not np.all(np.isfinite(values)):
+                raise InvalidValue(
+                    f"{name} grid must be a non-empty 1-D array of finite values, "
+                    f"got shape {values.shape}"
+                )
+        return grids
 
 
 def _candidate_bases(basis, grid, embedding):
@@ -203,9 +221,14 @@ def _fit_phases(embedding, basis):
 def refine_basis(embedding, basis, grid=None):
     """Grid search over nonlinear basis parameters, minimizing one-step residual.
 
-    Every candidate basis gets fitted sinusoid phases and the same
-    unregularized solver, and the candidate with the smallest total one-step
-    residual wins; on ties the earliest grid point is kept.  ``grid``
+    Every candidate basis that a lower bound cannot rule out gets fitted
+    sinusoid phases and the same unregularized solver, and the candidate
+    with the smallest total one-step residual wins; on ties the earliest
+    grid point is kept.  The bound (``_lower_bounds``) is the one-step RMS
+    of the candidate's regression with every sinusoid split into its free
+    sin/cos pair, so candidates are fitted in ascending bound order until
+    the next bound exceeds the best exact RMS by the relative margin
+    ``BOUND_SLACK`` (1e-6); no skipped candidate could have won.  ``grid``
     defaults to ``ParameterGrid()`` resolved for the embedding, whose
     sample interval is the time step.  A basis with no free parameters (or
     an empty one) is returned unchanged along with its fit.
@@ -219,12 +242,66 @@ def refine_basis(embedding, basis, grid=None):
     return best[0], best[-1]
 
 
+def _lower_bounds(embedding, candidates):
+    """A lower bound on each candidate's exact one-step RMS.
+
+    The state columns are projected out of the targets Y and of the
+    forcing columns once (one QR of the states), and each sinusoid becomes
+    its sin/cos pair.  With Q from a QR of the candidate's projected
+    columns, one sinusoid (its pair last) gives
+    ||Y||^2 - ||Q_others^T Y||^2 - sigma_max(Q_pair^T Y)^2, the optimum
+    over its shared phase, which ``_fit_phases`` attains; any other basis
+    gives ||Y||^2 - ||Q^T Y||_F^2, the fit with every pair free.  Both are
+    taken as the norm of a residual, not as a difference.  Where
+    ``_fit_phases`` drops a direction (sin(w t) vanishes at the Nyquist
+    rate) the exact score only rises.  A candidate too large for the
+    record, whose forcing would overflow or whose bound is not finite gets
+    0, so it is fitted first and fails as it did before bounds.
+    """
+    states = embedding.states
+    T, m = states.shape[0] - 1, states.shape[1]
+    bounds = np.zeros(len(candidates))
+    Qx, _ = np.linalg.qr(states[:-1])
+    Y = states[1:] - Qx @ (Qx.T @ states[1:])
+    for j, basis in enumerate(candidates):
+        sines = [term for term in basis.terms if isinstance(term, Sinusoid)]
+        split = ForcingBasis(
+            [term for term in basis.terms if not isinstance(term, Sinusoid)]
+            + [Sinusoid(w.omega, ph, w.time_power) for w in sines for ph in (0.0, np.pi / 2)]
+        )
+        if m + split.size > T:
+            continue
+        try:
+            split.check_horizon(T * embedding.dt)
+        except OverflowUnsafe:
+            continue
+        F = split.evaluate(np.arange(T), embedding.dt)
+        Q, _ = np.linalg.qr(F - Qx @ (Qx.T @ F))
+        C = Q.T @ Y
+        if len(sines) == 1:
+            u, s, vt = np.linalg.svd(C[-2:])
+            C[-2:] = s[0] * np.outer(u[:, 0], vt[0])
+        bounds[j] = np.sqrt(np.mean((Y - Q @ C) ** 2))
+    return np.where(np.isfinite(bounds), bounds, 0.0)
+
+
 def _best_fit(embedding, candidates, ridge_lambda):
-    """Fit every candidate basis with its phases fitted; return (basis, A, B,
-    Z, X_next, report) of the smallest one-step residual, the earliest on ties."""
+    """Fit the candidate bases with their phases fitted; return (basis, A, B,
+    Z, X_next, report) of the smallest one-step residual, the earliest on ties.
+
+    Candidates are fitted in ascending order of ``_lower_bounds`` (grid
+    order on equal bounds) until the next bound exceeds the best exact RMS
+    times 1 + ``BOUND_SLACK``.  With a ridge, and for a lone candidate,
+    every bound is 0, so every candidate is fitted in grid order."""
+    candidates = list(candidates)
+    bounds = np.zeros(len(candidates))
+    if ridge_lambda == 0.0 and len(candidates) > 1:
+        bounds = _lower_bounds(embedding, candidates)
     best = None
-    for candidate in candidates:
-        candidate = _fit_phases(embedding, candidate)
+    for j in np.argsort(bounds, kind="stable"):
+        if best is not None and bounds[j] > best[0] * (1.0 + BOUND_SLACK):
+            break
+        candidate = _fit_phases(embedding, candidates[j])
         Z, X_next = build_regression(embedding, candidate)
         try:
             A, B, cond = solve_least_squares(Z, X_next, ridge_lambda)
@@ -232,11 +309,11 @@ def _best_fit(embedding, candidates, ridge_lambda):
             continue
         resid = X_next - Z @ np.hstack([A, B]).T
         total = float(np.sqrt(np.mean(resid**2)))
-        if best is None or total < best[0]:
-            best = (total, candidate, A, B, cond, Z, X_next, resid)
+        if best is None or (total, j) < best[:2]:
+            best = (total, j, candidate, A, B, cond, Z, X_next, resid)
     if best is None:
         raise RankDeficient("every candidate basis left the regression rank deficient")
-    _, candidate, A, B, cond, Z, X_next, resid = best
+    _, _, candidate, A, B, cond, Z, X_next, resid = best
     report = FitReport(
         residual_rms=np.sqrt(np.mean(resid**2, axis=0)),
         condition_estimate=cond,
@@ -254,7 +331,7 @@ def fit_model(embedding, outputs, report):
     parameters), and the best candidate is fitted by least squares with no
     ridge; the output map is fitted separately.  A state regression that is
     rank deficient for every candidate is refitted with an automatic ridge
-    taken from the recommended basis, and the report's ``ridge_lambda``
+    sized from the states, and the report's ``ridge_lambda``
     holds the ridge of the winning fit.  One-step and free-run errors are
     measured against ``outputs``.  The free run starts from the first
     embedding state and covers every row the embedding and ``outputs``
@@ -278,8 +355,7 @@ def fit_model(embedding, outputs, report):
     try:
         basis, A, B, Z, X_next, fit = _best_fit(embedding, candidates, 0.0)
     except RankDeficient:
-        Z, _ = build_regression(embedding, basis)
-        ridge_lambda = AUTO_RIDGE_FACTOR * np.linalg.norm(Z, 2) ** 2
+        ridge_lambda = _auto_ridge(embedding)
         warnings.append(
             f"regression rank deficient; retried with ridge_lambda={ridge_lambda:.3e}"
         )
@@ -287,7 +363,7 @@ def fit_model(embedding, outputs, report):
     try:
         C = fit_output_map(embedding, outputs)
     except RankDeficient:
-        ridge_c = AUTO_RIDGE_FACTOR * float(np.linalg.norm(embedding.states, 2)) ** 2
+        ridge_c = _auto_ridge(embedding)
         warnings.append(
             f"output map rank deficient; retried with ridge_lambda={ridge_c:.3e}"
         )
@@ -304,6 +380,11 @@ def fit_model(embedding, outputs, report):
     fit.warnings = warnings + fit.warnings
     _measure_errors(model, embedding, outputs, Z, X_next, A, B, fit)
     return model, fit
+
+
+def _auto_ridge(embedding):
+    """AUTO_RIDGE_FACTOR times the largest squared singular value of the states."""
+    return AUTO_RIDGE_FACTOR * float(np.linalg.norm(embedding.states, 2)) ** 2
 
 
 def _measure_errors(model, embedding, outputs, Z, X_next, A, B, fit):

@@ -1,6 +1,7 @@
 """Shared fixtures: the reference chaotic series is expensive, so it is
-built once per session, and the acceptance tests register one summary line
-per criterion that is printed after the run."""
+built once per session, the acceptance tests register one summary line
+per criterion that is printed after the run, and the exhaustive refinement
+loop serves as the oracle of the bounded one."""
 
 import numpy as np
 import pytest
@@ -40,3 +41,34 @@ def rossler_embedding(rossler_series):
     tau = ci.average_mutual_information(rossler_series, max_lag=100).lag
     m = ci.false_nearest_neighbors(rossler_series, tau=tau).m
     return ci.delay_embed(rossler_series, tau=tau, m=m)
+
+
+def exhaustive_best_fit(embedding, candidates, ridge_lambda):
+    """The refinement loop before lower bounds: every candidate is fitted in
+    grid order, rank-deficient ones are skipped, and the smallest one-step
+    RMS wins, the earliest on ties.  Returns what ``identify._best_fit``
+    returns."""
+    from chaosid import identify
+
+    best = None
+    for candidate in candidates:
+        candidate = identify._fit_phases(embedding, candidate)
+        Z, X_next = identify.build_regression(embedding, candidate)
+        try:
+            A, B, cond = identify.solve_least_squares(Z, X_next, ridge_lambda)
+        except ci.RankDeficient:
+            continue
+        resid = X_next - Z @ np.hstack([A, B]).T
+        total = float(np.sqrt(np.mean(resid**2)))
+        if best is None or total < best[0]:
+            best = (total, candidate, A, B, cond, Z, X_next, resid)
+    if best is None:
+        raise ci.RankDeficient("every candidate basis left the regression rank deficient")
+    _, candidate, A, B, cond, Z, X_next, resid = best
+    report = ci.FitReport(
+        residual_rms=np.sqrt(np.mean(resid**2, axis=0)),
+        condition_estimate=cond,
+        ridge_lambda=ridge_lambda,
+        basis_description=candidate.describe(),
+    )
+    return candidate, A, B, Z, X_next, report

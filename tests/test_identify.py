@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import chaosid as ci
+from chaosid import identify
+from conftest import exhaustive_best_fit
 
 
 def _embedding(states, dt=1.0, tau=1):
@@ -194,6 +196,26 @@ def test_parameter_grid_defaults():
     assert rate[8] == 0.0
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ci.ParameterGrid(omega=[]),
+        ci.ParameterGrid(omega=[np.nan]),
+        ci.ParameterGrid(omega=[np.inf]),
+        ci.ParameterGrid(omega=0.5),
+        ci.ParameterGrid(omega=[[0.1, 0.2]]),
+        ci.ParameterGrid(rate=[np.nan]),
+        ci.ParameterGrid(rate=[]),
+    ],
+)
+def test_parameter_grid_rejects_a_grid_that_cannot_be_searched(grid):
+    with pytest.raises(ci.InvalidValue, match="grid must be a non-empty 1-D array of finite"):
+        grid.resolved(n_states=100, dt=1.0)
+    states = np.cumsum(np.random.default_rng(2).normal(size=(100, 2)), axis=0)
+    with pytest.raises(ci.InvalidValue):
+        ci.refine_basis(_embedding(states), ci.ForcingBasis((ci.Sinusoid(1.0),)), grid=grid)
+
+
 def test_refine_basis_recovers_exact_grid_point():
     A_true = np.array([[0.8, 0.1], [0.0, 0.7]])
     B_true = np.array([[1.0], [0.5]])
@@ -306,6 +328,155 @@ def test_refine_basis_without_free_parameters_is_identity():
 
 
 # ---------------------------------------------------------------------------
+# bounded refinement against the exhaustive loop
+
+
+def _bits(value):
+    return np.ascontiguousarray(value, dtype=float).tobytes()
+
+
+def _assert_same_fit(got, want):
+    """Bitwise equality of basis, A, B, Z, targets, residual RMS and the
+    condition estimate of two ``_best_fit`` results."""
+    assert repr(got[0]) == repr(want[0])
+    for a, b in zip(got[1:5], want[1:5]):
+        assert a.shape == b.shape and _bits(a) == _bits(b)
+    for field in ("residual_rms", "condition_estimate", "ridge_lambda"):
+        assert _bits(getattr(got[5], field)) == _bits(getattr(want[5], field))
+    assert got[5].basis_description == want[5].basis_description
+
+
+def _bounded_and_exhaustive(emb, basis, grid=None, ridge_lambda=0.0):
+    """(bounded result, exhaustive result, candidates fitted by the bounded loop)."""
+    candidates = list(identify._candidate_bases(basis, grid or ci.ParameterGrid(), emb))
+    fitted = []
+    fit_phases = identify._fit_phases
+
+    def counted(embedding, candidate):
+        fitted.append(candidate)
+        return fit_phases(embedding, candidate)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(identify, "_fit_phases", counted)
+        got = identify._best_fit(emb, candidates, ridge_lambda)
+    return got, exhaustive_best_fit(emb, candidates, ridge_lambda), fitted
+
+
+def _exact_rms(emb, candidate):
+    Z, X_next = ci.build_regression(emb, identify._fit_phases(emb, candidate))
+    A, B, _ = ci.solve_least_squares(Z, X_next)
+    return float(np.sqrt(np.mean((X_next - Z @ np.hstack([A, B]).T) ** 2)))
+
+
+def _damped_embedding(seed):
+    """A slowly damped oscillation with 0.1% noise, dt 0.1, like the damped
+    benchmark series, embedded at tau 15, m 2."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(2000) * 0.1
+    clean = np.exp(-0.005 * t) * np.sin(t + rng.uniform(0.0, 2.0 * np.pi))
+    x = clean + 0.001 * np.std(clean) * rng.standard_normal(t.size)
+    return ci.delay_embed(ci.TimeSeries(x, dt=0.1), tau=15, m=2)
+
+
+SINE = ci.ForcingBasis((ci.Sinusoid(omega=1.0),))
+
+
+def test_bounded_refinement_matches_the_exhaustive_loop_on_the_reference(rossler_embedding):
+    got, want, fitted = _bounded_and_exhaustive(rossler_embedding, SINE)
+    _assert_same_fit(got, want)
+    assert len(fitted) == 1  # the runner-up trails by 1%
+
+
+def test_bounded_refinement_fits_the_nyquist_point_whose_bound_undercuts_the_winner():
+    # sin(w t) vanishes at the Nyquist rate, where _fit_phases keeps only
+    # the cosine: that candidate's exact RMS lies above its bound, which
+    # here lies below the winner's RMS, so it must be fitted to be ruled out
+    emb = _damped_embedding(10)
+    candidates = list(identify._candidate_bases(SINE, ci.ParameterGrid(), emb))
+    bounds = identify._lower_bounds(emb, candidates)
+    exact = np.array([_exact_rms(emb, c) for c in candidates])
+    winner = int(np.argmin(exact))
+    assert winner != 31 and bounds[31] < exact[winner] < exact[31]
+    assert np.sort(exact)[1] / exact[winner] - 1.0 < 1e-3  # a near tie
+    got, want, fitted = _bounded_and_exhaustive(emb, SINE)
+    _assert_same_fit(got, want)
+    assert [c.terms[0].omega for c in fitted] == [candidates[31].terms[0].omega,
+                                                  candidates[winner].terms[0].omega]
+
+
+@pytest.mark.parametrize("rates, signed", [([0.05, -0.0, 0.0], True), ([0.05, 0.0, -0.0], False)])
+def test_bounded_refinement_keeps_the_earliest_of_an_exact_tie(rates, signed):
+    # exp(-0.0 t) and exp(0.0 t) are the same column, so the two grid points
+    # tie bitwise; the sign of the winning rate tells them apart
+    states = _iterate([[0.9, 0.05], [-0.1, 0.8]], [[0.3], [0.1]],
+                      ci.ForcingBasis((ci.Polynomial(0),)), [1.0, 0.0], 80)
+    states = states + 1e-4 * np.random.default_rng(5).normal(size=states.shape)
+    grid = ci.ParameterGrid(rate=np.array(rates))
+    got, want, _ = _bounded_and_exhaustive(_embedding(states), ci.ForcingBasis((ci.Exponential(1.0),)), grid)
+    _assert_same_fit(got, want)
+    assert got[0].terms[0].rate == 0.0 and bool(np.signbit(got[0].terms[0].rate)) is signed
+
+
+def test_bounded_refinement_matches_on_the_exponential_grid():
+    # the default rate grid has rate 0 at its middle
+    truth = ci.ForcingBasis((ci.Exponential(rate=-0.01),))
+    states = _iterate([[0.9, 0.05], [-0.1, 0.8]], [[0.4], [-0.2]], truth, [1.0, 0.0], 300)
+    states = states + 1e-3 * np.random.default_rng(6).normal(size=states.shape)
+    emb = _embedding(states)
+    assert ci.ParameterGrid().resolved(emb.n_states, emb.dt)[1][8] == 0.0
+    got, want, fitted = _bounded_and_exhaustive(emb, ci.ForcingBasis((ci.Exponential(1.0),)))
+    _assert_same_fit(got, want)
+    assert len(fitted) < 17
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [
+        ci.ForcingBasis((ci.Sinusoid(omega=1.0), ci.Exponential(rate=1.0))),
+        # two sinusoids: the bound frees both pairs, so it is loose
+        ci.ForcingBasis((ci.Sinusoid(omega=1.0), ci.Sinusoid(omega=1.0))),
+    ],
+    ids=["sinusoid-and-exponential", "two-sinusoids"],
+)
+def test_bounded_refinement_matches_on_multi_term_bases(basis):
+    omega = np.geomspace(0.1, np.pi, 12)
+    truth = ci.ForcingBasis((ci.Sinusoid(omega[3], 0.7), ci.Sinusoid(omega[8], -1.0)))
+    states = _iterate([[0.8, 0.1], [-0.1, 0.7]], [[1.0, 0.4], [0.5, -0.6]], truth, [0.1, 0.2], 200)
+    emb = _embedding(states + 1e-3 * np.random.default_rng(7).normal(size=states.shape))
+    grid = ci.ParameterGrid(omega=omega, rate=np.linspace(-0.02, 0.02, 5))
+    candidates = list(identify._candidate_bases(basis, grid, emb))
+    got, want, fitted = _bounded_and_exhaustive(emb, basis, grid)
+    _assert_same_fit(got, want)
+    assert len(fitted) < len(candidates)
+
+
+def test_bounded_refinement_skips_rank_deficient_candidates():
+    # at dt 1, sin(2 pi j k) is rounding noise and cos(2 pi j k) repeats the
+    # constant term, so those grid points leave the regression rank
+    # deficient; their relaxed bounds lie lowest, so they are fitted first
+    terms = (ci.Polynomial(0), ci.Sinusoid(omega=1.0))
+    trend = ci.ForcingBasis((ci.Polynomial(0), ci.Polynomial(1)))
+    states = _iterate([[0.8, 0.1], [-0.1, 0.7]], [[0.2, 0.01], [0.1, -0.005]], trend, [0.1, 0.2], 150)
+    emb = _embedding(states + 1e-3 * np.random.default_rng(8).normal(size=states.shape))
+    deficient = [2 * np.pi, 4 * np.pi, 6 * np.pi]
+    grid = ci.ParameterGrid(omega=np.array([0.3, deficient[0], 0.9] + deficient[1:]))
+    for omega in deficient:
+        with pytest.raises(ci.RankDeficient):
+            _exact_rms(emb, ci.ForcingBasis((ci.Polynomial(0), ci.Sinusoid(omega))))
+    got, want, fitted = _bounded_and_exhaustive(emb, ci.ForcingBasis(terms), grid)
+    _assert_same_fit(got, want)
+    assert sorted(c.terms[1].omega for c in fitted[:3]) == deficient
+    assert len(fitted) == 4 and got[0].terms[1].omega == 0.3
+
+
+def test_bounded_refinement_fits_every_candidate_with_a_ridge():
+    emb = _damped_embedding(10)
+    got, want, fitted = _bounded_and_exhaustive(emb, SINE, ridge_lambda=1e-6)
+    _assert_same_fit(got, want)
+    assert len(fitted) == 32
+
+
+# ---------------------------------------------------------------------------
 # end-to-end fit
 
 
@@ -396,6 +567,28 @@ def test_fit_model_auto_ridge_on_rank_deficiency():
     assert fit.ridge_lambda > 0.0
     assert any("rank deficient" in w for w in fit.warnings)
     assert np.all(np.isfinite(model.A))
+
+
+@pytest.mark.parametrize("n", [300, 1200])
+def test_fit_model_sizes_the_automatic_ridge_from_the_states(n):
+    # collinear delay coordinates: x(k+2) = 0.998001 x(k), so every candidate
+    # of the exponential vote is rank deficient; the vote's placeholder
+    # exp(1 t) would size the ridge at 1e249 (n 300) or overflow (n 1200)
+    x = 5.0 * 0.999 ** np.arange(n)
+    emb = ci.delay_embed(ci.TimeSeries(x, dt=1.0), tau=2, m=2)
+    report = ci.SymmetryReport(
+        transforms=[],
+        class_histogram={},
+        dominant_class=ci.TransformClass.SCALING,
+        recommended_basis=ci.ForcingBasis((ci.Exponential(rate=1.0),)),
+        threshold=0.0,
+        diameter=0.0,
+    )
+    model, fit = ci.fit_model(emb, ci.TimeSeries(x[: emb.n_states], dt=1.0), report)
+    ridge = identify.AUTO_RIDGE_FACTOR * np.linalg.norm(emb.states, 2) ** 2
+    assert fit.ridge_lambda == ridge
+    assert fit.warnings[0] == f"regression rank deficient; retried with ridge_lambda={ridge:.3e}"
+    assert np.all(np.isfinite(model.A)) and float(np.max(fit.one_step_nrmse)) < 1e-5
 
 
 def test_fit_model_reports_divergent_free_run():

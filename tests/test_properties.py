@@ -1,10 +1,11 @@
 """Property tests: the artifact readers round-trip what the writers wrote,
 the config parser rejects every malformed line, basis refinement recovers
-any planted sinusoid phase, the delay and dimension scans, the dominant
-period and the Lyapunov exponent do not see an exact power-of-two
-rescaling of the series, even one far from unit scale, a change of units
-moves no fitted transform's shape, and the cut pair count gives the
-correlation dimension of a full count."""
+any planted sinusoid phase and, bounded, fits at most two candidates of a
+planted sinusoid for the exhaustive loop's winner, the delay and dimension
+scans, the dominant period and the Lyapunov exponent do not see an exact
+power-of-two rescaling of the series, even one far from unit scale, a
+change of units moves no fitted transform's shape, and the cut pair count
+gives the correlation dimension of a full count."""
 
 import os
 import tempfile
@@ -18,8 +19,9 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import chaosid as ci  # noqa: E402
-from chaosid import io, validate  # noqa: E402
+from chaosid import identify, io, validate  # noqa: E402
 from chaosid.cli import CONFIG_DEFAULTS  # noqa: E402
+from conftest import exhaustive_best_fit  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
@@ -180,6 +182,45 @@ def test_refine_basis_recovers_any_planted_phase(radius, angle, b, omega_index, 
     refined = best.evaluate(np.arange(400), 1.0) @ B_fit.T
     assert np.max(np.abs(refined - forcing)) < 1e-6
     assert np.max(report.residual_rms) < 1e-9
+
+
+@settings(PROPERTY, max_examples=40)
+@given(
+    st.floats(0.5, 0.95),
+    st.floats(0.2, np.pi - 0.2),
+    st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2).filter(
+        lambda b: max(map(abs, b)) >= 0.1
+    ),
+    # not the Nyquist point, where sin(pi k + phi) shrinks to sin(phi) (-1)^k
+    # and a phase near 0 plants almost nothing
+    st.integers(0, 30),
+    st.floats(-np.pi, np.pi, exclude_max=True),
+    st.integers(0, 2**32 - 1),
+)
+def test_bounded_refinement_fits_few_candidates_of_a_planted_sinusoid(
+    radius, angle, b, omega_index, phi, seed
+):
+    # with one sinusoid the bound is the exact score, so a clear winner is
+    # fitted alone or with one more; the exhaustive loop fits all 32
+    omega = ci.ParameterGrid().resolved(n_states=401, dt=1.0)[0][omega_index]
+    A = radius * np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    forcing = ci.ForcingBasis((ci.Sinusoid(omega, phi),)).evaluate(np.arange(400), 1.0)
+    noise = 1e-3 * np.random.default_rng(seed).normal(size=(400, 2))
+    x = np.array([0.3, -0.2])
+    states = [x]
+    for row in forcing @ np.array(b).reshape(1, 2) + noise:
+        x = A @ x + row
+        states.append(x)
+    emb = ci.DelayEmbedding(states=np.array(states), tau=1, m=2)
+    start = ci.ForcingBasis((ci.Sinusoid(1.0),))
+    candidates = list(identify._candidate_bases(start, ci.ParameterGrid(), emb))
+    with mock.patch.object(identify, "_fit_phases", wraps=identify._fit_phases) as fitted:
+        got = identify._best_fit(emb, candidates, 0.0)
+    want = exhaustive_best_fit(emb, candidates, 0.0)
+    assert repr(got[0]) == repr(want[0])
+    assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+    assert got[0].terms[0].omega == omega
+    assert 1 <= fitted.call_count <= 2
 
 
 def _scans(s):
