@@ -14,17 +14,21 @@ rows, each fewer than ``_PAIR_BUDGET`` (2^15) pairs beyond those of its
 first row, beside the 3^(k-1) key ranges it holds per row.
 
 The correlation sum needs every pair, so ``pair_distance_counts`` keeps an
-O(n^2) pass over blocks of rows, each compared only with the later rows,
-and bins the squared distances against squared thresholds without taking
-a square root.
+O(n^2) pass over blocks of 32 rows, each compared only with the later rows.
+One matrix product per block gives the squared distances, which are binned
+against squared thresholds without taking a square root.  A guard zone as
+wide as the product's rounding bound lies around every threshold, and the
+few pairs that land in one are counted again by direct differences, so
+every pair lands in the bin of its directly computed distance, whatever
+the block height or the BLAS.
 
-Given a cut, the pass bins only the squared distances below the cut's
-threshold and counts the others only in the total.  The correlation
-dimension takes the cut from a pilot count on every 8th point, with the
-Theiler window thinned by 8, at the upper edge of the first bin where the
-pilot's C(r) reaches 0.3.  Its scaling fit reads no bin with C(r) > 0.2,
-so a cut below which more than 0.2 of all pairs fall leaves every bin the
-fit reads exact; otherwise it counts every pair again in full.
+Given a cut, the pass bins only the pairs below the cut and counts the
+others only in the total.  The correlation dimension takes the cut from a
+pilot count on every 8th point, with the Theiler window thinned by 8, at
+the upper edge of the first bin where the pilot's C(r) reaches 0.3.  Its
+scaling fit reads no bin with C(r) > 0.2, so a cut below which more than
+0.2 of all pairs fall leaves every bin the fit reads exact; otherwise it
+counts every pair again in full.
 
 Every caller first passes its data through ``unit_scale``, which moves a
 set far from unit scale to it by an exact power of two, so that squared
@@ -36,10 +40,10 @@ import math
 
 import numpy as np
 
-_CHUNK = 128
-# rows of a block whose squared distances are formed at once, in a buffer
-# that stays in cache
-_GROUP = 8
+from .errors import InvalidValue
+
+# rows of a block of the pair count
+_CHUNK = 32
 # rows of the direct search that sets the first box edge
 _EDGE_SAMPLE = 64
 # candidate pairs a box pass expands at once, beyond the first row of a
@@ -257,68 +261,105 @@ def _blocks(n, theiler):
         yield start, rows, first, cols, band
 
 
+def _recount(points, d2, guarded, start, first, thresholds):
+    """Histogram against ``thresholds`` of the block's pairs whose product
+    value in ``d2`` lies in a guard zone of ``guarded``, their squared
+    distances summed again from direct differences in coordinate order.
+    Entry (r, c) of ``d2`` pairs row start + r with row first + c."""
+    r, c = np.nonzero(np.searchsorted(guarded, d2, side="right") & 1)
+    i, j = r + start, c + first
+    exact = np.zeros(i.size)
+    for x in points.T:
+        diff = x[i] - x[j]
+        exact += diff * diff
+    return np.histogram(exact, bins=thresholds)[0]
+
+
 def pair_distance_counts(points, edges, theiler, bins=None):
     """Histogram of the distances of the pairs j - i > ``theiler`` against
     ``edges``, each pair counted once; the bins are those of
     ``np.histogram``, the last one closed.
 
-    Returns (counts per bin, total number of admissible pairs).  Each block
-    of rows is compared only with the columns from its first row plus
-    ``theiler`` + 1 on.  Centring first keeps an offset in the data from
-    swamping the distances in the |a|^2 + |b|^2 - 2 a.b form.  The squared
-    distances are binned against ``_squared_thresholds(edges)``, which puts
-    every pair in the bin its distance sqrt(max(d2, 0)) falls in, so no
-    root is taken.
-
-    The squared distances of a block are formed ``_GROUP`` rows at a
-    time.  Without a cut each group is written back over its spent rows of
-    the block's dot products, and the block is binned at once.  With
+    Returns (counts per bin, total number of admissible pairs).  With
     ``bins`` (0 < bins < number of bins), the cut is the lower edge of bin
     ``bins``: only the pairs below it are binned, and that bin and the
-    later ones stay empty, their pairs counted only in the total.  Each
-    group's squared distances below the cut's threshold are gathered into
-    the spent dot-product rows, so no block-sized mask or copy is made.
-    The counts of the first ``bins`` bins are those of the full histogram.
+    later ones stay empty, their pairs counted only in the total.  The
+    counts of the first ``bins`` bins are those of the full histogram.
+
+    Each block of ``_CHUNK`` rows is compared only with the columns from
+    its first row plus ``theiler`` + 1 on.  One matrix product per block
+    gives the squared distances of the centred points p_i = x_i - mean:
+    row i of lhs = [|p_i|^2, 1, -2 p_i] times column j of
+    rhs = [1, |p_j|^2, p_j] is |p_i - p_j|^2.  Centring keeps an offset in
+    the data from swamping the distances.  The values are binned against
+    ``_squared_thresholds(edges)``, so no root is taken.
+
+    The pairs are binned by d_ij, the squared distance summed from the
+    direct differences x_i - x_j in coordinate order.  A dot product of
+    length k, summed in any order, with or without fused multiply-adds, is
+    off by at most gamma_k = k u / (1 - k u) times the sum of its absolute
+    terms, with u = 2^-53 (Higham 2002, section 3.1).  With m coordinates
+    and S = max |p_i|^2 as computed, the product value differs from d_ij
+    by at most (10 m + 24) u S to first order in u:
+    - the product, of length m + 2, whose absolute terms sum to at most
+      4 S: 4 (m + 2) u S;
+    - the computed |p_i|^2 and |p_j|^2: 2 m u S;
+    - centring, which rounds each p_i by at most u |p_i| and so moves
+      |p_i - p_j|^2 from |x_i - x_j|^2 by at most 8 u S;
+    - d_ij itself, off from |x_i - x_j|^2 <= 4 S by gamma_(m+2):
+      4 (m + 2) u S.
+    B = 16 (m + 3) u S is at least 1.6 times that, which covers the
+    higher-order terms and the rounding of B, and (m + 3) 2^-1070 more
+    covers products that underflow.  Each finite threshold t gets the
+    guard zone [t - B, t + B), its ends rounded outward.  A product value
+    outside every zone lies on the same side of every threshold as d_ij,
+    so it is binned as it is.  A pair in a zone, the cut's included, is
+    summed again by direct differences and binned by d_ij.  Every count is
+    therefore that of d_ij, for any block height and any BLAS that forms
+    each entry of a product as such a dot product.
+
+    Only the product values below the upper end of the last zone binned,
+    the cut's or the last edge's, are gathered, sorted in place and
+    counted against the zone ends.
+
+    Raises
+    ------
+    InvalidValue
+        when ``bins`` is given outside 0 < bins < number of bins.
     """
-    p = points - points.mean(axis=0)
-    p2 = 2.0 * p
-    sq = np.einsum("ij,ij->i", p, p)
-    n = p.shape[0]
     thresholds = _squared_thresholds(edges)
-    counts = np.zeros(edges.size - 1, dtype=np.int64)
-    # one reused buffer for a block's dot products and a group's squared
-    # distances: fresh multi-megabyte temporaries cost page faults, and two
-    # separate buffers raised perfbench's rossler-ref peak RSS by 0.6 MiB
-    block = min(_CHUNK, n) * n
-    buf = np.empty(block + min(_GROUP, n) * n)
-    dot_buf, d2_buf = buf[:block], buf[block:]
+    top = edges.size - 1
     if bins is not None:
-        cut = thresholds[bins]
-        below = np.empty(d2_buf.size, dtype=bool)
+        if not 0 < bins < top:
+            raise InvalidValue(f"bins must lie in 1 .. {top - 1}, got {bins}")
+        top = bins
+    n, m = points.shape
+    p = points - points.mean(axis=0)
+    sq = np.einsum("ij,ij->i", p, p)
+    lhs = np.column_stack([sq, np.ones(n), -2.0 * p])
+    rhs = np.vstack([np.ones(n), sq, p.T])
+    bound = 16 * (m + 3) * 2.0**-53 * sq.max(initial=0.0) + (m + 3) * 2.0**-1070
+    # the zone of threshold k is bin 2k of ``guarded``, and bin k of the
+    # counts lies between zones k and k + 1, in bin 2k + 1; where two zones
+    # overlap, the running maximum empties the bin between them, so its
+    # pairs are all recounted
+    t = thresholds[: top + 1]
+    zones = [np.nextafter(t - bound, -np.inf), np.nextafter(t + bound, np.inf)]
+    guarded = np.maximum.accumulate(np.where(np.isfinite(t), zones, t).T.ravel())
+    counts = np.zeros(edges.size - 1, dtype=np.int64)
+    buf = np.empty(min(_CHUNK, n) * n)
     for start, rows, first, cols, band in _blocks(n, theiler):
-        dot = dot_buf[: rows * cols].reshape(rows, cols)
-        # scaling by 2 is exact short of underflow, so this is 2 (p_i . p_j)
-        np.matmul(p2[start : start + rows], p[first:].T, out=dot)
-        # a band pair's squared distance becomes +inf, outside every bin
-        # and above every cut
-        dot[band] = -np.inf
-        spent, kept = dot.reshape(-1), 0
-        for lo in range(0, rows, _GROUP):
-            hi = min(lo + _GROUP, rows)
-            d2 = d2_buf[: (hi - lo) * cols].reshape(hi - lo, cols)
-            np.add(sq[start + lo : start + hi, None], sq[None, first:], out=d2)
-            if bins is None:
-                np.subtract(d2, dot[lo:hi], out=dot[lo:hi])
-                continue
-            d2 -= dot[lo:hi]
-            mask = np.less(d2, cut, out=below[: d2.size].reshape(d2.shape))
-            size = np.count_nonzero(mask)
-            # rows before hi are spent, and kept + size <= hi * cols
-            np.compress(mask.ravel(), d2, out=spent[kept : kept + size])
-            kept += size
-        if bins is None:
-            counts += np.histogram(dot, bins=thresholds)[0]
-        else:
-            counts[:bins] += np.histogram(spent[:kept], bins=thresholds[: bins + 1])[0]
+        d2 = buf[: rows * cols].reshape(rows, cols)
+        np.matmul(lhs[start : start + rows], rhs[:, first:], out=d2)
+        # a band pair's squared distance becomes +inf, above every zone
+        d2[band] = np.inf
+        kept = d2[d2 < guarded[-1]]
+        # every kept value lies below the last zone end, so this is
+        # np.histogram's count, without its sorted copy
+        kept.sort()
+        binned = np.diff(np.searchsorted(kept, guarded))
+        counts[:top] += binned[1::2]
+        if binned[::2].any():
+            counts[:top] += _recount(points, d2, guarded, start, first, thresholds)[:top]
     pairs = max(n - theiler - 1, 0)
     return counts, pairs * (pairs + 1) // 2

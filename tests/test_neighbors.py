@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import chaosid as ci
 from chaosid import neighbors
 from chaosid.neighbors import _blocks, _squared_thresholds, nearest, pair_distance_counts
 
@@ -299,6 +300,123 @@ def test_pair_distance_counts_window_beyond_the_set():
     counts, total = pair_distance_counts(points, np.array([0.0, 1.0, 10.0]), 5)
     assert total == 0
     assert not counts.any()
+
+
+@pytest.mark.parametrize("bins", [0, -1, 3, 4, 50])
+def test_pair_distance_counts_rejects_a_cut_outside_the_bins(bins):
+    """A cut lies strictly inside the histogram: 0 < bins < number of bins."""
+    points = np.random.default_rng(13).normal(size=(20, 2))
+    with pytest.raises(ci.InvalidValue, match="bins"):
+        pair_distance_counts(points, np.array([0.0, 0.5, 1.0, 10.0]), 0, bins)
+
+
+_CHUNKS = [1, 7, 32, 128]
+
+
+@pytest.mark.parametrize("chunk", _CHUNKS)
+def test_pair_distance_counts_equal_the_oracle_at_every_block_height(monkeypatch, chunk):
+    """Random sets, also far from the origin, where the matrix product's
+    rounding grows with the squared norms of the centred points."""
+    monkeypatch.setattr(neighbors, "_CHUNK", chunk)
+    for offset in (0.0, 1e4, 1e8):
+        for points in _random_sets():
+            span = np.linalg.norm(points.max(axis=0) - points.min(axis=0))
+            edges = np.concatenate([[0.0], np.geomspace(span * 1e-3, span, 12)])
+            _assert_counts_match_oracle(points + offset, edges, 3)
+
+
+def _pair_at(target):
+    """(a, b) whose squares sum to exactly ``target`` in double precision,
+    a * a rounded first: the squared distance of (0, 0) and (a, b)
+    summed from direct differences in coordinate order."""
+    a = np.sqrt(target)
+    while True:
+        rest = target - a * a
+        if rest >= 0.0:
+            b = np.sqrt(rest)
+            if a * a + b * b == target:
+                return a, b
+        a = np.nextafter(a, 0.0)
+
+
+@pytest.mark.parametrize("chunk", _CHUNKS)
+def test_pair_distance_counts_with_pairs_on_and_beside_every_threshold(monkeypatch, chunk):
+    """One pair at each finite squared threshold and one at the double on
+    either side of it, the last (closed) edge included.  The pairs sit
+    4 * the last edge apart along a third axis, so the pairs across them
+    fall beyond the last edge."""
+    monkeypatch.setattr(neighbors, "_CHUNK", chunk)
+    for edges in (np.geomspace(0.05, 7.0, 20), np.sqrt(np.arange(3.0, 40.0))):
+        thresholds = _squared_thresholds(edges)
+        targets = [np.nextafter(t, d) for t in thresholds for d in (-np.inf, 0.0, np.inf)]
+        spacing = np.ceil(4.0 * edges[-1])
+        points = []
+        for k, target in enumerate(targets):
+            a, b = _pair_at(target)
+            points += [[0.0, 0.0, spacing * k], [a, b, spacing * k]]
+        points = np.array(points)
+        _assert_counts_match_oracle(points, edges, 0)
+
+
+@pytest.mark.parametrize("chunk", _CHUNKS)
+def test_guard_recount_runs_on_the_integer_lattices(monkeypatch, chunk):
+    """Lattice pairs lie exactly on the square-root edges, inside every
+    guard zone, so the direct recount decides their bins."""
+    monkeypatch.setattr(neighbors, "_CHUNK", chunk)
+    recounted = []
+    recount = neighbors._recount
+
+    def spy(*args):
+        binned = recount(*args)
+        recounted.append(int(binned.sum()))
+        return binned
+
+    monkeypatch.setattr(neighbors, "_recount", spy)
+    grid = np.array([[x, y] for x in range(4) for y in range(4)], dtype=float)
+    cube = np.array([[x, y, z] for x in range(3) for y in range(3) for z in range(3)], dtype=float)
+    for points in (grid, cube):
+        top = int(np.ceil(np.linalg.norm(points.max(axis=0) - points.min(axis=0)) ** 2))
+        recounted.clear()
+        _assert_counts_match_oracle(points, np.sqrt(np.arange(0.0, top + 1)), 0)
+        assert sum(recounted) > 0
+
+
+def _reference_correlation_dimension(rossler_series):
+    """The source correlation dimension of the reference pipeline: tau 26,
+    m 3, Theiler window tau * m."""
+    points = _delay_set(rossler_series.values[:, 0], 26, 3)
+    return ci.correlation_dimension(points, theiler_window=78)
+
+
+def test_reference_subsample_has_no_guard_pairs(monkeypatch, rossler_series):
+    """The guard zones are about 4e-12 wide on the reference: no pair of the
+    8000-point subsample, the pilot's or the cut count's, lands in one."""
+    recounted = []
+    recount = neighbors._recount
+
+    def spy(*args):
+        recounted.append(args[1].shape)
+        return recount(*args)
+
+    monkeypatch.setattr(neighbors, "_recount", spy)
+    _reference_correlation_dimension(rossler_series)
+    assert not recounted
+
+
+def test_correlation_dimension_scratch_memory_stays_bounded_on_the_reference_delay_set(
+    rossler_series,
+):
+    """Blocks of 32 rows of the 8000-point subsample: 2 MiB of squared
+    distances, the pairs gathered below the cut and the product factors,
+    about 5 MiB in all.  Blocks of 128 rows took about 10 MiB."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        _reference_correlation_dimension(rossler_series)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20, peak / 2**20
 
 
 def test_kernel_matches_kd_tree():
