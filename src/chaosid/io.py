@@ -6,12 +6,20 @@ key=value configuration format.
 
 CSV dialect: comma separators, '.' decimal point, UTF-8 with or without a
 byte-order mark, LF or CRLF line endings, lines starting with '#' ignored,
-optional single header row detected by being non-numeric.
+an optional single header row: a first row none of whose cells parses as a
+number.  :func:`write_table` refuses a header cell that would not read back.
 
-JSON artifacts are written through :func:`canonical_json`, which sorts object
-keys, indents by one space and renders floats in Python's shortest round-trip
-repr, so that a rewrite of the same data is byte-identical and doubles
-survive a round trip exactly.
+JSON artifacts are written through :func:`canonical_json`: the text of
+``json.dumps(value, sort_keys=True, indent=1)``, which sorts object keys,
+indents by one space and renders floats in Python's shortest round-trip repr,
+so that a rewrite of the same data is byte-identical and doubles survive a
+round trip exactly.  Indented, json renders every float in Python, so one
+recursive function, :func:`_render`, writes that text itself, one call per
+value; a float array is one value, whose elements are rendered in bulk and
+nested by its shape.
+
+Config files hold one ``key = value`` per line; an unknown or repeated key
+is an error.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -44,7 +52,7 @@ REPORT_SCHEMA = "run-report/1"
 
 
 def _builtin(value):
-    """``json.dumps`` hook: the numpy values json cannot encode, as builtins."""
+    """The numpy values json cannot encode, as builtins."""
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, np.bool_):
@@ -60,8 +68,7 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _nest(cells, shape, level):
-    """Cell texts in the nested lists ``json.dumps(..., indent=1)`` writes
-    for an array of this shape ``level`` levels deep."""
+    """Cell texts nested as the lists of an array of this shape, ``level`` deep."""
     # innermost axis first: each pass joins runs of cells into one list
     for depth in range(len(shape) - 1, -1, -1):
         pad = "\n" + " " * (level + depth + 1)
@@ -84,68 +91,44 @@ def _float_texts(array):
     return cells
 
 
-def _render_floats(array, level, templates):
-    """A non-empty float array as ``json.dumps(array.tolist(), indent=1)``
-    renders it ``level`` levels deep, without json's per-value encoder.
+def _key(key):
+    """A dict key as json writes it: a string, or a scalar's text quoted."""
+    if not isinstance(key, (str, int, float)) and key is not None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return encode_basestring_ascii(key if isinstance(key, str) else _render(key, 0))
 
-    From the second array of a shape at a level on, its nested lists come
-    from a text kept in ``templates`` with a ``{}`` for each value.
-    """
-    key = (array.shape, level)
-    if key not in templates:
-        templates[key] = None
-        # unnamed, the texts of a large array are freed by _nest's first pass
-        return _nest(_float_texts(array), array.shape, level)
-    if templates[key] is None:
-        templates[key] = _nest(["{}"] * array.size, array.shape, level)
-    return templates[key].format(*_float_texts(array))
+
+def _render(value, level):
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=1)`` writes it ``level`` deep."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return json.dumps(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    if isinstance(value, (list, tuple)):
+        items, brackets = [_render(item, level + 1) for item in value], "[]"
+    elif isinstance(value, dict):  # sorted as json sorts them: by key, not by key text
+        items = [_key(k) + ": " + _render(v, level + 1) for k, v in sorted(value.items())]
+        brackets = "{}"
+    # half, single or double: the float dtypes whose tolist() yields Python floats
+    elif isinstance(value, np.ndarray) and value.dtype.char in "efd" and value.size:
+        return _nest(_float_texts(value), value.shape, level)
+    else:
+        return _render(_builtin(value), level)
+    if not items:
+        return brackets
+    pad = "\n" + " " * (level + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + " " * level + brackets[1]
 
 
 def canonical_json(value):
-    """Render ``value`` as deterministic JSON text.
-
-    Keys are sorted, the indent is one space, floats use Python's shortest
-    round-trip repr, and non-finite numbers use the Infinity/NaN literals
-    that :func:`json.loads` accepts.
-
-    ``json`` renders each float of an indented document in Python, so
-    non-empty float arrays are rendered by :func:`_render_floats` instead,
-    to the same text.  ``json.dumps`` first writes a placeholder string for
-    each; the placeholder is lengthened until no other text contains it.
-    """
-    arrays = []
-    tag = "\0"
-
-    def default(obj):
-        # tolist() yields Python floats only for dtypes no wider than double
-        if (
-            isinstance(obj, np.ndarray)
-            and obj.dtype.kind == "f"
-            and obj.dtype.itemsize <= 8
-            and obj.ndim
-            and obj.size
-        ):
-            arrays.append(obj)
-            return f"{tag}{len(arrays) - 1}"
-        return _builtin(obj)
-
-    while True:
-        arrays.clear()
-        text = json.dumps(value, sort_keys=True, indent=1, default=default)
-        # the quote that opens a placeholder, then the escaped tag
-        opening = json.dumps(tag)[:-1]
-        if text.count(opening) == len(arrays):
-            break
-        tag += "\0"
-    parts = re.split(re.escape(opening) + r'(\d+)"', text)
-    out = [parts[0]]
-    templates = {}
-    for index, tail in zip(parts[1::2], parts[2::2]):
-        # the placeholder's line is indented by its nesting level
-        line = out[-1].rsplit("\n", 1)[-1]
-        level = len(line) - len(line.lstrip(" "))
-        out += [_render_floats(arrays[int(index)], level, templates), tail]
-    return "".join(out)
+    """Render ``value`` as ``json.dumps(value, sort_keys=True, indent=1)`` does
+    with numpy values as builtins, through :func:`_render`, which writes the text."""
+    return _render(value, 0)
 
 
 def write_json(path, value):
@@ -184,6 +167,15 @@ def _read_artifact(path, schema, what, build):
 # CSV
 
 
+def _is_number(cell):
+    """Whether a CSV cell parses as a float: a header row has no such cell."""
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def _parse_row(cells):
     values = []
     for cell in cells:
@@ -198,7 +190,8 @@ def read_series(path, dt=1.0):
     """Read a multi-channel time series CSV into a TimeSeries.
 
     Columns are channels.  A single leading header row supplies channel
-    labels when its cells do not parse as numbers.
+    labels when none of its cells parses as a number; a first row with both
+    kinds of cell is a data row with a non-numeric cell.
     """
     if not os.path.exists(path):
         raise NotFoundError(f"no such file: {path}")
@@ -213,10 +206,10 @@ def read_series(path, dt=1.0):
             cells = [c.strip() for c in line.split(",")]
             parsed = _parse_row(cells)
             if parsed is None:
-                if not rows and labels is None:
-                    labels = cells
-                    continue
-                raise InputError(f"{path}:{lineno}: non-numeric cell in data row")
+                if rows or labels is not None or any(map(_is_number, cells)):
+                    raise InputError(f"{path}:{lineno}: non-numeric cell in data row")
+                labels = cells
+                continue
             if width is None:
                 width = len(parsed)
             elif len(parsed) != width:
@@ -239,7 +232,23 @@ def write_table(path, header, rows, comments=()):
 
     ``rows`` is an iterable of value sequences; floats are rendered with
     repr so they round-trip exactly.  ``comments`` become '#' footer lines.
+    A header cell that :func:`read_series` would not read back as its
+    column's name raises InvalidValue.
     """
+    # a number reads as data, a separator or line break splits the row,
+    # whitespace is stripped, a leading '#' comments the row out, a leading
+    # byte-order mark is dropped, and a blank row is skipped
+    for k, cell in enumerate(header):
+        if (
+            _is_number(cell)
+            or cell != cell.strip()
+            or "," in cell
+            or "\n" in cell
+            or "\r" in cell
+            or (k == 0 and cell.startswith(("#", "\ufeff")))
+            or (len(header) == 1 and not cell)
+        ):
+            raise InvalidValue(f"header cell {cell!r} would not read back as a column name")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -517,12 +526,13 @@ def comparison_to_dict(report):
 def parse_config(path, defaults):
     """Parse a flat key=value config file against ``defaults``.
 
-    Unknown keys are rejected.  Values are coerced to the type of the
-    default for the same key; booleans accept true/false/1/0.
+    Unknown and repeated keys are rejected.  Values are coerced to the type
+    of the default for the same key; booleans accept true/false/1/0.
     """
     if not os.path.exists(path):
         raise NotFoundError(f"no such config file: {path}")
     values = dict(defaults)
+    set_on = {}  # the line number that set each key
     with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -535,6 +545,11 @@ def parse_config(path, defaults):
             text = text.strip()
             if key not in defaults:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in set_on:
+                raise ConfigError(
+                    f"{path}:{lineno}: config key {key!r} already set on line {set_on[key]}"
+                )
+            set_on[key] = lineno
             values[key] = _coerce(key, text, defaults[key], path, lineno)
     return values
 

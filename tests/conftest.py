@@ -1,12 +1,16 @@
 """Shared fixtures: the reference chaotic series is expensive, so it is
 built once per session, the acceptance tests register one summary line
-per criterion that is printed after the run, and the exhaustive refinement
-loop serves as the oracle of the bounded one."""
+per criterion that is printed after the run, the exhaustive refinement
+loop serves as the oracle of the bounded one, and plain json as the
+oracle of the canonical JSON rendering."""
+
+import json
 
 import numpy as np
 import pytest
 
 import chaosid as ci
+from chaosid import io
 
 ACCEPTANCE_LINES = {}
 
@@ -41,6 +45,11 @@ def rossler_embedding(rossler_series):
     tau = ci.average_mutual_information(rossler_series, max_lag=100).lag
     m = ci.false_nearest_neighbors(rossler_series, tau=tau).m
     return ci.delay_embed(rossler_series, tau=tau, m=m)
+
+
+def json_oracle(value):
+    """The plain json rendering, which renders every float in Python."""
+    return json.dumps(value, sort_keys=True, indent=1, default=io._builtin)
 
 
 def exhaustive_best_fit(embedding, candidates, ridge_lambda):

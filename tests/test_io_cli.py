@@ -12,6 +12,7 @@ import pytest
 import chaosid as ci
 from chaosid import io
 from chaosid.cli import CONFIG_DEFAULTS, main
+from conftest import json_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -65,11 +66,6 @@ def test_canonical_json_handles_arrays_and_bools():
     assert back["pair"] == [1, "a"]
 
 
-def _json_oracle(value):
-    """The plain json rendering, which renders every float in Python."""
-    return json.dumps(value, sort_keys=True, indent=1, default=io._builtin)
-
-
 def test_canonical_json_renders_float_arrays_as_json_does():
     rng = np.random.default_rng(2)
     cube = rng.normal(size=(2, 3, 4)) * 10.0 ** rng.integers(-20, 20, size=(2, 3, 4))
@@ -90,11 +86,11 @@ def test_canonical_json_renders_float_arrays_as_json_does():
         {"many": [rng.normal(size=2) for _ in range(12)], "empty": [], "nested": {}},
     ]
     for doc in docs:
-        assert io.canonical_json(doc) == _json_oracle(doc)
+        assert io.canonical_json(doc) == json_oracle(doc)
 
 
 def test_canonical_json_placeholders_cannot_collide_with_strings():
-    # strings made of the placeholder's characters, as keys and values
+    # NUL-bearing strings, as keys and values, next to float arrays
     nul = "\0"
     doc = {
         nul: nul + "0",
@@ -102,7 +98,7 @@ def test_canonical_json_placeholders_cannot_collide_with_strings():
         '"' + nul: np.ones((2, 1)),
         "x": {nul + "0": np.arange(3.0), "y": nul * 2 + "0"},
     }
-    assert io.canonical_json(doc) == _json_oracle(doc)
+    assert io.canonical_json(doc) == json_oracle(doc)
 
 
 def _small_arrays(rng, count):
@@ -152,8 +148,8 @@ def test_canonical_json_renders_many_small_arrays_as_json_does():
         "transforms": symmetry["transforms"][:9],
         "empty": [np.zeros(0), {}, []],
     }
-    assert io.canonical_json(symmetry) == _json_oracle(symmetry)
-    assert io.canonical_json(doc) == _json_oracle(doc)
+    assert io.canonical_json(symmetry) == json_oracle(symmetry)
+    assert io.canonical_json(doc) == json_oracle(doc)
 
 
 def test_canonical_json_rejects_unsupported_objects():
@@ -231,6 +227,15 @@ def test_read_series_non_numeric_cell(tmp_path):
         io.read_series(path)
 
 
+@pytest.mark.parametrize("first_row", ["1.0,", "1.0,x"])
+def test_read_series_rejects_a_first_row_with_numeric_and_other_cells(tmp_path, first_row):
+    # such a row is a data row with a bad cell, not a header
+    path = tmp_path / "s.csv"
+    path.write_text(first_row + "\n2.0,3.0\n4.0,5.0\n")
+    with pytest.raises(ci.InputError, match=r"s\.csv:1: non-numeric cell in data row"):
+        io.read_series(path)
+
+
 def test_read_series_missing_file(tmp_path):
     with pytest.raises(ci.NotFoundError):
         io.read_series(tmp_path / "nothing.csv")
@@ -245,6 +250,34 @@ def test_series_round_trip_is_exact(tmp_path):
     back = io.read_series(path, dt=0.01)
     assert back.labels == ("p", "q", "r")
     assert np.array_equal(back.values, values)
+
+
+@pytest.mark.parametrize(
+    "labels", [("s",), ("lag", "acf"), ("x0", "y0"), ("a b", "b#", "\u03bb"), ("", "1a")]
+)
+def test_series_round_trip_keeps_every_label_it_accepts(tmp_path, labels):
+    values = np.arange(3.0 * len(labels)).reshape(3, len(labels))
+    path = tmp_path / "rt.csv"
+    io.write_series(path, ci.TimeSeries(values, dt=1.0, labels=labels))
+    back = io.read_series(path)
+    assert back.labels == labels
+    assert np.array_equal(back.values, values)
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [("1", "2"), ("a", "nan"), ("a,b", "c"), ("a\nb", "c"), ("a", "b\r"), (" a", "b"),
+     ("a", "b\t"), ("#a", "b"), ("\ufeffa", "b"), ("",)],
+)
+def test_write_series_rejects_labels_that_do_not_read_back(tmp_path, labels):
+    # numeric cells read as data, separators split the row, whitespace is
+    # stripped, a leading '#' makes a comment, a leading byte-order mark is
+    # dropped and an empty row is skipped
+    series = ci.TimeSeries(np.ones((3, len(labels))), dt=1.0, labels=labels)
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ci.InvalidValue, match="header cell"):
+        io.write_series(path, series)
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +423,16 @@ def test_parse_config_rejects_bad_bool(tmp_path):
     path.write_text("validate.enabled=maybe\n")
     with pytest.raises(ci.ConfigError):
         io.parse_config(path, CONFIG_DEFAULTS)
+
+
+def test_parse_config_rejects_a_repeated_key(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("embedding.tau = 5\n# later\nembedding.tau = 7\n")
+    message = r"run\.cfg:3: config key 'embedding\.tau' already set on line 1"
+    with pytest.raises(ci.ConfigError, match=message):
+        io.parse_config(path, CONFIG_DEFAULTS)
+    assert main(["pipeline", str(path)]) == 2
+    assert "already set on line 1" in capsys.readouterr().err
 
 
 def test_parse_config_rejects_missing_file(tmp_path):
@@ -624,17 +667,12 @@ def test_cli_unknown_fixture_exits_2(tmp_path, capsys):
 # pipeline
 
 
-def _pipeline_config(tmp_path, out_name):
+def _pipeline_config(tmp_path, out_name, settings="ga.population = 48\nga.generations = 60\n"):
     csv = tmp_path / "wave.csv"
     if not csv.exists():
         _write_wave_csv(csv, n=1500)
     cfg = tmp_path / f"{out_name}.cfg"
-    cfg.write_text(
-        f"input.path = {csv}\n"
-        "ga.population = 48\n"
-        "ga.generations = 60\n"
-        f"output.dir = {tmp_path / out_name}\n"
-    )
+    cfg.write_text(f"input.path = {csv}\n{settings}output.dir = {tmp_path / out_name}\n")
     return cfg
 
 
@@ -742,15 +780,16 @@ def test_cli_pipeline_pinned_constant_channel_fails_up_front(tmp_path, capsys):
 
 
 def _pinned_config(tmp_path, extra, out_name="pinned"):
-    """A fast pipeline config (tau and m pinned, a tiny GA) plus ``extra`` lines."""
-    cfg = _pipeline_config(tmp_path, out_name)
-    cfg.write_text(
-        cfg.read_text()
-        + "embedding.tau = 12\nembedding.m = 2\nga.population = 8\nga.generations = 5\n"
-        + extra
-        + "\n"
-    )
-    return cfg
+    """A fast pipeline config (tau and m pinned, a tiny GA) with the line
+    ``extra``, ``key = value``, in place of any pinned line of its key: a
+    config sets each key once."""
+    pinned = {"embedding.tau": "12", "embedding.m": "2", "ga.population": "8",
+              "ga.generations": "5"}
+    key, _, value = extra.partition("=")
+    if key.strip():
+        pinned[key.strip()] = value.strip()
+    settings = "".join(f"{k} = {v}\n" for k, v in pinned.items())
+    return _pipeline_config(tmp_path, out_name, settings)
 
 
 def _counting(calls, function):

@@ -1,6 +1,7 @@
 """Property tests: the artifact readers round-trip what the writers wrote,
-the config parser rejects every malformed line, basis refinement recovers
-any planted sinusoid phase and, bounded, fits at most two candidates of a
+the canonical JSON rendering is json's on any document, the config parser
+rejects every malformed line, basis refinement recovers any planted
+sinusoid phase and, bounded, fits at most two candidates of a
 planted sinusoid for the exhaustive loop's winner, the delay and dimension
 scans, the dominant period and the Lyapunov exponent do not see an exact
 power-of-two rescaling of the series, even one far from unit scale, a
@@ -17,11 +18,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
 
 import chaosid as ci  # noqa: E402
 from chaosid import identify, io, validate  # noqa: E402
 from chaosid.cli import CONFIG_DEFAULTS  # noqa: E402
-from conftest import exhaustive_best_fit  # noqa: E402
+from conftest import exhaustive_best_fit, json_oracle  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
@@ -136,9 +138,46 @@ def test_symmetry_json_round_trips_byte_for_byte(report):
     _rewrites_identically(io.write_symmetry_report, io.read_symmetry_report, report)
 
 
+FLOAT_DTYPES = (np.float16, np.float32, np.float64, np.longdouble)
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.text(max_size=8),  # any code point but a surrogate: control characters, non-ASCII
+    *(st.floats(width=min(64, 8 * np.dtype(t).itemsize)).map(t) for t in FLOAT_DTYPES),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    hnp.arrays(st.sampled_from(FLOAT_DTYPES),
+               hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)),
+    hnp.arrays(np.int64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3)),
+)
+# json sorts the keys of a dict, so they must compare: strings, numbers or None
+json_key_kinds = st.sampled_from(
+    [st.text(max_size=4), st.one_of(st.integers(), st.floats(), st.booleans()), st.none()]
+)
+json_documents = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        json_key_kinds.flatmap(lambda keys: st.dictionaries(keys, inner, max_size=4)),
+    ),
+    max_leaves=16,
+)
+
+
+@PROPERTY
+@given(json_documents)
+@example({10: "ten", 2: [np.float32(0.1), {-0.5: np.ones((2, 0))}],
+          3: np.array([[0.1, -np.inf]], dtype=np.longdouble)})
+@example({"\x00\x1f\u00e9": [("\u2028", np.float16(np.inf)), {None: [[np.array([np.nan])]]}]})
+def test_canonical_json_is_plain_json_on_any_document(document):
+    assert io.canonical_json(document) == json_oracle(document)
+
+
 @PROPERTY
 @given(
-    st.lists(st.sampled_from(["", "# note", "input.dt = 0.5", "  "]), max_size=3),
+    # a config sets each key once
+    st.lists(st.sampled_from(["", "# note", "input.dt = 0.5", "  "]), max_size=3).filter(
+        lambda lines: lines.count("input.dt = 0.5") < 2),
     text.filter(lambda line: "=" not in line and "\n" not in line and "\r" not in line
                 and line.strip() and not line.strip().startswith("#")),
 )
@@ -147,7 +186,7 @@ def test_parse_config_rejects_any_line_without_equals(valid_lines, bad_line):
         path = os.path.join(tmp, "run.cfg")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("\n".join([*valid_lines, bad_line]) + "\n")
-        with pytest.raises(ci.ConfigError):
+        with pytest.raises(ci.ConfigError, match=f":{len(valid_lines) + 1}: expected key=value"):
             io.parse_config(path, CONFIG_DEFAULTS)
 
 
