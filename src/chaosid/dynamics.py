@@ -11,6 +11,7 @@ played back and exercised by the command line tool.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -19,6 +20,7 @@ import numpy as np
 from .embedding import TimeSeries
 from .errors import InvalidValue, NonFiniteState, NotFoundError
 from .model import Exponential, ForcingBasis, Polynomial, Product, Sinusoid, StateSpaceModel
+from .validate import _integer
 
 
 @dataclass(frozen=True)
@@ -37,8 +39,13 @@ def rossler_rhs(state, a=0.2, b=0.2, c=5.7):
     dx1/dt = -(x2 + x3)
     dx2/dt = x1 + a*x2
     dx3/dt = b + x3*(x1 - c)
+
+    ``state`` is one state of three coordinates.  It is unpacked into
+    Python floats, so the six operations run on floats, not numpy
+    scalars, and give the same float64 values.  The result is a fresh
+    float64 array of shape (3,).
     """
-    x1, x2, x3 = state
+    x1, x2, x3 = np.asarray(state, dtype=float).tolist()
     return np.array([-(x2 + x3), x1 + a * x2, b + x3 * (x1 - c)])
 
 
@@ -59,39 +66,67 @@ def rk4_integrate(system, x0, dt, steps, transient_skip=0):
     The integrator advances ``transient_skip + steps`` fixed steps from
     ``x0`` and returns the last ``steps`` states as a TimeSeries, one
     channel per state coordinate.  The initial condition itself is not part
-    of the output.
+    of the output.  ``steps`` and ``transient_skip`` must be integers
+    (numpy integers included).
+
+    ``system.rhs`` receives a fresh float64 array of shape (dimension,) and
+    must return an array of that shape; its first result is checked.  The
+    state and the four stages are carried as lists of Python floats
+    between the calls, and ``x + h*k`` and ``x + dt/6*(k1 + 2k2 + 2k3 +
+    k4)`` are formed per component in the order numpy evaluates the array
+    expressions.  Each operation is one binary64 operation either way, so
+    every state is bitwise the state of the array form, without numpy's
+    per-call cost on arrays of a few elements.  The stage results are read
+    as float64 values.
 
     Raises
     ------
+    InvalidValue
+        on a bad argument, or when the first ``rhs`` result does not have
+        shape (dimension,).
     NonFiniteState
-        if any step produces NaN or infinity; the step index is reported.
+        if any step produces NaN or infinity; the first such step is
+        reported, as a check of every state after its step would report it.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    if x.shape != (system.dimension,):
-        raise InvalidValue(f"x0 has shape {x.shape}, expected ({system.dimension},)")
+    dimension = system.dimension
+    x = np.asarray(x0, dtype=float)
+    if x.shape != (dimension,):
+        raise InvalidValue(f"x0 has shape {x.shape}, expected ({dimension},)")
+    steps = _integer("steps", steps)
+    transient_skip = _integer("transient_skip", transient_skip)
     if steps < 2:
         raise InvalidValue(f"steps must be >= 2 to form a series, got {steps}")
     if transient_skip < 0:
         raise InvalidValue(f"transient_skip must be >= 0, got {transient_skip}")
     if not dt > 0:
         raise InvalidValue(f"dt must be positive, got {dt}")
-    total = transient_skip + steps
-    out = np.empty((steps, system.dimension))
+    # the coefficients as the array form computes them from dt, then as floats
+    half, full, sixth = float(0.5 * dt), float(dt), float(dt / 6.0)
+    out = np.empty((steps, dimension))
     rhs = system.rhs
-    half = 0.5 * dt
-    for k in range(total):
-        k1 = rhs(x)
-        k2 = rhs(x + half * k1)
-        k3 = rhs(x + half * k2)
-        k4 = rhs(x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
+    xs = x.tolist()
+    for k in range(transient_skip + steps):
+        k1 = rhs(np.array(xs))
+        if not k and np.shape(k1) != (dimension,):
+            raise InvalidValue(
+                f"rhs of {system.name} returned shape {np.shape(k1)}, expected ({dimension},)"
+            )
+        k1 = k1.tolist()
+        k2 = rhs(np.array([a + half * b for a, b in zip(xs, k1)])).tolist()
+        k3 = rhs(np.array([a + half * b for a, b in zip(xs, k2)])).tolist()
+        k4 = rhs(np.array([a + full * b for a, b in zip(xs, k3)])).tolist()
+        xs = [
+            a + sixth * (p + 2.0 * q + 2.0 * r + s)
+            for a, p, q, r, s in zip(xs, k1, k2, k3, k4)
+        ]
+        # a sum of finite values is not finite only when it overflows
+        if not math.isfinite(sum(xs)) and not all(map(math.isfinite, xs)):
             raise NonFiniteState(
                 f"integration of {system.name} diverged at step {k + 1}", step=k + 1
             )
         if k >= transient_skip:
-            out[k - transient_skip] = x
-    labels = tuple(f"x{i + 1}" for i in range(system.dimension))
+            out[k - transient_skip] = xs
+    labels = tuple(f"x{i + 1}" for i in range(dimension))
     return TimeSeries(values=out, dt=dt, labels=labels)
 
 

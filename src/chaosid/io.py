@@ -7,7 +7,8 @@ key=value configuration format.
 CSV dialect: comma separators, '.' decimal point, UTF-8 with or without a
 byte-order mark, LF or CRLF line endings, lines starting with '#' ignored,
 an optional single header row: a first row none of whose cells parses as a
-number.  :func:`write_table` refuses a header cell that would not read back.
+number.  :func:`write_table` refuses a header cell that would not read back,
+and a comment with a line break.
 
 JSON artifacts are written through :func:`canonical_json`: the text of
 ``json.dumps(value, sort_keys=True, indent=1)``, which sorts object keys,
@@ -230,10 +231,14 @@ def read_series(path, dt=1.0):
 def write_table(path, header, rows, comments=()):
     """Write a plot-ready CSV table.
 
-    ``rows`` is an iterable of value sequences; floats are rendered with
-    repr so they round-trip exactly.  ``comments`` become '#' footer lines.
-    A header cell that :func:`read_series` would not read back as its
-    column's name raises InvalidValue.
+    ``rows`` is an iterable of value sequences, or a 2-D array, whose rows
+    are turned into lists of Python scalars a block at a time: these
+    render to the same text as numpy scalars, at a fraction of the cost.
+    Floats are rendered with repr so they round-trip exactly.  ``comments``
+    become '#' footer lines, one line each.  A header cell that
+    :func:`read_series` would not read back as its column's name, or a
+    comment holding a line break, which would start a line that is no
+    comment, raises InvalidValue before anything is written.
     """
     # a number reads as data, a separator or line break splits the row,
     # whitespace is stripped, a leading '#' comments the row out, a leading
@@ -249,12 +254,30 @@ def write_table(path, header, rows, comments=()):
             or (len(header) == 1 and not cell)
         ):
             raise InvalidValue(f"header cell {cell!r} would not read back as a column name")
+    comments = [str(comment) for comment in comments]
+    for comment in comments:
+        if "\n" in comment or "\r" in comment:
+            raise InvalidValue(f"comment {comment!r} holds a line break")
+    if isinstance(rows, np.ndarray):
+        rows = _array_rows(rows)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_csv_cell(v) for v in row) + "\n")
         for comment in comments:
             fh.write(f"# {comment}\n")
+
+
+#: rows of an array that :func:`write_table` turns into lists at a time
+_BLOCK = 512
+
+
+def _array_rows(array):
+    """The rows of an array as lists of Python scalars, a block at a time:
+    they render faster than numpy scalars, and a block bounds the memory
+    their objects take."""
+    for at in range(0, len(array), _BLOCK):
+        yield from array[at : at + _BLOCK].tolist()
 
 
 def _csv_cell(value):

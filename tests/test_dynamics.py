@@ -84,6 +84,129 @@ def test_rk4_argument_validation():
         ci.rk4_integrate(_decay_system(), [1.0], dt=0.1, steps=1)
 
 
+def _oracle_rk4_integrate(system, x0, dt, steps, transient_skip=0):
+    """The integrator on float64 arrays, every stage one numpy expression:
+    the states and divergence step ``rk4_integrate`` must reproduce."""
+    x = np.asarray(x0, dtype=float).copy()
+    out = np.empty((steps, system.dimension))
+    rhs = system.rhs
+    half = 0.5 * dt
+    for k in range(transient_skip + steps):
+        k1 = rhs(x)
+        k2 = rhs(x + half * k1)
+        k3 = rhs(x + half * k2)
+        k4 = rhs(x + dt * k3)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(x)):
+            raise ci.NonFiniteState(f"diverged at step {k + 1}", step=k + 1)
+        if k >= transient_skip:
+            out[k - transient_skip] = x
+    return out
+
+
+def _lorenz_rhs(x, sigma=10.0, rho=28.0, beta=8.0 / 3.0):
+    return np.array([sigma * (x[1] - x[0]), x[0] * (rho - x[2]) - x[1], x[0] * x[1] - beta * x[2]])
+
+
+def _oracle_rossler_rhs(state, a=0.2, b=0.2, c=5.7):
+    """The Rossler right hand side on numpy scalars."""
+    x1, x2, x3 = np.asarray(state, dtype=float)
+    return np.array([-(x2 + x3), x1 + a * x2, b + x3 * (x1 - c)])
+
+
+def test_rossler_rhs_is_bitwise_its_numpy_scalar_form():
+    states = np.random.default_rng(5).normal(scale=20.0, size=(200, 3))
+    for state in states:
+        result = ci.rossler_rhs(state)
+        assert result.dtype == np.float64 and result.shape == (3,)
+        assert result.tobytes() == _oracle_rossler_rhs(state).tobytes()
+    assert ci.rossler_rhs([1, 2, 3], a=0.1).tobytes() == _oracle_rossler_rhs([1, 2, 3], a=0.1).tobytes()
+
+
+_ROTATION = np.array([[-0.1, 2.0], [-2.0, -0.1]])
+
+_ORACLE_CASES = {
+    "rossler": (ci.rossler(), [1.0, 1.0, 1.0], 0.05, 500, 2000),
+    "decay": (_decay_system(), [1.0], 0.1, 300, 0),
+    "rotation": (ci.OdeSystem("rotation", 2, lambda x: _ROTATION @ x), [1.0, -0.5], 0.03, 400, 17),
+    "lorenz": (ci.OdeSystem("lorenz", 3, _lorenz_rhs), [1.0, 1.0, 1.05], 0.01, 1500, 300),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_CASES))
+def test_rk4_states_are_bitwise_the_array_oracle(name):
+    system, x0, dt, steps, skip = _ORACLE_CASES[name]
+    series = ci.rk4_integrate(system, x0, dt=dt, steps=steps, transient_skip=skip)
+    if name == "rossler":  # the oracle integrates the numpy-scalar right hand side
+        system = ci.OdeSystem("rossler", 3, _oracle_rossler_rhs)
+    expected = _oracle_rk4_integrate(system, x0, dt, steps, skip)
+    assert series.values.dtype == np.float64 and series.values.shape == (steps, system.dimension)
+    assert series.values.tobytes() == expected.tobytes()
+
+
+def test_rk4_numpy_integer_counts_and_float32_step_match_the_oracle():
+    system, x0, _, _, _ = _ORACLE_CASES["rossler"]
+    dt = np.float32(0.05)
+    series = ci.rk4_integrate(system, x0, dt=dt, steps=np.int64(50), transient_skip=np.int32(7))
+    assert series.values.tobytes() == _oracle_rk4_integrate(system, x0, dt, 50, 7).tobytes()
+
+
+def test_rk4_rhs_always_receives_a_fresh_float64_state():
+    seen = []
+
+    def rhs(x):
+        seen.append(x)
+        return _ROTATION @ x
+
+    ci.rk4_integrate(ci.OdeSystem("rotation", 2, rhs), [1, 2], dt=0.1, steps=3, transient_skip=2)
+    assert len(seen) == 4 * 5
+    assert all(type(x) is np.ndarray and x.dtype == np.float64 and x.shape == (2,) for x in seen)
+    assert len({id(x) for x in seen}) == len(seen)
+
+
+@pytest.mark.parametrize("result", [np.zeros(1), np.zeros((3, 1)), np.zeros(4), np.float64(0.0)])
+def test_rk4_rejects_an_rhs_result_of_the_wrong_shape(result):
+    system = ci.OdeSystem(name="misshapen", dimension=3, rhs=lambda x: result)
+    with pytest.raises(ci.InvalidValue, match="misshapen"):
+        ci.rk4_integrate(system, [1.0, 1.0, 1.0], dt=0.1, steps=5)
+
+
+@pytest.mark.parametrize("skip, inside", [(0, False), (3, False), (40, True)])
+def test_rk4_divergence_step_matches_the_oracle(skip, inside):
+    """The quadratic blow-up overflows at one step; the integrator reports
+    the oracle's step whether it falls after the transient or inside it."""
+    blowup = ci.OdeSystem(name="blowup", dimension=2, rhs=lambda x: x * x)
+    steps = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, integrate in (("oracle", _oracle_rk4_integrate), ("rk4", ci.rk4_integrate)):
+            with pytest.raises(ci.NonFiniteState) as info:
+                integrate(blowup, [2.0, 1.0], 0.05, 60, skip)
+            steps[name] = info.value.step
+    assert steps["rk4"] == steps["oracle"]
+    assert (steps["oracle"] <= skip) == inside
+
+
+def test_rk4_finite_states_whose_sum_overflows_do_not_diverge():
+    still = ci.OdeSystem(name="still", dimension=2, rhs=lambda x: np.zeros(2))
+    series = ci.rk4_integrate(still, [1e308, 1e308], dt=0.1, steps=3)
+    assert np.array_equal(series.values, np.full((3, 2), 1e308))
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"steps": 2.5}, "steps"),
+        ({"steps": "5"}, "steps"),
+        ({"steps": 5.0}, "steps"),
+        ({"steps": 5, "transient_skip": 1.5}, "transient_skip"),
+        ({"steps": 5, "transient_skip": None}, "transient_skip"),
+    ],
+)
+def test_rk4_rejects_non_integral_step_counts(kwargs, name):
+    with pytest.raises(ci.InvalidValue, match=f"^{name} must be an integer"):
+        ci.rk4_integrate(_decay_system(), [1.0], dt=0.1, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # discrete playback
 

@@ -280,6 +280,56 @@ def test_write_series_rejects_labels_that_do_not_read_back(tmp_path, labels):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("comment", ["first\nsecond", "first\rsecond", "trailing\r\n", "\n"])
+def test_write_series_rejects_comments_with_a_line_break(tmp_path, comment):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ci.InvalidValue, match="line break"):
+        io.write_series(path, ci.TimeSeries(np.ones((3, 1)), dt=1.0), comments=("ok", comment))
+    assert not path.exists()
+
+
+def _oracle_write_table(path, header, rows, comments=()):
+    """The table writer that renders every cell from the row's own items,
+    numpy scalars included."""
+
+    def cell(value):
+        return repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
+
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(cell(v) for v in row) + "\n")
+        for comment in comments:
+            fh.write(f"# {comment}\n")
+
+
+def _tables():
+    rng = np.random.default_rng(25)
+    # more rows than two of write_table's blocks, the last one partial
+    wide = rng.normal(scale=1e3, size=(2 * io._BLOCK + 3, 3)) ** 3
+    wide[0] = [0.0, -0.0, 5e-324]
+    wide[1] = [1e308, 1 / 3, np.nan]
+    with np.errstate(over="ignore"):  # 1e308 becomes inf in float32
+        narrow = wide.astype(np.float32)
+    return {
+        "float64": wide,
+        "float32": narrow,
+        "int64": rng.integers(-(2**62), 2**62, size=(20, 2)),
+        "scalar tuples": list(zip(np.arange(30), rng.random(30), np.float32(rng.random(30)))),
+        "bools": np.array([[True, False], [False, True]]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_tables()))
+def test_write_table_is_byte_identical_to_the_per_cell_writer(tmp_path, name):
+    rows = _tables()[name]
+    header = [f"c{i}" for i in range(len(rows[0]))]
+    comments = ("spectral_radius=0.9997", "second note")
+    io.write_table(tmp_path / "new.csv", header, rows, comments=comments)
+    _oracle_write_table(tmp_path / "old.csv", header, rows, comments=comments)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # structured documents
 
@@ -836,9 +886,12 @@ def test_compare_artifacts_tool_finds_only_a_flipped_digit(tmp_path, capsys):
     output.dir, which the tool ignores; one changed digit in model.json
     makes it name that file and exit 1, and so does a report whose
     symmetry block is indented one space too deep, although it parses the
-    same."""
+    same, and a trajectory CSV with one changed digit."""
     for name in ("a", "b"):
         assert main(["pipeline", str(_pinned_config(tmp_path, "", out_name=name))]) == 0
+    for name in ("a", "b"):
+        model = str(tmp_path / "a" / "model.json")
+        assert main(["simulate", model, "--steps", "30", "--out-dir", str(tmp_path / name)]) == 0
     capsys.readouterr()
     tool = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools", "compare_artifacts.py")
     argv = [sys.executable, tool, str(tmp_path / "a"), str(tmp_path / "b")]
@@ -865,6 +918,15 @@ def test_compare_artifacts_tool_finds_only_a_flipped_digit(tmp_path, capsys):
     differ = subprocess.run(argv, capture_output=True, text=True)
     assert differ.returncode == 1
     assert differ.stdout.split() == ["model.json", "report.json"]
+
+    trajectory = tmp_path / "b" / "trajectory.csv"
+    text = trajectory.read_text()
+    at = next(i for i in range(text.index("\n"), len(text)) if text[i] in "123456789")
+    trajectory.write_text(text[:at] + ("2" if text[at] == "1" else "1") + text[at + 1 :])
+    differ = subprocess.run(argv, capture_output=True, text=True)
+    assert differ.returncode == 1
+    assert differ.stdout.split() == ["model.json", "report.json", "trajectory.csv"]
+    assert "6 artifacts in both trees, 3 differ" in differ.stderr
 
 
 def test_cli_pipeline_model_json_reproduces_the_free_run_bitwise(tmp_path, capsys):

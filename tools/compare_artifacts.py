@@ -2,9 +2,10 @@
 
     python3 tools/compare_artifacts.py A B
 
-Every ``embedding.json``, ``symmetry.json``, ``model.json`` and ``fit.json``
-found under A or B is matched by its path relative to the tree root and
-compared byte for byte.  ``report.json`` is compared as parsed JSON after
+Every ``embedding.json``, ``symmetry.json``, ``model.json``, ``fit.json``
+and ``*.csv`` (input series, diagnostics tables, trajectories) found under
+A or B is matched by its path relative to the tree root and compared byte
+for byte.  ``report.json`` is compared as parsed JSON after
 dropping ``timings``, ``config.input.path`` and ``config.output.dir``, the
 fields that depend on when and where the run happened, and its text must
 also be ``canonical_json`` of what it parses to, plus a newline, so a
@@ -33,7 +34,7 @@ def artifacts(root):
     found = set()
     for folder, _, files in os.walk(root):
         for name in files:
-            if name in BYTE_EXACT or name == REPORT:
+            if name in BYTE_EXACT or name == REPORT or name.endswith(".csv"):
                 found.add(os.path.relpath(os.path.join(folder, name), root))
     return found
 
