@@ -16,8 +16,8 @@ indents by one space and renders floats in Python's shortest round-trip repr,
 so that a rewrite of the same data is byte-identical and doubles survive a
 round trip exactly.  Indented, json renders every float in Python, so one
 recursive function, :func:`_render`, writes that text itself, one call per
-value; a float array is one value, whose elements are rendered in bulk and
-nested by its shape.
+value.  A float array is the list of its leading-axis entries, rendered in
+bulk one block of ``_BLOCK`` rows at a time and nested by their shape.
 
 Config files hold one ``key = value`` per line; an unknown or repeated key
 is an error.
@@ -68,8 +68,12 @@ def _builtin(value):
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+#: leading-axis rows of an array turned into Python scalars at a time
+_BLOCK = 512
+
+
 def _nest(cells, shape, level):
-    """Cell texts nested as the lists of an array of this shape, ``level`` deep."""
+    """Runs of cell texts nested as lists of this shape, ``level`` deep."""
     # innermost axis first: each pass joins runs of cells into one list
     for depth in range(len(shape) - 1, -1, -1):
         pad = "\n" + " " * (level + depth + 1)
@@ -79,7 +83,7 @@ def _nest(cells, shape, level):
             "[" + pad + ("," + pad).join(cells[i : i + width]) + close
             for i in range(0, len(cells), width)
         ]
-    return cells[0]
+    return cells
 
 
 def _float_texts(array):
@@ -116,14 +120,19 @@ def _render(value, level):
         items = [_key(k) + ": " + _render(v, level + 1) for k, v in sorted(value.items())]
         brackets = "{}"
     # half, single or double: the float dtypes whose tolist() yields Python floats
-    elif isinstance(value, np.ndarray) and value.dtype.char in "efd" and value.size:
-        return _nest(_float_texts(value), value.shape, level)
+    elif isinstance(value, np.ndarray) and value.dtype.char in "efd" and value.size and value.ndim:
+        blocks = (value[at : at + _BLOCK] for at in range(0, len(value), _BLOCK))
+        items = [t for b in blocks for t in _nest(_float_texts(b), value.shape[1:], level + 1)]
+        brackets = "[]"
     else:
         return _render(_builtin(value), level)
     if not items:
         return brackets
     pad = "\n" + " " * (level + 1)
-    return brackets[0] + pad + ("," + pad).join(items) + "\n" + " " * level + brackets[1]
+    # on the end items, so that the whole text is copied once
+    items[0] = brackets[0] + pad + items[0]
+    items[-1] += "\n" + " " * level + brackets[1]
+    return ("," + pad).join(items)
 
 
 def canonical_json(value):
@@ -197,7 +206,7 @@ def read_series(path, dt=1.0):
     if not os.path.exists(path):
         raise NotFoundError(f"no such file: {path}")
     labels = None
-    rows = []
+    values = []  # of all rows: a list per row takes more than its floats
     width = None
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -207,7 +216,7 @@ def read_series(path, dt=1.0):
             cells = [c.strip() for c in line.split(",")]
             parsed = _parse_row(cells)
             if parsed is None:
-                if rows or labels is not None or any(map(_is_number, cells)):
+                if values or labels is not None or any(map(_is_number, cells)):
                     raise InputError(f"{path}:{lineno}: non-numeric cell in data row")
                 labels = cells
                 continue
@@ -217,10 +226,10 @@ def read_series(path, dt=1.0):
                 raise InputError(
                     f"{path}:{lineno}: row has {len(parsed)} cells, expected {width}"
                 )
-            rows.append(parsed)
-    if not rows:
+            values.extend(parsed)
+    if not values:
         raise InputError(f"{path}: no data rows")
-    values = np.asarray(rows, dtype=float)
+    values = np.array(values).reshape(-1, width)
     if labels is not None and len(labels) != values.shape[1]:
         raise InputError(
             f"{path}: header names {len(labels)} columns, data has {values.shape[1]}"
@@ -236,9 +245,10 @@ def write_table(path, header, rows, comments=()):
     render to the same text as numpy scalars, at a fraction of the cost.
     Floats are rendered with repr so they round-trip exactly.  ``comments``
     become '#' footer lines, one line each.  A header cell that
-    :func:`read_series` would not read back as its column's name, or a
-    comment holding a line break, which would start a line that is no
-    comment, raises InvalidValue before anything is written.
+    :func:`read_series` would not read back as its column's name, a
+    comment holding a line break (it would start a line that is no
+    comment), or rows not 2-D or not as wide as the header raise
+    InvalidValue before anything is written.
     """
     # a number reads as data, a separator or line break splits the row,
     # whitespace is stripped, a leading '#' comments the row out, a leading
@@ -259,17 +269,19 @@ def write_table(path, header, rows, comments=()):
         if "\n" in comment or "\r" in comment:
             raise InvalidValue(f"comment {comment!r} holds a line break")
     if isinstance(rows, np.ndarray):
+        if rows.ndim != 2 or rows.shape[1] != len(header):
+            raise InvalidValue(f"array of shape {rows.shape} under {len(header)} header cells")
         rows = _array_rows(rows)
+    else:
+        rows = list(rows)
+        if any(len(row) != len(header) for row in rows):
+            raise InvalidValue(f"a row is not as wide as the {len(header)} header cells")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_csv_cell(v) for v in row) + "\n")
         for comment in comments:
             fh.write(f"# {comment}\n")
-
-
-#: rows of an array that :func:`write_table` turns into lists at a time
-_BLOCK = 512
 
 
 def _array_rows(array):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,10 +67,22 @@ def test_canonical_json_handles_arrays_and_bools():
     assert back["pair"] == [1, "a"]
 
 
+def _longer_than_a_block(rng, shape):
+    """An array of more than ``io._BLOCK`` leading-axis rows, with NaN,
+    infinities and -0.0 in blocks other than the first."""
+    assert shape[0] > io._BLOCK
+    a = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    rows = a.reshape(shape[0], -1)
+    rows[1, 0], rows[io._BLOCK, -1], rows[-1, 0], rows[io._BLOCK + 1, 0] = np.nan, np.inf, -np.inf, -0.0
+    return a
+
+
 def test_canonical_json_renders_float_arrays_as_json_does():
     rng = np.random.default_rng(2)
     cube = rng.normal(size=(2, 3, 4)) * 10.0 ** rng.integers(-20, 20, size=(2, 3, 4))
     cube[0, 1, 2], cube[1, 0, 0], cube[1, 2, 3], cube[0, 0, 0] = np.nan, np.inf, -np.inf, -0.0
+    # rendered a block of leading-axis rows at a time
+    long = [_longer_than_a_block(rng, shape) for shape in [(1025, 3), (600, 2, 2), (1500,)]]
     docs = [
         rng.normal(size=5),
         rng.normal(size=(4, 3)),
@@ -84,6 +97,8 @@ def test_canonical_json_renders_float_arrays_as_json_does():
         {"b": np.zeros((1, 0)), "a": cube, "c": [1, np.ones((1, 1)), "x"]},
         [[{"deep": [cube[0], {"deeper": [rng.normal(size=2), np.array([np.nan])]}]}]],
         {"many": [rng.normal(size=2) for _ in range(12)], "empty": [], "nested": {}},
+        *long,
+        {"b": long, "a": long[0]},
     ]
     for doc in docs:
         assert io.canonical_json(doc) == json_oracle(doc)
@@ -236,6 +251,48 @@ def test_read_series_rejects_a_first_row_with_numeric_and_other_cells(tmp_path, 
         io.read_series(path)
 
 
+def test_read_series_scratch_memory_on_the_reference(tmp_path, rossler_series):
+    """One flat list of floats: about 0.8 MiB for the 20000 rows, the
+    result included; a list per row took 3.1 MiB.  A first read of a small
+    file leaves out what is allocated once."""
+    io.write_series(tmp_path / "small.csv", ci.TimeSeries(np.ones((3, 1)), dt=1.0))
+    io.read_series(tmp_path / "small.csv")
+    path = tmp_path / "ref.csv"
+    io.write_series(path, rossler_series)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        series = io.read_series(path)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(series.values, rossler_series.values)
+    assert peak < 1.5 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("crlf", [False, True], ids=["LF", "CRLF"])
+@pytest.mark.parametrize("bom", [False, True], ids=["no BOM", "BOM"])
+@pytest.mark.parametrize("channels", [1, 2, 5])
+def test_read_series_reads_back_what_write_table_wrote(tmp_path, channels, bom, crlf):
+    rng = np.random.default_rng(channels)
+    shape = (2 * io._BLOCK + 5, channels)
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    big = np.finfo(float).max
+    values[0, 0], values[1, -1], values[2, 0], values[3, -1] = -0.0, 5e-324, big, -big
+    labels = tuple(f"c{i}" for i in range(channels))
+    path = tmp_path / "t.csv"
+    io.write_table(path, labels, values, comments=("a note",))
+    data = path.read_bytes()
+    if crlf:
+        data = data.replace(b"\n", b"\r\n")
+    if bom:
+        data = "\ufeff".encode("utf-8") + data
+    path.write_bytes(data)
+    back = io.read_series(path)
+    assert back.labels == labels
+    assert np.array_equal(back.values, values)
+
+
 def test_read_series_missing_file(tmp_path):
     with pytest.raises(ci.NotFoundError):
         io.read_series(tmp_path / "nothing.csv")
@@ -328,6 +385,25 @@ def test_write_table_is_byte_identical_to_the_per_cell_writer(tmp_path, name):
     io.write_table(tmp_path / "new.csv", header, rows, comments=comments)
     _oracle_write_table(tmp_path / "old.csv", header, rows, comments=comments)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "header, rows",
+    [
+        (["a"], np.arange(3.0)),
+        (["a", "b"], np.ones((2, 2, 2))),
+        (["a", "b"], np.ones((3, 3))),
+        (["a", "b"], [(1.0, 2.0), (3.0,)]),
+        (["a", "b"], [(1.0, 2.0), (3.0, 4.0, 5.0)]),
+    ],
+    ids=["1-D", "3-D", "wrong width", "short row", "long row"],
+)
+def test_write_table_refuses_rows_that_do_not_fit_the_header(tmp_path, header, rows):
+    path = tmp_path / "t.csv"
+    path.write_text("kept\n")
+    with pytest.raises(ci.InvalidValue):
+        io.write_table(path, header, rows)
+    assert path.read_text() == "kept\n"
 
 
 # ---------------------------------------------------------------------------
@@ -927,6 +1003,20 @@ def test_compare_artifacts_tool_finds_only_a_flipped_digit(tmp_path, capsys):
     assert differ.returncode == 1
     assert differ.stdout.split() == ["model.json", "report.json", "trajectory.csv"]
     assert "6 artifacts in both trees, 3 differ" in differ.stderr
+
+
+def test_compare_artifacts_tool_exits_2_when_nothing_is_compared(tmp_path):
+    """Two trees without artifacts, as a mistyped path gives, pass no gate."""
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+    (tmp_path / "b" / "notes.txt").write_text("not an artifact\n")
+    tool = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools", "compare_artifacts.py")
+    proc = subprocess.run(
+        [sys.executable, tool, str(tmp_path / "a"), str(tmp_path / "b")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "0 artifacts in both trees, 0 differ" in proc.stderr
 
 
 def test_cli_pipeline_model_json_reproduces_the_free_run_bitwise(tmp_path, capsys):

@@ -496,24 +496,30 @@ def test_box_edge_matches_the_dense_matrix_on_the_reference_delay_set(rossler_se
 
 
 def test_nearest_does_not_depend_on_the_pair_budget(monkeypatch):
-    """Chunks hold whole rows.  With budget 1 every row with a candidate
-    is a chunk of its own; with 7 and 64 a row with more candidates than
-    the budget starts a new chunk.  Indices equal the oracle's, and indices
-    and distances those of the default budget, bit for bit."""
+    """The rows go in key order through chunks of at most budget / 3^(k-1)
+    rows, and each chunk's pairs through parts of whole rows.  With budget
+    1 every row is a chunk of its own; with 7, 16, 64 and 100 the chunks
+    split the rows many times at k = 1, 2 and 3, and a row with more
+    candidates than the budget starts a new part.  Indices equal the
+    oracle's, and indices and distances those of the default budget, bit
+    for bit."""
     rng = np.random.default_rng(12)
     t = np.arange(360) * (2.0 * np.pi / 120.0)
+    wave = np.sin(0.3 * np.arange(260)) + 0.05 * rng.normal(size=260)
     cases = [(points, exclude) for points in _random_sets() for exclude in (0, 5)]
     cases += [
         (np.array(list(np.ndindex(5, 5, 5)), dtype=float), 1),
         (np.stack([np.cos(t), np.sin(t), 0.1 * np.sin(3.0 * t)], axis=1), 40),
         (rng.normal(size=(60, 3))[rng.integers(0, 60, size=200)], 0),
+        (_delay_set(wave, 5, 1), 0),
+        (_delay_set(wave, 5, 2), 3),
     ]
     for points, exclude in cases:
         nn_default, dist_default = nearest(points, exclude)
         nn_ref, dist_ref = _oracle_nearest(points, exclude)
         assert np.array_equal(nn_default, nn_ref)
         np.testing.assert_allclose(dist_default, dist_ref, rtol=1e-12, atol=0.0)
-        for budget in (1, 7, 64):
+        for budget in (1, 7, 16, 64, 100):
             monkeypatch.setattr(neighbors, "_PAIR_BUDGET", budget)
             nn, dist = nearest(points, exclude)
             monkeypatch.undo()
@@ -523,10 +529,12 @@ def test_nearest_does_not_depend_on_the_pair_budget(monkeypatch):
 
 @pytest.mark.parametrize("exclude", [0, 117])
 def test_nearest_scratch_memory_stays_bounded_on_the_reference_delay_set(rossler_series, exclude):
-    """Scratch linear in n: about 9 MiB here, the results included.  A
-    dense (64, n) distance matrix for the first box edge alone would take
-    about 30 MiB."""
+    """Scratch linear in n: about 4.5 MiB here, the results included; with
+    every row's key ranges held at once it took 8.8 MiB.  A dense (64, n)
+    distance matrix for the first box edge alone would take about 30 MiB.
+    A first call on a few points leaves out what numpy allocates once."""
     points = _delay_set(rossler_series.values[:, 0], 26, 3)
+    nearest(points[:200], exclude)
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
@@ -534,4 +542,4 @@ def test_nearest_scratch_memory_stays_bounded_on_the_reference_delay_set(rossler
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 2**20, peak / 2**20
+    assert peak < 6 * 2**20, peak / 2**20

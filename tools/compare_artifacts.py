@@ -12,7 +12,8 @@ also be ``canonical_json`` of what it parses to, plus a newline, so a
 report rendered with a wrong indent differs too.  A file found in only one
 tree counts as a difference.  ``chaosid`` is imported from ``src/`` of the
 checkout that holds this script.  Each differing file is printed, and
-the exit code is 1 on any difference, else 0.
+the exit code is 1 on any difference, 2 when no artifact is found in both
+trees (a mistyped path compares nothing), else 0.
 """
 
 from __future__ import annotations
@@ -81,6 +82,8 @@ def main(argv=None):
     for rel in differing:
         print(rel)
     print(f"{compared} artifacts in both trees, {len(differing)} differ", file=sys.stderr)
+    if not compared:
+        return 2
     return 1 if differing else 0
 
 
