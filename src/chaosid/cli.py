@@ -42,13 +42,7 @@ CONFIG_DEFAULTS = {
     "input.dt": 1.0,
     "embedding.tau": 0,
     "embedding.m": 0,
-    "ga.population": 64,
-    "ga.generations": 200,
-    "ga.residual_threshold": 0.05,
-    "ga.segment_window": 0,
-    "ga.segment_stride": 0,
     "validate.enabled": True,
-    "run.seed": 0,
     "output.dir": ".",
 }
 
@@ -111,17 +105,12 @@ def _embed(config):
 
 
 def _symmetry(config, embedding):
-    """Search segment transforms, classify them and write ``symmetry.json``;
-    returns the report."""
-    window = _automatic(config, "ga.segment_window") or 2 * embedding.tau * embedding.m
-    stride = _automatic(config, "ga.segment_stride") or max(window // 2, 1)
-    ga_config = GaConfig(
-        population=config["ga.population"],
-        generations=config["ga.generations"],
-        seed=config["run.seed"],
-        residual_threshold=config["ga.residual_threshold"],
-    )
-    segments = extract_segments(embedding, window, stride)
+    """Search transforms between segments of 2*tau*m states, half a window
+    apart, with the default ``GaConfig``; classify them, write
+    ``symmetry.json`` and return the report."""
+    window = 2 * embedding.tau * embedding.m
+    ga_config = GaConfig()
+    segments = extract_segments(embedding, window, window // 2)
     transforms = ga_search(segments, ga_config)
     # the search accepts against the diameter of the segments, not of all states
     diameter = attractor_diameter(segments)
@@ -243,6 +232,8 @@ def _parse_x0(text, n):
         raise InputError(f"bad --x0 value: {exc}") from exc
     if len(values) != n:
         raise InputError(f"--x0 has {len(values)} components, model needs {n}")
+    if not np.isfinite(values).all():
+        raise InputError(f"--x0 components must be finite, got {text!r}")
     return np.asarray(values)
 
 
@@ -399,13 +390,6 @@ def build_parser():
 
     p = sub.add_parser("symmetry", help="search segment-to-segment transforms")
     p.add_argument("embedding", help="embedding JSON from the embed command")
-    _config_flag(p, "--population", "ga.population")
-    _config_flag(p, "--generations", "ga.generations")
-    _config_flag(p, "--seed", "run.seed")
-    _config_flag(p, "--threshold", "ga.residual_threshold",
-                 help="acceptance residual as a fraction of the segments' diameter")
-    _config_flag(p, "--window", "ga.segment_window", help="segment length; 0 for 2*tau*m")
-    _config_flag(p, "--stride", "ga.segment_stride", help="segment stride; 0 for window/2")
     _config_flag(p, "--out-dir", "output.dir")
     p.set_defaults(func=cmd_symmetry)
 
@@ -435,7 +419,6 @@ def build_parser():
 
     p = sub.add_parser("pipeline", help="run every stage from a config file")
     p.add_argument("config", help="flat key=value config file")
-    _config_flag(p, "--seed", "run.seed", default=argparse.SUPPRESS, help="override run.seed")
     _config_flag(p, "--out-dir", "output.dir", default=argparse.SUPPRESS,
                  help="override output.dir")
     p.set_defaults(func=cmd_pipeline)

@@ -25,6 +25,7 @@ is an error.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -36,7 +37,6 @@ from .embedding import DelayEmbedding, TimeSeries
 from .errors import ConfigError, InputError, InvalidValue, NotFoundError
 from .model import (
     Exponential,
-    FitReport,
     ForcingBasis,
     Polynomial,
     Product,
@@ -156,6 +156,12 @@ def load_json(path):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _fields(obj, **extra):
+    """``extra`` and the fields of dataclass ``obj`` by name, as the JSON
+    renderer writes them: numpy values as builtins, tuples as lists."""
+    return {**extra, **{f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}}
 
 
 def _read_artifact(path, schema, what, build):
@@ -344,29 +350,10 @@ def read_embedding(path):
 # Forcing basis terms
 
 def term_to_dict(term):
-    if isinstance(term, Sinusoid):
-        return {
-            "type": "sinusoid",
-            "omega": term.omega,
-            "phi": term.phi,
-            "time_power": term.time_power,
-        }
-    if isinstance(term, Exponential):
-        return {"type": "exponential", "rate": term.rate, "time_power": term.time_power}
-    if isinstance(term, Polynomial):
-        return {
-            "type": "polynomial",
-            "degree": term.degree,
-            "coeffs": list(term.coeffs) if term.coeffs is not None else None,
-            "time_power": term.time_power,
-        }
+    doc = _fields(term, type=type(term).__name__.lower())
     if isinstance(term, Product):
-        return {
-            "type": "product",
-            "first": term_to_dict(term.first),
-            "second": term_to_dict(term.second),
-        }
-    raise TypeError(f"unknown basis term {type(term).__name__}")
+        doc.update(first=term_to_dict(term.first), second=term_to_dict(term.second))
+    return doc
 
 
 def term_from_dict(doc):
@@ -437,15 +424,9 @@ def read_model(path):
 
 
 def fit_report_to_dict(report):
-    return {
-        "residual_rms": list(np.atleast_1d(report.residual_rms)),
-        "one_step_nrmse": list(np.atleast_1d(report.one_step_nrmse)),
-        "free_run_nrmse": list(np.atleast_1d(report.free_run_nrmse)),
-        "condition_estimate": report.condition_estimate,
-        "ridge_lambda": report.ridge_lambda,
-        "basis_description": list(report.basis_description),
-        "warnings": list(report.warnings),
-    }
+    doc = _fields(report)
+    del doc["free_run"]
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -520,39 +501,15 @@ def read_symmetry_report(path):
 # Validation metrics
 
 def dimension_to_dict(est):
-    if est is None:
-        return None
-    return {
-        "dimension": est.dimension,
-        "r_squared": est.r_squared,
-        "fit_range": list(est.fit_range),
-        "reliable": est.reliable,
-        "n_points": est.n_points,
-        "warnings": list(est.warnings),
-    }
+    return _fields(est)
 
 
 def lyapunov_to_dict(est):
-    if est is None:
-        return None
-    return {
-        "exponent": est.exponent,
-        "fit_range": list(est.fit_range),
-        "n_pairs": est.n_pairs,
-        "warnings": list(est.warnings),
-    }
+    return _fields(est)
 
 
 def comparison_to_dict(report):
-    return {
-        "schema": COMPARISON_SCHEMA,
-        "nrmse": list(np.atleast_1d(report.nrmse)),
-        "histogram_distance": list(np.atleast_1d(report.histogram_distance)),
-        "dimension_delta": report.dimension_delta,
-        "reference_dimension": report.reference_dimension,
-        "modeled_dimension": report.modeled_dimension,
-        "warnings": list(report.warnings),
-    }
+    return _fields(report, schema=COMPARISON_SCHEMA)
 
 
 # ---------------------------------------------------------------------------

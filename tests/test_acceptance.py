@@ -399,8 +399,6 @@ def test_criterion_8_pipeline_determinism(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         f"input.path = {csv}\n"
-        "ga.population = 48\n"
-        "ga.generations = 60\n"
         "output.dir = out\n"
     )
     reports = []

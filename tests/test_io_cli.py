@@ -509,17 +509,17 @@ def test_parse_config_defaults_and_overrides(tmp_path):
         "# comment\n"
         "\n"
         "input.path = wave.csv\n"
-        "ga.population=80\n"
+        "embedding.tau=80\n"
         "input.dt = 0.25\n"
         "validate.enabled = false\n"
     )
     config = io.parse_config(path, CONFIG_DEFAULTS)
     assert config["input.path"] == "wave.csv"
-    assert config["ga.population"] == 80
+    assert config["embedding.tau"] == 80
     assert config["input.dt"] == 0.25
     assert config["validate.enabled"] is False
     # untouched keys keep their defaults
-    assert config["ga.generations"] == CONFIG_DEFAULTS["ga.generations"]
+    assert config["embedding.m"] == CONFIG_DEFAULTS["embedding.m"]
     path.write_text("validate.enabled = 1\n")
     assert io.parse_config(path, CONFIG_DEFAULTS)["validate.enabled"] is True
 
@@ -539,8 +539,8 @@ def test_parse_config_rejects_unknown_key(tmp_path):
 
 def test_parse_config_rejects_bad_value(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("ga.population=many\n")
-    with pytest.raises(ci.ConfigError, match="ga.population"):
+    path.write_text("embedding.tau=many\n")
+    with pytest.raises(ci.ConfigError, match="embedding.tau"):
         io.parse_config(path, CONFIG_DEFAULTS)
 
 
@@ -596,20 +596,7 @@ def test_cli_stage_chain(tmp_path, capsys):
     assert (tmp_path / "diagnostics_ami.csv").exists()
     assert (tmp_path / "diagnostics_fnn.csv").exists()
 
-    rc = main(
-        [
-            "symmetry",
-            str(tmp_path / "embedding.json"),
-            "--population",
-            "48",
-            "--generations",
-            "40",
-            "--threshold",
-            "0.01",
-            "--out-dir",
-            out,
-        ]
-    )
+    rc = main(["symmetry", str(tmp_path / "embedding.json"), "--out-dir", out])
     assert rc == 0
     report = io.read_symmetry_report(tmp_path / "symmetry.json")
     assert report.dominant_class is ci.TransformClass.ROTATION
@@ -733,7 +720,19 @@ def test_cli_bad_x0_exits_2(tmp_path, capsys):
     assert rc == 2
     rc = main(["simulate", str(path), "--x0", "1,2,3", "--out-dir", str(tmp_path)])
     assert rc == 2
-    capsys.readouterr()
+    # a non-finite start is bad input, not a divergence of the model
+    csv = tmp_path / "wave.csv"
+    _write_wave_csv(csv)
+    for x0 in ("nan", "inf", "-inf"):
+        capsys.readouterr()
+        rc = main(["simulate", str(path), f"--x0={x0}", "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "--x0 components must be finite" in capsys.readouterr().err
+        rc = main(["validate", str(csv), str(path), f"--x0={x0}", "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "--x0 components must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
+    assert not (tmp_path / "comparison.json").exists()
 
 
 def test_cli_validate_needs_a_model(tmp_path, capsys):
@@ -793,7 +792,7 @@ def test_cli_unknown_fixture_exits_2(tmp_path, capsys):
 # pipeline
 
 
-def _pipeline_config(tmp_path, out_name, settings="ga.population = 48\nga.generations = 60\n"):
+def _pipeline_config(tmp_path, out_name, settings=""):
     csv = tmp_path / "wave.csv"
     if not csv.exists():
         _write_wave_csv(csv, n=1500)
@@ -837,8 +836,7 @@ def test_cli_stages_chain_to_the_pipeline_artifacts(tmp_path, capsys):
     stages = str(tmp_path / "stages")
     assert main(["embed", str(tmp_path / "wave.csv"), "--out-dir", stages]) == 0
     embedding = os.path.join(stages, "embedding.json")
-    argv = ["symmetry", embedding, "--population", "48", "--generations", "60", "--out-dir", stages]
-    assert main(argv) == 0
+    assert main(["symmetry", embedding, "--out-dir", stages]) == 0
     symmetry = os.path.join(stages, "symmetry.json")
     assert main(["identify", embedding, symmetry, "--out-dir", stages]) == 0
     for name in ("embedding.json", "symmetry.json", "model.json", "fit.json"):
@@ -847,23 +845,20 @@ def test_cli_stages_chain_to_the_pipeline_artifacts(tmp_path, capsys):
 
 
 def test_cli_symmetry_threshold_is_the_one_the_search_applied(tmp_path, capsys):
-    # the appended extreme lies after the last full window, so the diameter
-    # of all states is three times that of the segments
+    # the appended extreme lies after the last full window (2*tau*m = 20
+    # states at a stride of 10), so the diameter of all states is three
+    # times that of the segments
     csv = tmp_path / "tail.csv"
     values = np.append(np.sin(0.3 * np.arange(200)), 5.0)
     io.write_series(csv, ci.TimeSeries(values.reshape(-1, 1), dt=1.0, labels=("y",)))
     out = str(tmp_path)
     assert main(["embed", str(csv), "--tau", "5", "--m", "2", "--out-dir", out]) == 0
-    argv = [
-        "symmetry", str(tmp_path / "embedding.json"), "--window", "20", "--stride", "10",
-        "--threshold", "0.2", "--population", "16", "--generations", "10", "--out-dir", out,
-    ]
-    assert main(argv) == 0
+    assert main(["symmetry", str(tmp_path / "embedding.json"), "--out-dir", out]) == 0
     segments = ci.extract_segments(io.read_embedding(tmp_path / "embedding.json"), 20, 10)
     diameter = ci.attractor_diameter(segments)
     doc = io.load_json(tmp_path / "symmetry.json")
     assert doc["diameter"] == pytest.approx(diameter, rel=1e-12)
-    assert doc["threshold"] == pytest.approx(0.2 * diameter, rel=1e-12)
+    assert doc["threshold"] == pytest.approx(0.05 * diameter, rel=1e-12)
     capsys.readouterr()
 
 
@@ -906,11 +901,10 @@ def test_cli_pipeline_pinned_constant_channel_fails_up_front(tmp_path, capsys):
 
 
 def _pinned_config(tmp_path, extra, out_name="pinned"):
-    """A fast pipeline config (tau and m pinned, a tiny GA) with the line
-    ``extra``, ``key = value``, in place of any pinned line of its key: a
-    config sets each key once."""
-    pinned = {"embedding.tau": "12", "embedding.m": "2", "ga.population": "8",
-              "ga.generations": "5"}
+    """A fast pipeline config (tau and m pinned) with the line ``extra``,
+    ``key = value``, in place of any pinned line of its key: a config sets
+    each key once."""
+    pinned = {"embedding.tau": "12", "embedding.m": "2"}
     key, _, value = extra.partition("=")
     if key.strip():
         pinned[key.strip()] = value.strip()
@@ -957,17 +951,70 @@ def test_cli_pipeline_dimensions_use_the_default_radii_and_a_tau_m_theiler_windo
     capsys.readouterr()
 
 
+_FIT_KEYS = {"residual_rms", "one_step_nrmse", "free_run_nrmse", "condition_estimate",
+             "ridge_lambda", "basis_description", "warnings"}
+_COMPARISON_KEYS = {"schema", "nrmse", "histogram_distance", "dimension_delta",
+                    "reference_dimension", "modeled_dimension", "warnings"}
+_TERM_KEYS = {
+    "sinusoid": {"type", "omega", "phi", "time_power"},
+    "exponential": {"type", "rate", "time_power"},
+    "polynomial": {"type", "degree", "coeffs", "time_power"},
+    "product": {"type", "first", "second"},
+}
+
+
+def test_documents_hold_exactly_their_keys(tmp_path, capsys):
+    """fit.json, the report's fit and metrics blocks, comparison.json and
+    every basis-term type hold these keys and no others, so a field added
+    to one of their dataclasses does not leak into a document unseen."""
+    assert main(["pipeline", str(_pinned_config(tmp_path, ""))]) == 0
+    out = tmp_path / "pinned"
+    assert set(io.load_json(out / "fit.json")) == _FIT_KEYS
+    report = io.load_json(out / "report.json")
+    assert set(report["fit"]) == _FIT_KEYS
+    metrics = report["metrics"]
+    assert set(metrics) == {"source_dimension", "model_dimension", "dimension_delta",
+                            "source_lyapunov", "free_run_comparison"}
+    for name in ("source_dimension", "model_dimension"):
+        assert set(metrics[name]) == {"dimension", "r_squared", "fit_range", "reliable",
+                                      "n_points", "warnings"}
+    assert set(metrics["source_lyapunov"]) == {"exponent", "fit_range", "n_pairs", "warnings"}
+    assert set(metrics["free_run_comparison"]) == _COMPARISON_KEYS
+    argv = ["validate", str(tmp_path / "wave.csv"), str(out / "model.json"), "--out-dir", str(out)]
+    assert main(argv) == 0
+    assert set(io.load_json(out / "comparison.json")) == _COMPARISON_KEYS
+
+    # the fixtures hold every term type, a Product and a Polynomial with coefficients among them
+    terms = []
+    for name in ci.fixture_names():
+        assert main(["fixtures", "--dump", name, "--out-dir", str(tmp_path)]) == 0
+        terms += io.load_json(tmp_path / f"{name}_model.json")["basis"]
+    seen = set()
+    while terms:
+        term = terms.pop()
+        seen.add(term["type"])
+        assert set(term) == _TERM_KEYS[term["type"]]
+        if term["type"] == "product":
+            terms += [term["first"], term["second"]]
+        elif term["type"] == "polynomial":
+            assert term["coeffs"] == [-0.93, -2.0, 1.0]
+    assert seen == set(_TERM_KEYS)
+    capsys.readouterr()
+
+
 def test_compare_artifacts_tool_finds_only_a_flipped_digit(tmp_path, capsys):
     """Two runs of one config differ only in their reports' timings and
     output.dir, which the tool ignores; one changed digit in model.json
     makes it name that file and exit 1, and so does a report whose
     symmetry block is indented one space too deep, although it parses the
-    same, and a trajectory CSV with one changed digit."""
+    same, a trajectory CSV and a fixture dump with one changed digit."""
     for name in ("a", "b"):
         assert main(["pipeline", str(_pinned_config(tmp_path, "", out_name=name))]) == 0
     for name in ("a", "b"):
         model = str(tmp_path / "a" / "model.json")
         assert main(["simulate", model, "--steps", "30", "--out-dir", str(tmp_path / name)]) == 0
+        argv = ["fixtures", "--dump", "Example3_ViscousFluid", "--out-dir", str(tmp_path / name)]
+        assert main(argv) == 0
     capsys.readouterr()
     tool = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools", "compare_artifacts.py")
     argv = [sys.executable, tool, str(tmp_path / "a"), str(tmp_path / "b")]
@@ -1002,7 +1049,18 @@ def test_compare_artifacts_tool_finds_only_a_flipped_digit(tmp_path, capsys):
     differ = subprocess.run(argv, capture_output=True, text=True)
     assert differ.returncode == 1
     assert differ.stdout.split() == ["model.json", "report.json", "trajectory.csv"]
-    assert "6 artifacts in both trees, 3 differ" in differ.stderr
+    assert "7 artifacts in both trees, 3 differ" in differ.stderr
+
+    dump = tmp_path / "b" / "Example3_ViscousFluid_model.json"
+    text = dump.read_text()
+    at = next(i for i, c in enumerate(text) if c in "123456789")
+    dump.write_text(text[:at] + ("2" if text[at] == "1" else "1") + text[at + 1 :])
+    differ = subprocess.run(argv, capture_output=True, text=True)
+    assert differ.returncode == 1
+    assert differ.stdout.split() == [
+        "Example3_ViscousFluid_model.json", "model.json", "report.json", "trajectory.csv"
+    ]
+    assert "7 artifacts in both trees, 4 differ" in differ.stderr
 
 
 def test_compare_artifacts_tool_exits_2_when_nothing_is_compared(tmp_path):
@@ -1059,18 +1117,23 @@ def test_cli_pipeline_diverged_free_run(tmp_path, monkeypatch, capsys, validate)
         assert any(w.startswith("free run diverged") for w in doc["warnings"])
 
 
-def _run_expecting_exit_2(argv):
-    """Run ``python -m chaosid argv`` and return its stderr, which must be a
-    single ``error:`` report with exit code 2 and no traceback."""
+def _run_chaosid(argv):
+    """Run ``python -m chaosid argv``; returns the completed process."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ci.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "chaosid", *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+def _run_expecting_exit_2(argv):
+    """Run ``python -m chaosid argv`` and return its stderr, which must be a
+    single ``error:`` report with exit code 2 and no traceback."""
+    proc = _run_chaosid(argv)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
@@ -1082,8 +1145,14 @@ def _run_expecting_exit_2(argv):
 _REMOVED_KEYS = (
     "embedding.max_lag",
     "embedding.m_max",
+    "ga.population",
+    "ga.generations",
     "ga.mutation_rate",
     "ga.crossover_rate",
+    "ga.residual_threshold",
+    "ga.segment_window",
+    "ga.segment_stride",
+    "run.seed",
     "identify.ridge_lambda",
     "identify.free_run_steps",
     "validate.r_count",
@@ -1097,6 +1166,8 @@ _REMOVED_KEYS = (
     [
         "embedding.m_max = 0",
         "ga.population = 1",
+        "ga.generations = 60",
+        "ga.residual_threshold = 0.2",
         "ga.mutation_rate = 0.1",
         "ga.crossover_rate = 0.7",
         "validate.r_count = 4",
@@ -1114,18 +1185,14 @@ _REMOVED_KEYS = (
         "ga.segment_stride = -2",
         "run.seed = -1",
         "identify.free_run_steps = 0",
-        "symmetry --population 1",
-        "symmetry --window -4",
-        "symmetry --seed -1",
         "embed --tau -5",
         "embed with a nan cell",
     ],
 )
 def test_cli_invalid_value_exits_2_without_traceback(tmp_path, case):
-    command = case.split()[0]
     if "=" in case:
         argv = ["pipeline", str(_pinned_config(tmp_path, case))]
-    elif command == "embed":
+    else:
         csv = tmp_path / "series.csv"
         flags = []
         if case.endswith("nan cell"):
@@ -1134,24 +1201,41 @@ def test_cli_invalid_value_exits_2_without_traceback(tmp_path, case):
             _write_wave_csv(csv)
             flags = case.split()[1:]
         argv = ["embed", str(csv), *flags, "--out-dir", str(tmp_path)]
-    else:
-        embedding = tmp_path / "embedding.json"
-        states = np.random.default_rng(0).normal(size=(50, 2))
-        io.write_embedding(embedding, ci.DelayEmbedding(states=states, tau=1, m=2))
-        if command == "symmetry":
-            argv = ["symmetry", str(embedding), *case.split()[1:]]
-        else:
-            symmetry = tmp_path / "symmetry.json"
-            report = ci.classify_symmetry([], threshold=0.01, diameter=1.0)
-            io.write_symmetry_report(symmetry, report)
-            argv = ["identify", str(embedding), str(symmetry), *case.split()[1:]]
-        argv += ["--out-dir", str(tmp_path)]
     stderr = _run_expecting_exit_2(argv)
     if case.startswith(("validate.", "embedding.")):
         # rejected before the first stage writes its artifact
         assert not (tmp_path / "pinned" / "embedding.json").exists()
     if case.startswith(_REMOVED_KEYS):
         assert "unknown config key" in stderr
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "symmetry --population 1",
+        "symmetry --generations 60",
+        "symmetry --seed -1",
+        "symmetry --threshold 0.2",
+        "symmetry --window -4",
+        "symmetry --stride 10",
+        "pipeline --seed 1",
+    ],
+)
+def test_cli_removed_flag_exits_2_without_traceback(tmp_path, case):
+    """The GA and segment settings are constants: argparse refuses their
+    flags as unrecognized arguments, before any stage runs."""
+    command, *flags = case.split()
+    if command == "symmetry":
+        target = tmp_path / "embedding.json"
+        states = np.random.default_rng(0).normal(size=(50, 2))
+        io.write_embedding(target, ci.DelayEmbedding(states=states, tau=1, m=2))
+    else:
+        target = _pinned_config(tmp_path, "")
+    proc = _run_chaosid([command, str(target), *flags, "--out-dir", str(tmp_path / "out")])
+    assert proc.returncode == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -1207,7 +1291,7 @@ def test_cli_malformed_artifact_exits_2_without_traceback(tmp_path, case):
 
 def test_cli_pipeline_requires_input_path(tmp_path, capsys):
     cfg = tmp_path / "empty.cfg"
-    cfg.write_text("run.seed = 1\n")
+    cfg.write_text("embedding.tau = 1\n")
     rc = main(["pipeline", str(cfg)])
     assert rc == 2
     capsys.readouterr()

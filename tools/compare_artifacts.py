@@ -2,9 +2,10 @@
 
     python3 tools/compare_artifacts.py A B
 
-Every ``embedding.json``, ``symmetry.json``, ``model.json``, ``fit.json``
-and ``*.csv`` (input series, diagnostics tables, trajectories) found under
-A or B is matched by its path relative to the tree root and compared byte
+Every ``embedding.json``, ``symmetry.json``, ``model.json``, ``fit.json``,
+``comparison.json``, ``*_model.json`` (``fixtures --dump`` output) and
+``*.csv`` (input series, diagnostics tables, trajectories) found under A or
+B is matched by its path relative to the tree root and compared byte
 for byte.  ``report.json`` is compared as parsed JSON after
 dropping ``timings``, ``config.input.path`` and ``config.output.dir``, the
 fields that depend on when and where the run happened, and its text must
@@ -26,7 +27,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 from chaosid.io import canonical_json
 
-BYTE_EXACT = ("embedding.json", "symmetry.json", "model.json", "fit.json")
+BYTE_EXACT = ("embedding.json", "symmetry.json", "model.json", "fit.json", "comparison.json")
 REPORT = "report.json"
 
 
@@ -35,7 +36,7 @@ def artifacts(root):
     found = set()
     for folder, _, files in os.walk(root):
         for name in files:
-            if name in BYTE_EXACT or name == REPORT or name.endswith(".csv"):
+            if name in BYTE_EXACT or name == REPORT or name.endswith((".csv", "_model.json")):
                 found.add(os.path.relpath(os.path.join(folder, name), root))
     return found
 
