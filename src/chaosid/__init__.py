@@ -29,7 +29,6 @@ from .errors import (
     InputError,
     InsufficientData,
     InvalidValue,
-    LagOutOfRange,
     LengthMismatch,
     NonFiniteState,
     NoScalingRegion,

@@ -17,6 +17,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -311,7 +312,8 @@ def cmd_pipeline(args):
         print(f"correlation dimension: source {metrics['source_dimension']['dimension']:.3f}, "
               f"model {metrics['model_dimension']['dimension']:.3f}")
 
-    symmetry_doc = io.symmetry_report_to_dict(report)
+    # the decision; the transforms are only in symmetry.json
+    symmetry_doc = io.symmetry_report_to_dict(replace(report, transforms=[]))
     del symmetry_doc["transforms"]
     report_doc = {
         "schema": io.REPORT_SCHEMA,
@@ -323,7 +325,6 @@ def cmd_pipeline(args):
             "n_states": embedding.states.shape[0],
             "notes": notes,
         },
-        # the decision; the transforms are only in symmetry.json
         "symmetry": symmetry_doc,
         "symmetry_path": "symmetry.json",
         "model_path": "model.json",
@@ -432,9 +433,21 @@ def build_parser():
     return parser
 
 
+def _join_x0(argv):
+    """``argv`` with each ``--x0 VALUE`` as ``--x0=VALUE``: argparse takes a
+    VALUE such as -1,0,0, not a plain number but led by '-', for a flag."""
+    joined = []
+    for token in argv:
+        if joined and joined[-1] == "--x0":
+            joined[-1] = "--x0=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_x0(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ChaosidError as exc:

@@ -17,13 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    InsufficientData,
-    InvalidValue,
-    LagOutOfRange,
-    NotFoundError,
-    ZeroVariance,
-)
+from .errors import InsufficientData, InvalidValue, NotFoundError, ZeroVariance
 from .neighbors import nearest, unit_scale
 
 #: False nearest neighbour criteria (Kennedy, Brown & Abarbanel 1992): a
@@ -137,7 +131,7 @@ class DelayScan:
 
 @dataclass
 class AmiScan:
-    """AMI delay estimate; ``ami`` runs from lag 0 to one past the minimum, or to max_lag."""
+    """AMI delay estimate; ``ami`` runs from lag 0 to one past the minimum, or to n // 4."""
 
     lag: int
     lags: np.ndarray
@@ -166,16 +160,7 @@ def _get_channel(series, channel):
     return s
 
 
-def _resolve_max_lag(max_lag, n):
-    """The largest lag a scan of a length-``n`` series examines."""
-    if max_lag is None:
-        max_lag = max(1, n // 4)
-    if max_lag < 1 or max_lag >= n:
-        raise LagOutOfRange(f"max_lag={max_lag} outside [1, {n - 1}] for length {n}")
-    return max_lag
-
-
-def autocorrelation_delay(series, channel=0, max_lag=None):
+def autocorrelation_delay(series, channel=0):
     """Pick the smallest lag where the autocorrelation drops below 1/e.
 
     Parameters
@@ -183,19 +168,17 @@ def autocorrelation_delay(series, channel=0, max_lag=None):
     series : TimeSeries
     channel : int
         Channel to analyse.
-    max_lag : int, optional
-        Largest lag examined.  Defaults to n_samples // 4.
 
     Returns
     -------
     DelayScan
         ``lag`` is the first lag with normalized autocorrelation below 1/e.
-        If no lag up to ``max_lag`` crosses the threshold, ``lag`` is
-        ``max_lag`` and ``crossed_threshold`` is False with a warning.
+        The lags examined run to n_samples // 4 (at least 1); if none of
+        them crosses the threshold, ``lag`` is the last one and
+        ``crossed_threshold`` is False with a warning.
     """
     s = _get_channel(series, channel)
-    n = s.size
-    max_lag = _resolve_max_lag(max_lag, n)
+    max_lag = max(1, s.size // 4)
     centered = s - s.mean()
     denom = float(np.dot(centered, centered))
     acf = np.empty(max_lag + 1)
@@ -224,31 +207,28 @@ def _mutual_information(joint):
     return float(np.sum(pxy[mask] * np.log(pxy[mask] / outer[mask])))
 
 
-def average_mutual_information(series, channel=0, max_lag=None, bins=None):
+def average_mutual_information(series, channel=0):
     """Average mutual information between s[k] and s[k+lag] for each lag.
 
     The estimator is the plug-in mutual information of an equal-width joint
-    histogram.  The number of bins defaults to ceil(sqrt(n_samples)) capped
-    at 64, and the bin range is fixed to the full range of the channel so
-    that every lag is measured on the same grid.  Each sample is binned
-    once; the joint counts at a lag pair the bins of s[k] and s[k+lag].
+    histogram of min(64, ceil(sqrt(n_samples))) bins, whose range is fixed
+    to the full range of the channel so that every lag is measured on the
+    same grid.  Each sample is binned once; the joint counts at a lag pair
+    the bins of s[k] and s[k+lag].
 
     Returns
     -------
     AmiScan
         ``lag`` is the first strict local minimum L of the AMI curve; the
         scan stops at lag L + 1, which confirms it, so ``lags`` and ``ami``
-        hold lags 0..L+1.  When no local minimum exists up to ``max_lag``,
-        they hold lags 0..max_lag, the autocorrelation delay is used as a
-        fallback and a warning is recorded.
+        hold lags 0..L+1.  When no local minimum exists up to n_samples // 4
+        (at least 1), they hold every lag up to it, the autocorrelation delay
+        is used as a fallback and a warning is recorded.
     """
     s = _get_channel(series, channel)
     n = s.size
-    max_lag = _resolve_max_lag(max_lag, n)
-    if bins is None:
-        bins = int(min(64, np.ceil(np.sqrt(n))))
-    if bins < 2:
-        raise InvalidValue(f"bins must be >= 2, got {bins}")
+    max_lag = max(1, n // 4)
+    bins = int(min(64, np.ceil(np.sqrt(n))))
     # digitizing on the inner edges closes the top bin, as np.histogram2d does
     cell = np.digitize(s, np.linspace(np.min(s), np.max(s), bins + 1)[1:-1])
     lags = np.arange(max_lag + 1)
@@ -259,7 +239,7 @@ def average_mutual_information(series, channel=0, max_lag=None, bins=None):
         # lag confirms lag - 1 as the first strict local minimum
         if lag >= 2 and ami[lag - 2] > ami[lag - 1] < ami[lag]:
             return AmiScan(int(lag - 1), lags[: lag + 1], ami[: lag + 1], bins, minimum_found=True)
-    fallback = autocorrelation_delay(series, channel, max_lag)
+    fallback = autocorrelation_delay(series, channel)
     warnings = [
         f"no strict local minimum of AMI within max_lag={max_lag}; "
         f"fell back to the autocorrelation delay {fallback.lag}"

@@ -44,10 +44,6 @@ class ZeroVariance(DataError):
     """A channel is constant, so correlation statistics are undefined."""
 
 
-class LagOutOfRange(DataError):
-    """A requested lag exceeds what the series length supports."""
-
-
 class InsufficientData(DataError):
     """Too few samples, states, or segments for the requested operation."""
 

@@ -166,9 +166,9 @@ class ForcingBasis:
         return [term.describe() for term in self.terms]
 
 
-def polynomial_basis(max_degree=2):
-    """The fallback basis {1, t, t**2, ...} up to ``max_degree``."""
-    return ForcingBasis(tuple(Polynomial(d) for d in range(max_degree + 1)))
+def polynomial_basis():
+    """The fallback basis {1, t, t**2}."""
+    return ForcingBasis((Polynomial(0), Polynomial(1), Polynomial(2)))
 
 
 @dataclass(frozen=True)

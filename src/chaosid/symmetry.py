@@ -420,7 +420,7 @@ def _basis_for(cls):
         return ForcingBasis((Sinusoid(omega=1.0, phi=0.0),))
     if cls is TransformClass.SCALING:
         return ForcingBasis((Exponential(rate=1.0),))
-    return polynomial_basis(2)
+    return polynomial_basis()
 
 
 def classify_symmetry(transforms, threshold, diameter=None):
@@ -519,13 +519,13 @@ def seed_basis_parameters(report, transforms, dt, window):
         ]
         if not angles:
             return BasisSeed(
-                basis=polynomial_basis(2),
+                basis=polynomial_basis(),
                 warnings=["no rotation transforms to seed from; polynomial fallback"],
             )
         omega = float(np.median(angles)) / span
         if omega == 0.0:
             return BasisSeed(
-                basis=polynomial_basis(2),
+                basis=polynomial_basis(),
                 warnings=["median rotation angle is zero; polynomial fallback"],
             )
         return BasisSeed(basis=ForcingBasis((Sinusoid(omega=omega, phi=0.0),)))
@@ -540,13 +540,13 @@ def seed_basis_parameters(report, transforms, dt, window):
         ]
         if not rates:
             return BasisSeed(
-                basis=polynomial_basis(2),
+                basis=polynomial_basis(),
                 warnings=["no scaling transforms to seed from; polynomial fallback"],
             )
         rate = float(np.median(rates)) / span
         if abs(rate) < 1e-15:
             return BasisSeed(
-                basis=polynomial_basis(2),
+                basis=polynomial_basis(),
                 warnings=[
                     "median scale is 1, the exponential term would be constant; "
                     "polynomial fallback"
@@ -554,4 +554,4 @@ def seed_basis_parameters(report, transforms, dt, window):
             )
         return BasisSeed(basis=ForcingBasis((Exponential(rate=rate),)))
 
-    return BasisSeed(basis=polynomial_basis(2))
+    return BasisSeed(basis=polynomial_basis())

@@ -23,6 +23,9 @@ from .neighbors import nearest, pair_distance_counts, unit_scale
 
 #: Number of log-spaced radius bins of the correlation sum.
 R_COUNT = 32
+#: Largest point set the correlation sum counts; a larger one is subsampled
+#: with an even stride.
+MAX_POINTS = 8000
 # the scaling fit reads only bins with C(r) at or below this level
 _FIT_LEVEL = 0.2
 # the pilot count takes every this many points, and places the cut at the
@@ -82,11 +85,13 @@ def _fit_counts(points, edges, theiler):
     return pair_distance_counts(points, edges, theiler)
 
 
-def correlation_dimension(data, theiler_window=0, max_points=8000):
+def correlation_dimension(data, theiler_window=0):
     """Grassberger-Procaccia correlation dimension.
 
-    Pairs are counted over ``R_COUNT`` (32) log-spaced radii from 1e-3 of
-    the point set's diameter up to the diameter.  Only the pairs below a
+    A set of more than ``MAX_POINTS`` (8000) points is first subsampled to
+    that many with an even stride, the Theiler window thinned by the same
+    factor.  Pairs are counted over ``R_COUNT`` (32) log-spaced radii from
+    1e-3 of the point set's diameter up to the diameter.  Only the pairs below a
     cut taken from a pilot count on every 8th point are binned; unless more
     than 0.2 of all pairs fall below it, the pairs are counted again in
     full.  Either way every bin the scaling fit reads is exact, so the
@@ -99,8 +104,6 @@ def correlation_dimension(data, theiler_window=0, max_points=8000):
     theiler_window : int
         Pairs closer than this in time are excluded.  Python and numpy
         integers are accepted.
-    max_points : int, optional
-        Evenly strided subsample bound; None uses every point.
 
     Returns
     -------
@@ -113,8 +116,8 @@ def correlation_dimension(data, theiler_window=0, max_points=8000):
     NoScalingRegion
         when no stretch of at least four bins has a locally constant slope.
     InvalidValue
-        when a point is not finite, theiler_window or max_points is not an
-        integer, theiler_window < 0 or max_points < 10.
+        when a point is not finite, theiler_window is not an integer or
+        theiler_window < 0.
     """
     points = _points_of(data)
     n = points.shape[0]
@@ -123,19 +126,15 @@ def correlation_dimension(data, theiler_window=0, max_points=8000):
     if not np.isfinite(points).all():
         raise InvalidValue("correlation dimension needs finite points")
     theiler_window = _integer("theiler_window", theiler_window)
-    if max_points is not None:
-        max_points = _integer("max_points", max_points)
     if theiler_window < 0:
         raise InvalidValue(f"theiler_window must be >= 0, got {theiler_window}")
-    if max_points is not None and max_points < 10:
-        raise InvalidValue(f"max_points must be >= 10, got {max_points}")
-    if max_points is not None and n > max_points:
-        keep = np.linspace(0, n - 1, max_points).astype(np.intp)
+    if n > MAX_POINTS:
+        keep = np.linspace(0, n - 1, MAX_POINTS).astype(np.intp)
         points = points[keep]
         # thin the Theiler window with the same factor so it keeps excluding
         # the same time span
-        theiler_window = int(np.ceil(theiler_window * max_points / n))
-        n = max_points
+        theiler_window = int(np.ceil(theiler_window * MAX_POINTS / n))
+        n = MAX_POINTS
 
     points, shift = unit_scale(points)
     span = points.max(axis=0) - points.min(axis=0)
@@ -241,16 +240,16 @@ def dominant_period(values):
     return float(n / peak)
 
 
-def largest_lyapunov(embedding, mean_period=10.0, fit_range=None):
+def largest_lyapunov(embedding, mean_period=10.0):
     """Largest Lyapunov exponent by nearest neighbour divergence tracking.
 
     Every state is paired with its nearest neighbour at least
-    ``mean_period`` samples away in time; the mean log distance of the
-    surviving pairs is tracked up to the end of ``fit_range``, and the
-    exponent is the least squares slope over ``fit_range`` divided by the
-    embedding's sample interval.  Pairs are followed over a divergence
-    horizon of min(max(3 * mean_period, 10), n/4) steps, and only states
-    that many steps before the end are paired.
+    ``mean_period`` samples away in time.  The divergence horizon is
+    min(max(3 * mean_period, 10), n/4) steps, and only states that many
+    steps before the end are paired.  The mean log distance of the
+    surviving pairs is tracked over the first half of the horizon, and the
+    exponent is its least squares slope there divided by the embedding's
+    sample interval.
 
     Parameters
     ----------
@@ -258,13 +257,12 @@ def largest_lyapunov(embedding, mean_period=10.0, fit_range=None):
     mean_period : float
         Minimum temporal separation between neighbour pairs, in samples.
         Use the dominant oscillation period of the series.
-    fit_range : (int, int), optional
-        Step range fitted, within the horizon; defaults to its first half.
 
     Returns
     -------
     LyapunovEstimate
-        exponent in units of 1 / time.
+        exponent in units of 1 / time; ``fit_range`` is the step range
+        fitted, (0, horizon // 2).
     """
     n = embedding.n_states
     if n < 20:
@@ -273,7 +271,7 @@ def largest_lyapunov(embedding, mean_period=10.0, fit_range=None):
     # the slope does not see
     states = unit_scale(embedding.states)[0]
     separation = max(1, int(round(mean_period)))
-    # at least 5 steps, and at least 15 states to pair, from n >= 20
+    # at least 5 steps (2 fitted) and 15 states to pair, from n >= 20
     horizon = min(max(3 * separation, 10), n // 4)
     neighbor, dist = nearest(states[: n - horizon], separation)
     i_idx = np.flatnonzero(np.isfinite(dist) & (dist > 0.0))
@@ -281,13 +279,7 @@ def largest_lyapunov(embedding, mean_period=10.0, fit_range=None):
     if i_idx.size < 1:
         raise InsufficientData("no separated neighbour pairs with nonzero distance")
 
-    if fit_range is None:
-        fit_range = (0, max(2, horizon // 2))
-    lo, hi = fit_range
-    lo = max(0, int(lo))
-    hi = min(horizon, int(hi))
-    if hi - lo < 2:
-        raise InvalidValue(f"fit_range {fit_range} spans fewer than 2 steps")
+    hi = horizon // 2
 
     # squares summed in coordinate order, as np.linalg.norm does below m = 8
     curve = np.empty(hi)
@@ -303,11 +295,10 @@ def largest_lyapunov(embedding, mean_period=10.0, fit_range=None):
             continue
         curve[step] = float(np.mean(np.log(d[good])))
 
-    steps = np.arange(lo, hi)
-    slope = np.polyfit(steps, curve[lo:hi], 1)[0]
+    slope = np.polyfit(np.arange(hi), curve, 1)[0]
     return LyapunovEstimate(
         exponent=float(slope / embedding.dt),
-        fit_range=(lo, hi),
+        fit_range=(0, hi),
         n_pairs=int(i_idx.size),
     )
 
@@ -334,17 +325,16 @@ def _histogram_l1(a, b, bins=64):
     return float(np.sum(np.abs(pa - pb)))
 
 
-def compare(reference, modeled, tau=None, m=None, with_dimension=True):
+def compare(reference, modeled, with_dimension=True):
     """Compare a modeled series against its reference channel by channel.
 
     The NRMSE normalizes each channel's pointwise RMS error by the standard
     deviation of the reference channel.  The histogram distance is the L1
     distance between 64-bin normalized histograms over the common value
     range.  When ``with_dimension`` is set, channel 0 of both series is
-    delay embedded with a common (tau, m) and the difference of the two
-    correlation dimensions is reported; tau defaults to the reference's
-    first mutual-information minimum, m to 3, and the Theiler window of
-    both dimensions is tau * m.
+    delay embedded with tau at the reference's first mutual-information
+    minimum and m = 3, and the difference of the two correlation dimensions,
+    each with a Theiler window of tau * m, is reported.
 
     Raises
     ------
@@ -371,15 +361,11 @@ def compare(reference, modeled, tau=None, m=None, with_dimension=True):
     if not with_dimension:
         return report
     try:
-        if tau is None:
-            tau = average_mutual_information(reference, 0).lag
-        if m is None:
-            m = 3
-        theiler = tau * m
-        ref_emb = delay_embed(reference, 0, tau, m)
-        mod_emb = delay_embed(modeled, 0, tau, m)
-        ref_dim = correlation_dimension(ref_emb, theiler_window=theiler)
-        mod_dim = correlation_dimension(mod_emb, theiler_window=theiler)
+        tau = average_mutual_information(reference, 0).lag
+        ref_emb = delay_embed(reference, 0, tau, 3)
+        mod_emb = delay_embed(modeled, 0, tau, 3)
+        ref_dim = correlation_dimension(ref_emb, theiler_window=3 * tau)
+        mod_dim = correlation_dimension(mod_emb, theiler_window=3 * tau)
         report.reference_dimension = ref_dim.dimension
         report.modeled_dimension = mod_dim.dimension
         report.dimension_delta = abs(ref_dim.dimension - mod_dim.dimension)

@@ -42,7 +42,7 @@ def rossler_series():
 
 @pytest.fixture(scope="session")
 def rossler_embedding(rossler_series):
-    tau = ci.average_mutual_information(rossler_series, max_lag=100).lag
+    tau = ci.average_mutual_information(rossler_series).lag
     m = ci.false_nearest_neighbors(rossler_series, tau=tau).m
     return ci.delay_embed(rossler_series, tau=tau, m=m)
 

@@ -44,7 +44,7 @@ def _embedding_from_states(states, dt=1.0):
 def test_criterion_1_reference_round_trip(rossler_series):
     started = time.perf_counter()
 
-    tau = ci.average_mutual_information(rossler_series, max_lag=100).lag
+    tau = ci.average_mutual_information(rossler_series).lag
     fnn = ci.false_nearest_neighbors(rossler_series, tau=tau)
     m = fnn.m
     embedding = ci.delay_embed(rossler_series, tau=tau, m=m)

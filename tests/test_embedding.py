@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import chaosid as ci
-from chaosid.errors import InsufficientData, LagOutOfRange, NotFoundError, ZeroVariance
+from chaosid.errors import InsufficientData, NotFoundError, ZeroVariance
 
 
 def test_delay_embed_formula():
@@ -47,12 +47,6 @@ def test_delay_embed_too_short():
         ci.delay_embed(series, tau=5, m=3)
 
 
-def test_scan_lag_out_of_range():
-    series = ci.TimeSeries(np.arange(10.0), dt=1.0)
-    with pytest.raises(LagOutOfRange):
-        ci.autocorrelation_delay(series, max_lag=50)
-
-
 def test_time_series_channel_bounds():
     series = ci.TimeSeries(np.arange(6.0), dt=1.0)
     with pytest.raises(NotFoundError):
@@ -64,7 +58,7 @@ def test_acf_delay_matches_cosine_crossing():
     # and 1.1961 / (2 pi / 80) = 15.23
     k = np.arange(4000)
     series = ci.TimeSeries(np.cos(2.0 * np.pi * k / 80.0), dt=1.0)
-    scan = ci.autocorrelation_delay(series, max_lag=60)
+    scan = ci.autocorrelation_delay(series)
     assert scan.crossed_threshold
     assert scan.lag == 16
 
@@ -125,7 +119,8 @@ def test_ami_matches_brute_force():
     rng = np.random.default_rng(3)
     s = np.sin(0.17 * np.arange(600)) + 0.1 * rng.normal(size=600)
     series = ci.TimeSeries(s, dt=1.0)
-    scan = ci.average_mutual_information(series, max_lag=30)
+    scan = ci.average_mutual_information(series)
+    # the scan stops one lag past the oracle's minimum, long before n // 4
     oracle = _brute_force_ami(s, 30, scan.bins)
     assert _first_strict_minimum(oracle) is not None
     _assert_ami_stops_at_oracle_minimum(scan, oracle)
@@ -152,30 +147,31 @@ def _histogram2d_ami(s, max_lag, bins):
 @pytest.mark.parametrize("case", ["noisy sine", "integer valued", "two bins", "no minimum"])
 def test_ami_equals_per_lag_histogram2d(case):
     rng = np.random.default_rng(41)
-    bins = None
-    max_lag = 60
     if case == "noisy sine":
         s = np.sin(0.13 * np.arange(1500)) + 0.2 * rng.normal(size=1500)
     elif case == "integer valued":
-        # values 0..24 on 12 bins of width 2: every even value sits on an
-        # edge, and every 24 on the closed top edge
-        s = rng.integers(0, 25, size=5000).astype(float)
-        bins = 12
+        # 144 samples take 12 bins: values 0..24 on bins of width 2, so every
+        # even value sits on an edge, and every 24 on the closed top edge
+        s = rng.integers(0, 25, size=144).astype(float)
     elif case == "two bins":
-        s = np.cos(0.05 * np.arange(800)) + 0.1 * rng.normal(size=800)
-        bins = 2
+        # 4 samples take 2 bins, and their scan, to lag 4 // 4 = 1, is too
+        # short to find a minimum
+        s = np.cos(0.05 * np.arange(4)) + 0.1 * rng.normal(size=4)
     else:
-        # a random walk's AMI falls at every lag up to 20: the scan runs to
-        # max_lag and falls back to the autocorrelation delay
-        s = rng.normal(size=2000).cumsum()
-        max_lag = 20
+        # the AMI of this twice-integrated walk falls at every lag up to
+        # 24 // 4 = 6: the scan runs to the end and falls back to the
+        # autocorrelation delay
+        s = rng.normal(size=24).cumsum().cumsum()
     series = ci.TimeSeries(s, dt=1.0)
-    scan = ci.average_mutual_information(series, max_lag=max_lag, bins=bins)
-    oracle = _histogram2d_ami(s, max_lag, scan.bins)
+    scan = ci.average_mutual_information(series)
+    oracle = _histogram2d_ami(s, len(s) // 4, scan.bins)
     _assert_ami_stops_at_oracle_minimum(scan, oracle)
     assert np.array_equal(scan.ami, oracle[: scan.ami.size])
-    if case == "no minimum":
-        assert scan.lag == ci.autocorrelation_delay(series, max_lag=max_lag).lag
+    if case == "two bins":
+        assert scan.bins == 2
+    if case in ("two bins", "no minimum"):
+        assert not scan.minimum_found
+        assert scan.lag == ci.autocorrelation_delay(series).lag
         assert scan.warnings
 
 
@@ -183,8 +179,8 @@ def test_ami_shuffled_series_is_flat():
     rng = np.random.default_rng(5)
     s = np.sin(0.12 * np.arange(2000))
     shuffled = rng.permutation(s)
-    original = ci.average_mutual_information(ci.TimeSeries(s, dt=1.0), max_lag=40)
-    flat = ci.average_mutual_information(ci.TimeSeries(shuffled, dt=1.0), max_lag=40)
+    original = ci.average_mutual_information(ci.TimeSeries(s, dt=1.0))
+    flat = ci.average_mutual_information(ci.TimeSeries(shuffled, dt=1.0))
     # compare past the lag-0 self-information spike, which both curves share
     assert np.ptp(flat.ami[1:]) < 0.25 * np.ptp(original.ami[1:])
 
@@ -192,8 +188,8 @@ def test_ami_shuffled_series_is_flat():
 def test_ami_deterministic():
     rng = np.random.default_rng(9)
     s = rng.normal(size=500).cumsum()
-    a = ci.average_mutual_information(ci.TimeSeries(s, dt=1.0), max_lag=25)
-    b = ci.average_mutual_information(ci.TimeSeries(s, dt=1.0), max_lag=25)
+    a = ci.average_mutual_information(ci.TimeSeries(s, dt=1.0))
+    b = ci.average_mutual_information(ci.TimeSeries(s, dt=1.0))
     assert a.lag == b.lag
     assert np.array_equal(a.ami, b.ami)
 

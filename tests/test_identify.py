@@ -321,7 +321,7 @@ def test_refine_basis_fits_several_phases_in_term_order():
 def test_refine_basis_without_free_parameters_is_identity():
     rng = np.random.default_rng(28)
     states = np.cumsum(rng.normal(size=(60, 2)), axis=0)
-    basis = ci.polynomial_basis(2)
+    basis = ci.polynomial_basis()
     best, report = ci.refine_basis(_embedding(states), basis)
     assert best.terms == basis.terms
     assert report.residual_rms.shape == (2,)

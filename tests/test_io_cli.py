@@ -735,6 +735,41 @@ def test_cli_bad_x0_exits_2(tmp_path, capsys):
     assert not (tmp_path / "comparison.json").exists()
 
 
+def _decay_model(path):
+    """A two-state model that halves its state every step, observing both."""
+    model = ci.StateSpaceModel(
+        A=0.5 * np.eye(2), B=np.zeros((2, 0)), C=np.eye(2), basis=ci.ForcingBasis(()), dt=1.0
+    )
+    io.write_model(path, model)
+    return model
+
+
+@pytest.mark.parametrize("form", [["--x0", "-1,0.5"], ["--x0=-1,0.5"]])
+def test_cli_simulate_starts_at_a_negative_x0(tmp_path, capsys, form):
+    path = tmp_path / "model.json"
+    _decay_model(path)
+    rc = main(["simulate", str(path), "--steps", "5", *form, "--out-dir", str(tmp_path)])
+    assert rc == 0
+    trajectory = io.read_series(tmp_path / "trajectory.csv").values
+    assert trajectory[0].tolist() == [-1.0, 0.5, -1.0, 0.5]
+    assert trajectory[-1].tolist() == [-1 / 16, 1 / 32, -1 / 16, 1 / 32]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("form", [["--x0", "-1,0.5"], ["--x0=-1,0.5"]])
+def test_cli_validate_starts_the_free_run_at_a_negative_x0(tmp_path, capsys, form):
+    path = tmp_path / "model.json"
+    model = _decay_model(path)
+    _, outputs = ci.simulate(model, x0=[-1.0, 0.5], steps=40)
+    csv = tmp_path / "reference.csv"
+    io.write_series(csv, ci.TimeSeries(outputs, dt=1.0))
+    rc = main(["validate", str(csv), str(path), *form, "--no-dimension", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    # the run from zeros would miss the reference entirely
+    assert io.load_json(tmp_path / "comparison.json")["nrmse"] == [0.0, 0.0]
+    capsys.readouterr()
+
+
 def test_cli_validate_needs_a_model(tmp_path, capsys):
     csv = tmp_path / "wave.csv"
     _write_wave_csv(csv)

@@ -81,10 +81,11 @@ def test_correlation_dimension_accepts_embedding():
     assert 0.9 < est.dimension < 1.1
 
 
-def test_correlation_dimension_subsample_bound():
+def test_correlation_dimension_subsample_bound(monkeypatch):
+    monkeypatch.setattr(validate, "MAX_POINTS", 1000)
     rng = np.random.default_rng(45)
     points = rng.uniform(0.0, 1.0, size=(3000, 2))
-    est = ci.correlation_dimension(points, max_points=1000)
+    est = ci.correlation_dimension(points)
     assert est.n_points == 1000
     assert 1.8 < est.dimension < 2.2
 
@@ -108,8 +109,6 @@ def test_correlation_dimension_rejects_non_finite_points(bad):
     [
         {"theiler_window": 2.0},
         {"theiler_window": np.float64(3.0)},
-        {"max_points": 10.5},
-        {"max_points": 1000.0},
     ],
 )
 def test_correlation_dimension_rejects_non_integral_counts(kwargs):
@@ -119,10 +118,12 @@ def test_correlation_dimension_rejects_non_integral_counts(kwargs):
 
 
 @pytest.mark.parametrize("integer", [int, np.int64, np.int32, np.intp])
-def test_correlation_dimension_accepts_python_and_numpy_integers(integer):
+def test_correlation_dimension_accepts_python_and_numpy_integers(integer, monkeypatch):
+    # a subsample, so that the window is thinned too
+    monkeypatch.setattr(validate, "MAX_POINTS", 1000)
     points = np.random.default_rng(48).uniform(0.0, 1.0, size=(1500, 2))
-    ref = ci.correlation_dimension(points, theiler_window=3, max_points=1000)
-    est = ci.correlation_dimension(points, theiler_window=integer(3), max_points=integer(1000))
+    ref = ci.correlation_dimension(points, theiler_window=3)
+    est = ci.correlation_dimension(points, theiler_window=integer(3))
     assert est == ref
 
 
@@ -227,12 +228,11 @@ def test_lyapunov_needs_enough_states():
         ci.largest_lyapunov(_embedding_from_states(np.zeros((10, 2))))
 
 
-def test_lyapunov_explicit_fit_range():
+def test_lyapunov_fits_the_first_half_of_the_horizon():
+    # 80 states at period 5 give a horizon of min(max(15, 10), 80 // 4) = 15
     states = (0.9 ** np.arange(80.0)).reshape(-1, 1)
-    est = ci.largest_lyapunov(
-        _embedding_from_states(states), mean_period=5, fit_range=(2, 10)
-    )
-    assert est.fit_range == (2, 10)
+    est = ci.largest_lyapunov(_embedding_from_states(states), mean_period=5)
+    assert est.fit_range == (0, 7)
     assert np.isclose(est.exponent, np.log(0.9), atol=1e-9)
 
 
@@ -343,6 +343,7 @@ def test_compare_dimension_warning_on_short_series():
     values = rng.normal(size=(11, 1))
     ref = ci.TimeSeries(values, dt=1.0)
     mod = ci.TimeSeries(values + 0.1, dt=1.0)
-    report = ci.compare(ref, mod, tau=2, m=2)
+    # the 11 samples scan AMI to lag 2, and m = 3 leaves at most 9 states
+    report = ci.compare(ref, mod)
     assert report.dimension_delta is None
     assert any("correlation dimension unavailable" in w for w in report.warnings)
