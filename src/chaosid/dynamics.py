@@ -1,11 +1,12 @@
 """Reference dynamics, integration, and playback of identified models.
 
 The continuous side provides the Rossler system and a fixed-step fourth
-order Runge-Kutta integrator for generating benchmark data.  The discrete
-side iterates identified models x(k+1) = A x(k) + B phi(k).  The module also
-bundles three published reference models (a cooling process, viscous fluid
-heating, and a traffic flow model) as plain-text matrix files so they can be
-played back and exercised by the command line tool.
+order Runge-Kutta integrator for generating benchmark data; both work on
+Python floats, one list per state.  The discrete side iterates identified
+models x(k+1) = A x(k) + B phi(k).  The module also bundles three published
+reference models (a cooling process, viscous fluid heating, and a traffic
+flow model) as plain-text matrix files so they can be played back and
+exercised by the command line tool.
 """
 
 from __future__ import annotations
@@ -25,7 +26,11 @@ from .validate import _integer
 
 @dataclass(frozen=True)
 class OdeSystem:
-    """A continuous system dx/dt = rhs(x)."""
+    """A continuous system dx/dt = rhs(x).
+
+    ``rhs`` takes a list of ``dimension`` floats and returns a sequence of
+    ``dimension`` floats: a list, a tuple or a 1-D array.
+    """
 
     name: str
     dimension: int
@@ -40,13 +45,12 @@ def rossler_rhs(state, a=0.2, b=0.2, c=5.7):
     dx2/dt = x1 + a*x2
     dx3/dt = b + x3*(x1 - c)
 
-    ``state`` is one state of three coordinates.  It is unpacked into
-    Python floats, so the six operations run on floats, not numpy
-    scalars, and give the same float64 values.  The result is a fresh
-    float64 array of shape (3,).
+    ``state`` is any sequence of three coordinates, unpacked as it is: on
+    Python floats the six operations are the float64 operations of the
+    array form, without numpy's per-call cost.  The result is a list.
     """
-    x1, x2, x3 = np.asarray(state, dtype=float).tolist()
-    return np.array([-(x2 + x3), x1 + a * x2, b + x3 * (x1 - c)])
+    x1, x2, x3 = state
+    return [-(x2 + x3), x1 + a * x2, b + x3 * (x1 - c)]
 
 
 def rossler(a=0.2, b=0.2, c=5.7):
@@ -69,15 +73,14 @@ def rk4_integrate(system, x0, dt, steps, transient_skip=0):
     of the output.  ``steps`` and ``transient_skip`` must be integers
     (numpy integers included).
 
-    ``system.rhs`` receives a fresh float64 array of shape (dimension,) and
-    must return an array of that shape; its first result is checked.  The
-    state and the four stages are carried as lists of Python floats
-    between the calls, and ``x + h*k`` and ``x + dt/6*(k1 + 2k2 + 2k3 +
-    k4)`` are formed per component in the order numpy evaluates the array
-    expressions.  Each operation is one binary64 operation either way, so
-    every state is bitwise the state of the array form, without numpy's
-    per-call cost on arrays of a few elements.  The stage results are read
-    as float64 values.
+    Each ``system.rhs`` call receives a fresh list of ``dimension`` floats,
+    and may return any sequence of ``dimension`` floats (Python or float64
+    values); its first result's shape is checked.  The state and the four
+    stages stay lists from step to step, and ``x + h*k`` and ``x + dt/6*(k1
+    + 2k2 + 2k3 + k4)`` are formed per component in the order numpy
+    evaluates the array expressions.  Each operation is one binary64
+    operation either way, so every state is bitwise the state of the array
+    form.  Each recorded state is written straight into the output array.
 
     Raises
     ------
@@ -106,21 +109,20 @@ def rk4_integrate(system, x0, dt, steps, transient_skip=0):
     rhs = system.rhs
     xs = x.tolist()
     for k in range(transient_skip + steps):
-        k1 = rhs(np.array(xs))
+        k1 = rhs(xs[:])  # a copy: the stages below read xs
         if not k and np.shape(k1) != (dimension,):
             raise InvalidValue(
                 f"rhs of {system.name} returned shape {np.shape(k1)}, expected ({dimension},)"
             )
-        k1 = k1.tolist()
-        k2 = rhs(np.array([a + half * b for a, b in zip(xs, k1)])).tolist()
-        k3 = rhs(np.array([a + half * b for a, b in zip(xs, k2)])).tolist()
-        k4 = rhs(np.array([a + full * b for a, b in zip(xs, k3)])).tolist()
+        k2 = rhs([a + half * b for a, b in zip(xs, k1)])
+        k3 = rhs([a + half * b for a, b in zip(xs, k2)])
+        k4 = rhs([a + full * b for a, b in zip(xs, k3)])
         xs = [
             a + sixth * (p + 2.0 * q + 2.0 * r + s)
             for a, p, q, r, s in zip(xs, k1, k2, k3, k4)
         ]
-        # a sum of finite values is not finite only when it overflows
-        if not math.isfinite(sum(xs)) and not all(map(math.isfinite, xs)):
+        # value by value: a sum of an array rhs's float64 scalars warns on overflow
+        if not all(map(math.isfinite, xs)):
             raise NonFiniteState(
                 f"integration of {system.name} diverged at step {k + 1}", step=k + 1
             )
@@ -148,9 +150,13 @@ def simulate(model, x0=None, steps=1000):
 
     Raises
     ------
+    InvalidValue
+        if ``steps`` is not an integer of at least 1, or ``x0`` has the
+        wrong shape.
     NonFiniteState
         if iteration overflows; the failing step index is reported.
     """
+    steps = _integer("steps", steps)
     if steps < 1:
         raise InvalidValue(f"steps must be >= 1, got {steps}")
     n = model.n

@@ -246,12 +246,13 @@ def read_series(path, dt=1.0):
 def write_table(path, header, rows, comments=()):
     """Write a plot-ready CSV table.
 
-    ``rows`` is an iterable of value sequences, or a 2-D array, whose rows
-    are turned into lists of Python scalars a block at a time: these
-    render to the same text as numpy scalars, at a fraction of the cost.
-    Floats are rendered with repr so they round-trip exactly.  ``comments``
-    become '#' footer lines, one line each.  A header cell that
-    :func:`read_series` would not read back as its column's name, a
+    ``rows`` is an iterable of value sequences, or a 2-D array.  Floats are
+    rendered with repr so they round-trip exactly.  An array is written a
+    block of ``_BLOCK`` rows at a time, one write per block; a bool, int or
+    float array's block is first turned into lists of Python scalars, whose
+    ``str`` is the cell's text at a fraction of a numpy scalar's cost.
+    ``comments`` become '#' footer lines, one line each.  A header cell
+    that :func:`read_series` would not read back as its column's name, a
     comment holding a line break (it would start a line that is no
     comment), or rows not 2-D or not as wide as the header raise
     InvalidValue before anything is written.
@@ -277,25 +278,21 @@ def write_table(path, header, rows, comments=()):
     if isinstance(rows, np.ndarray):
         if rows.ndim != 2 or rows.shape[1] != len(header):
             raise InvalidValue(f"array of shape {rows.shape} under {len(header)} header cells")
-        rows = _array_rows(rows)
+        # these dtypes' tolist() yields Python scalars, whose str is their _csv_cell
+        builtin = rows.dtype.kind in "biu" or rows.dtype.char in "efd"
+        cell = str if builtin else _csv_cell
+        blocks = (rows[at : at + _BLOCK].tolist() for at in range(0, len(rows), _BLOCK))
     else:
         rows = list(rows)
         if any(len(row) != len(header) for row in rows):
             raise InvalidValue(f"a row is not as wide as the {len(header)} header cells")
+        cell, blocks = _csv_cell, [rows]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_csv_cell(v) for v in row) + "\n")
+        for block in blocks:
+            fh.write("".join([",".join(map(cell, row)) + "\n" for row in block]))
         for comment in comments:
             fh.write(f"# {comment}\n")
-
-
-def _array_rows(array):
-    """The rows of an array as lists of Python scalars, a block at a time:
-    they render faster than numpy scalars, and a block bounds the memory
-    their objects take."""
-    for at in range(0, len(array), _BLOCK):
-        yield from array[at : at + _BLOCK].tolist()
 
 
 def _csv_cell(value):

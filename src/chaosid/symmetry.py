@@ -32,7 +32,7 @@ from .errors import (
     LengthMismatch,
     WindowTooSmall,
 )
-from .model import Exponential, ForcingBasis, Polynomial, Sinusoid, polynomial_basis
+from .model import Exponential, ForcingBasis, Sinusoid, polynomial_basis
 
 
 class TransformClass(enum.Enum):

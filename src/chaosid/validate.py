@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding import DelayEmbedding, TimeSeries, average_mutual_information, delay_embed
+from .embedding import DelayEmbedding, average_mutual_information, delay_embed
 from .errors import ChannelMismatch, InsufficientData, InvalidValue, NoScalingRegion
 from .neighbors import nearest, pair_distance_counts, unit_scale
 

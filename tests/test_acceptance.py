@@ -304,7 +304,7 @@ def test_criterion_6_chaos_metric_sanity():
     square_dim = ci.correlation_dimension(square).dimension
     square_ok = abs(square_dim - 2.0) < 0.1
 
-    decay = ci.OdeSystem(name="decay", dimension=1, rhs=lambda x: -x)
+    decay = ci.OdeSystem(name="decay", dimension=1, rhs=lambda x: [-v for v in x])
     exact = np.exp(-1.0)
     errors = []
     for dt in (0.1, 0.05, 0.025):

@@ -8,7 +8,7 @@ import chaosid as ci
 
 
 def _decay_system():
-    return ci.OdeSystem(name="decay", dimension=1, rhs=lambda x: -x)
+    return ci.OdeSystem(name="decay", dimension=1, rhs=lambda x: [-v for v in x])
 
 
 def _model(A, B=None, C=None, basis=None, dt=1.0):
@@ -68,7 +68,7 @@ def test_rk4_transient_skip_matches_tail():
 
 
 def test_rk4_divergence_reports_step():
-    blowup = ci.OdeSystem(name="blowup", dimension=1, rhs=lambda x: x**2)
+    blowup = ci.OdeSystem(name="blowup", dimension=1, rhs=lambda x: [v * v for v in x])
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ci.NonFiniteState) as info:
         ci.rk4_integrate(blowup, [1e3], dt=1.0, steps=50)
     assert info.value.step is not None and info.value.step >= 1
@@ -85,17 +85,18 @@ def test_rk4_argument_validation():
 
 
 def _oracle_rk4_integrate(system, x0, dt, steps, transient_skip=0):
-    """The integrator on float64 arrays, every stage one numpy expression:
-    the states and divergence step ``rk4_integrate`` must reproduce."""
+    """The integrator on float64 arrays, every stage one numpy expression
+    on the rhs result as an array: the states and divergence step
+    ``rk4_integrate`` must reproduce."""
     x = np.asarray(x0, dtype=float).copy()
     out = np.empty((steps, system.dimension))
     rhs = system.rhs
     half = 0.5 * dt
     for k in range(transient_skip + steps):
-        k1 = rhs(x)
-        k2 = rhs(x + half * k1)
-        k3 = rhs(x + half * k2)
-        k4 = rhs(x + dt * k3)
+        k1 = np.asarray(rhs(x))
+        k2 = np.asarray(rhs(x + half * k1))
+        k3 = np.asarray(rhs(x + half * k2))
+        k4 = np.asarray(rhs(x + dt * k3))
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(x)):
             raise ci.NonFiniteState(f"diverged at step {k + 1}", step=k + 1)
@@ -108,6 +109,11 @@ def _lorenz_rhs(x, sigma=10.0, rho=28.0, beta=8.0 / 3.0):
     return np.array([sigma * (x[1] - x[0]), x[0] * (rho - x[2]) - x[1], x[0] * x[1] - beta * x[2]])
 
 
+def _lorenz_list_rhs(x, sigma=10.0, rho=28.0, beta=8.0 / 3.0):
+    x1, x2, x3 = x
+    return [sigma * (x2 - x1), x1 * (rho - x3) - x2, x1 * x2 - beta * x3]
+
+
 def _oracle_rossler_rhs(state, a=0.2, b=0.2, c=5.7):
     """The Rossler right hand side on numpy scalars."""
     x1, x2, x3 = np.asarray(state, dtype=float)
@@ -117,10 +123,11 @@ def _oracle_rossler_rhs(state, a=0.2, b=0.2, c=5.7):
 def test_rossler_rhs_is_bitwise_its_numpy_scalar_form():
     states = np.random.default_rng(5).normal(scale=20.0, size=(200, 3))
     for state in states:
-        result = ci.rossler_rhs(state)
-        assert result.dtype == np.float64 and result.shape == (3,)
-        assert result.tobytes() == _oracle_rossler_rhs(state).tobytes()
-    assert ci.rossler_rhs([1, 2, 3], a=0.1).tobytes() == _oracle_rossler_rhs([1, 2, 3], a=0.1).tobytes()
+        result = ci.rossler_rhs(state.tolist())
+        assert type(result) is list and all(type(v) is float for v in result) and len(result) == 3
+        assert np.array(result).tobytes() == _oracle_rossler_rhs(state).tobytes()
+    result = ci.rossler_rhs([1, 2, 3], a=0.1)
+    assert np.array(result, dtype=float).tobytes() == _oracle_rossler_rhs([1, 2, 3], a=0.1).tobytes()
 
 
 _ROTATION = np.array([[-0.1, 2.0], [-2.0, -0.1]])
@@ -130,6 +137,14 @@ _ORACLE_CASES = {
     "decay": (_decay_system(), [1.0], 0.1, 300, 0),
     "rotation": (ci.OdeSystem("rotation", 2, lambda x: _ROTATION @ x), [1.0, -0.5], 0.03, 400, 17),
     "lorenz": (ci.OdeSystem("lorenz", 3, _lorenz_rhs), [1.0, 1.0, 1.05], 0.01, 1500, 300),
+    # an rhs may return a list, a tuple or an array; perfbench wraps its list in np.array
+    "lorenz list": (ci.OdeSystem("lorenz", 3, _lorenz_list_rhs), [1.0, 1.0, 1.05], 0.01, 1500, 300),
+    "lorenz tuple": (
+        ci.OdeSystem("lorenz", 3, lambda x: tuple(_lorenz_list_rhs(x))), [1.0, 1.0, 1.05], 0.01, 1500, 300
+    ),
+    "lorenz array": (
+        ci.OdeSystem("lorenz", 3, lambda x: np.array(_lorenz_list_rhs(x))), [1.0, 1.0, 1.05], 0.01, 1500, 300
+    ),
 }
 
 
@@ -160,8 +175,20 @@ def test_rk4_rhs_always_receives_a_fresh_float64_state():
 
     ci.rk4_integrate(ci.OdeSystem("rotation", 2, rhs), [1, 2], dt=0.1, steps=3, transient_skip=2)
     assert len(seen) == 4 * 5
-    assert all(type(x) is np.ndarray and x.dtype == np.float64 and x.shape == (2,) for x in seen)
+    assert all(type(x) is list and len(x) == 2 and all(isinstance(v, float) for v in x) for x in seen)
     assert len({id(x) for x in seen}) == len(seen)
+
+
+def test_rk4_states_do_not_change_when_the_rhs_mutates_its_argument():
+    def rhs(x):
+        result = ci.rossler_rhs(x)
+        x[:] = [np.nan] * len(x)
+        return result
+
+    system = ci.OdeSystem("rossler", 3, rhs)
+    series = ci.rk4_integrate(system, [1.0, 1.0, 1.0], dt=0.05, steps=200, transient_skip=100)
+    expected = ci.rk4_integrate(ci.rossler(), [1.0, 1.0, 1.0], dt=0.05, steps=200, transient_skip=100)
+    assert series.values.tobytes() == expected.values.tobytes()
 
 
 @pytest.mark.parametrize("result", [np.zeros(1), np.zeros((3, 1)), np.zeros(4), np.float64(0.0)])
@@ -175,7 +202,7 @@ def test_rk4_rejects_an_rhs_result_of_the_wrong_shape(result):
 def test_rk4_divergence_step_matches_the_oracle(skip, inside):
     """The quadratic blow-up overflows at one step; the integrator reports
     the oracle's step whether it falls after the transient or inside it."""
-    blowup = ci.OdeSystem(name="blowup", dimension=2, rhs=lambda x: x * x)
+    blowup = ci.OdeSystem(name="blowup", dimension=2, rhs=lambda x: [v * v for v in x])
     steps = {}
     with np.errstate(over="ignore", invalid="ignore"):
         for name, integrate in (("oracle", _oracle_rk4_integrate), ("rk4", ci.rk4_integrate)):
@@ -209,6 +236,12 @@ def test_rk4_rejects_non_integral_step_counts(kwargs, name):
 
 # ---------------------------------------------------------------------------
 # discrete playback
+
+
+@pytest.mark.parametrize("steps", [2.5, "3", 3.0, None])
+def test_simulate_rejects_non_integral_step_counts(steps):
+    with pytest.raises(ci.InvalidValue, match="^steps must be an integer"):
+        ci.simulate(_model(np.eye(2)), x0=[1.0, 2.0], steps=steps)
 
 
 def test_simulate_identity_holds_state():

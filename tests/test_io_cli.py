@@ -387,6 +387,53 @@ def test_write_table_is_byte_identical_to_the_per_cell_writer(tmp_path, name):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
+_SPECIAL_VALUES = [np.nan, np.inf, -np.inf, -0.0, 0.1, 5e-324, 1e308]
+
+
+def _array_table(dtype, count, width):
+    """``count`` rows of ``width`` columns of one dtype, the special values
+    first; an object table holds numpy scalars of four types."""
+    rng = np.random.default_rng([count, width])
+    values = rng.normal(scale=1e3, size=(count, width)) ** 3
+    specials = min(len(_SPECIAL_VALUES), values.size)
+    values.flat[:specials] = _SPECIAL_VALUES[:specials]
+    if dtype == "int64":
+        return rng.integers(-(2**62), 2**62, size=(count, width))
+    if dtype == "bool":
+        return rng.random((count, width)) < 0.5
+    with np.errstate(over="ignore"):  # 1e308 becomes inf in float32
+        if dtype == "float32":
+            return values.astype(np.float32)
+        if dtype == "object":
+            table = np.empty((count, width), dtype=object)
+            for k, v in enumerate(values.flat):
+                table.flat[k] = (np.float64(v), np.float32(v), np.int64(k), np.bool_(k % 2))[k % 4]
+            return table
+    return values
+
+
+@pytest.mark.parametrize("count", [0, 1, io._BLOCK, io._BLOCK + 1])
+@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize("dtype", ["float64", "float32", "int64", "bool", "object"])
+def test_write_table_blocks_match_a_per_cell_rendering(tmp_path, dtype, width, count):
+    rows = _array_table(dtype, count, width)
+    header = [f"c{i}" for i in range(width)]
+    comments = ("spectral_radius=0.9997", "second note")
+    io.write_table(tmp_path / "t.csv", header, rows, comments=comments)
+    lines = [",".join(header)]
+    lines += [",".join(io._csv_cell(v) for v in row) for row in rows]
+    lines += [f"# {comment}" for comment in comments]
+    assert (tmp_path / "t.csv").read_bytes() == "".join(l + "\n" for l in lines).encode()
+
+
+def test_write_series_then_read_series_is_bitwise(tmp_path):
+    values = _array_table("float64", io._BLOCK + 1, 3)
+    values[~np.isfinite(values)] = -0.0  # a series holds finite values only
+    path = tmp_path / "s.csv"
+    io.write_series(path, ci.TimeSeries(values, dt=1.0))
+    assert io.read_series(path).values.tobytes() == values.tobytes()
+
+
 @pytest.mark.parametrize(
     "header, rows",
     [
