@@ -14,10 +14,14 @@ precondition problem, 4 numerical divergence.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
+import pickle
+import signal
 import sys
 import time
 from dataclasses import replace
+from warnings import catch_warnings, simplefilter
 
 import numpy as np
 
@@ -135,19 +139,96 @@ def _identify(config, embedding, report, outputs=None):
     return model, fit
 
 
-def _validate(config, embedding, model, fit):
+def _source_metrics(embedding):
+    """Yield the embedding's correlation dimension, then its largest Lyapunov
+    exponent with the seconds both took; ``_validate`` measures the model's
+    dimension in between."""
+    theiler = embedding.tau * embedding.m
+    t0 = time.perf_counter()
+    source_dim = correlation_dimension(embedding.states, theiler_window=theiler)
+    seconds = time.perf_counter() - t0
+    yield source_dim
+    t0 = time.perf_counter()
+    lyap = largest_lyapunov(embedding, mean_period=dominant_period(embedding.states[:, 0]))
+    yield lyap, seconds + time.perf_counter() - t0
+
+
+@contextlib.contextmanager
+def _source_worker(embedding, start):
+    """Yield an iterator over the two parts of ``_source_metrics(embedding)``.
+
+    A forked worker computes them ahead of the caller if ``start`` is set,
+    os.fork exists, two CPUs are ours and this process runs one thread.  It
+    sends each part once it was computed with no exception or warning, stops
+    at the first that was not, and leaves by ``os._exit``, so no inherited
+    stdio is flushed; its last part counts only if it exited 0.  A part it
+    did not send is computed here in its turn, so errors and warnings read
+    as in a run without the worker.  Every way out of the block reaps it.
+    """
+    try:
+        start = start and hasattr(os, "fork") and len(os.sched_getaffinity(0)) > 1
+        start = start and len(os.listdir("/proc/self/task")) == 1
+    except (AttributeError, OSError):
+        start = False
+    if not start:
+        yield _source_metrics(embedding)
+        return
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            with open(write_fd, "wb") as fh, catch_warnings(record=True) as caught:
+                simplefilter("always")
+                for part in _source_metrics(embedding):
+                    if caught:
+                        os._exit(1)
+                    pickle.dump(part, fh)
+                    fh.flush()
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write_fd)
+    reader = open(read_fd, "rb")
+    status = []
+
+    def receive():  # [the next part], or None once the worker stopped
+        with contextlib.suppress(EOFError, pickle.UnpicklingError):
+            return [pickle.load(reader)]
+
+    def parts():
+        first = receive()
+        if first is None:
+            yield from _source_metrics(embedding)
+            return
+        yield first[0]
+        last = receive()
+        status.append(os.waitpid(pid, 0)[1])
+        # the worker computed the first part cleanly, so computing it again is silent
+        yield last[0] if last and status == [0] else list(_source_metrics(embedding))[1]
+
+    try:
+        yield parts()
+    finally:
+        reader.close()
+        if not status:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _validate(config, embedding, model, fit, source_parts):
     """Measure the attractors of the embedding and of the free run that
     ``fit_model`` made from its first state; returns the report's
-    ``metrics`` block and the comparison's warnings."""
+    ``metrics`` block, the comparison's warnings and the seconds the
+    embedding's metrics took.  Those are the two ``source_parts``, taken in
+    the order the metrics are computed in."""
     if fit.free_run is None:
         raise NonFiniteState("the model's free run diverged; fit.json records the step")
     theiler = embedding.tau * embedding.m
     observed = embedding.states[:, 0]
     free_outputs = fit.free_run @ model.C.T
-    source_dim = correlation_dimension(embedding.states, theiler_window=theiler)
+    source_dim = next(source_parts)
     model_dim = correlation_dimension(fit.free_run, theiler_window=theiler)
-    period = dominant_period(observed)
-    lyap = largest_lyapunov(embedding, mean_period=period)
+    lyap, seconds = next(source_parts)
     comparison = compare(
         TimeSeries(observed, dt=embedding.dt),
         TimeSeries(free_outputs[:, 0], dt=embedding.dt),
@@ -160,7 +241,7 @@ def _validate(config, embedding, model, fit):
         "source_lyapunov": io.lyapunov_to_dict(lyap),
         "free_run_comparison": io.comparison_to_dict(comparison),
     }
-    return metrics, comparison.warnings
+    return metrics, comparison.warnings, seconds
 
 
 def cmd_embed(args):
@@ -292,25 +373,27 @@ def cmd_pipeline(args):
         return result
 
     _, embedding, _, _, notes = timed("embed", _embed)
-    for note in notes:
-        print(note)
+    with _source_worker(embedding, config["validate.enabled"]) as source_parts:
+        for note in notes:
+            print(note)
 
-    report = timed("symmetry", _symmetry, embedding)
-    warnings.extend(report.warnings)
-    dominant = report.dominant_class.value if report.dominant_class else "none"
-    print(f"dominant class: {dominant}")
+        report = timed("symmetry", _symmetry, embedding)
+        warnings.extend(report.warnings)
+        dominant = report.dominant_class.value if report.dominant_class else "none"
+        print(f"dominant class: {dominant}")
 
-    model, fit = timed("identify", _identify, embedding, report)
-    warnings.extend(fit.warnings)
-    print(f"basis: {model.basis.describe()}")
-    print(f"one-step NRMSE: {np.atleast_1d(fit.one_step_nrmse)}")
+        model, fit = timed("identify", _identify, embedding, report)
+        warnings.extend(fit.warnings)
+        print(f"basis: {model.basis.describe()}")
+        print(f"one-step NRMSE: {np.atleast_1d(fit.one_step_nrmse)}")
 
-    metrics = None
-    if config["validate.enabled"]:
-        metrics, free_run_warnings = timed("validate", _validate, embedding, model, fit)
-        warnings.extend(free_run_warnings)
-        print(f"correlation dimension: source {metrics['source_dimension']['dimension']:.3f}, "
-              f"model {metrics['model_dimension']['dimension']:.3f}")
+        metrics = None
+        if config["validate.enabled"]:
+            metrics, free_run_warnings, timings["source_metrics"] = timed(
+                "validate", _validate, embedding, model, fit, source_parts)
+            warnings.extend(free_run_warnings)
+            print(f"correlation dimension: source {metrics['source_dimension']['dimension']:.3f}, "
+                  f"model {metrics['model_dimension']['dimension']:.3f}")
 
     # the decision; the transforms are only in symmetry.json
     symmetry_doc = io.symmetry_report_to_dict(replace(report, transforms=[]))

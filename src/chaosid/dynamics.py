@@ -75,10 +75,11 @@ def rk4_integrate(system, x0, dt, steps, transient_skip=0):
 
     Each ``system.rhs`` call receives a fresh list of ``dimension`` floats,
     and may return any sequence of ``dimension`` floats (Python or float64
-    values); its first result's shape is checked.  The state and the four
-    stages stay lists from step to step, and ``x + h*k`` and ``x + dt/6*(k1
-    + 2k2 + 2k3 + k4)`` are formed per component in the order numpy
-    evaluates the array expressions.  Each operation is one binary64
+    values); its first result's shape is checked, and an array result of any
+    other dtype is refused (float32 stages would lose precision).  The state
+    and the four stages stay lists from step to step, and ``x + h*k`` and
+    ``x + dt/6*(k1 + 2k2 + 2k3 + k4)`` are formed per component in the order
+    numpy evaluates the array expressions.  Each operation is one binary64
     operation either way, so every state is bitwise the state of the array
     form.  Each recorded state is written straight into the output array.
 
@@ -86,7 +87,7 @@ def rk4_integrate(system, x0, dt, steps, transient_skip=0):
     ------
     InvalidValue
         on a bad argument, or when the first ``rhs`` result does not have
-        shape (dimension,).
+        shape (dimension,) or is an array that is not float64.
     NonFiniteState
         if any step produces NaN or infinity; the first such step is
         reported, as a check of every state after its step would report it.
@@ -110,9 +111,10 @@ def rk4_integrate(system, x0, dt, steps, transient_skip=0):
     xs = x.tolist()
     for k in range(transient_skip + steps):
         k1 = rhs(xs[:])  # a copy: the stages below read xs
-        if not k and np.shape(k1) != (dimension,):
+        if not k and (np.shape(k1) != (dimension,) or getattr(k1, "dtype", float) != float):
             raise InvalidValue(
-                f"rhs of {system.name} returned shape {np.shape(k1)}, expected ({dimension},)"
+                f"rhs of {system.name} returned shape {np.shape(k1)} of "
+                f"{getattr(k1, 'dtype', type(k1).__name__)}, expected ({dimension},) of float64"
             )
         k2 = rhs([a + half * b for a, b in zip(xs, k1)])
         k3 = rhs([a + half * b for a, b in zip(xs, k2)])

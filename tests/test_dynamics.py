@@ -191,6 +191,20 @@ def test_rk4_states_do_not_change_when_the_rhs_mutates_its_argument():
     assert series.values.tobytes() == expected.values.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float16, np.longdouble, np.int64])
+def test_rk4_rejects_an_rhs_array_that_is_not_float64(dtype):
+    system = ci.OdeSystem("narrow", 3, lambda x: np.asarray(ci.rossler_rhs(x), dtype=dtype))
+    with pytest.raises(ci.InvalidValue, match=f"narrow returned shape \\(3,\\) of {np.dtype(dtype)}"):
+        ci.rk4_integrate(system, [1.0, 1.0, 1.0], dt=0.05, steps=5)
+
+
+def test_rk4_float64_array_rhs_is_bitwise_the_list_form():
+    array = ci.OdeSystem("rossler", 3, lambda x: np.asarray(ci.rossler_rhs(x), dtype=np.float64))
+    series = ci.rk4_integrate(array, [1.0, 1.0, 1.0], dt=0.05, steps=500, transient_skip=200)
+    expected = ci.rk4_integrate(ci.rossler(), [1.0, 1.0, 1.0], dt=0.05, steps=500, transient_skip=200)
+    assert series.values.tobytes() == expected.values.tobytes()
+
+
 @pytest.mark.parametrize("result", [np.zeros(1), np.zeros((3, 1)), np.zeros(4), np.float64(0.0)])
 def test_rk4_rejects_an_rhs_result_of_the_wrong_shape(result):
     system = ci.OdeSystem(name="misshapen", dimension=3, rhs=lambda x: result)
