@@ -68,7 +68,10 @@ def _automatic(config, key):
 
 def _artifact(config, name):
     """Path of artifact ``name`` in the output directory, which is created."""
-    os.makedirs(config["output.dir"], exist_ok=True)
+    try:
+        os.makedirs(config["output.dir"], exist_ok=True)
+    except OSError as exc:
+        raise io.path_error(config["output.dir"], exc) from exc
     return os.path.join(config["output.dir"], name)
 
 
@@ -139,96 +142,89 @@ def _identify(config, embedding, report, outputs=None):
     return model, fit
 
 
-def _source_metrics(embedding):
-    """Yield the embedding's correlation dimension, then its largest Lyapunov
-    exponent with the seconds both took; ``_validate`` measures the model's
-    dimension in between."""
-    theiler = embedding.tau * embedding.m
-    t0 = time.perf_counter()
-    source_dim = correlation_dimension(embedding.states, theiler_window=theiler)
-    seconds = time.perf_counter() - t0
-    yield source_dim
-    t0 = time.perf_counter()
-    lyap = largest_lyapunov(embedding, mean_period=dominant_period(embedding.states[:, 0]))
-    yield lyap, seconds + time.perf_counter() - t0
+def _source_dimension(embedding):
+    """The embedding's correlation dimension, with a Theiler window of tau*m."""
+    return correlation_dimension(embedding.states, theiler_window=embedding.tau * embedding.m)
+
+
+def _source_lyapunov(embedding):
+    """The embedding's largest Lyapunov exponent at its dominant period."""
+    return largest_lyapunov(embedding, mean_period=dominant_period(embedding.states[:, 0]))
 
 
 @contextlib.contextmanager
 def _source_worker(embedding, start):
-    """Yield an iterator over the two parts of ``_source_metrics(embedding)``.
+    """Yield ``take(part)``, which returns (``part(embedding)``, the seconds
+    it took) for ``_source_dimension`` and then ``_source_lyapunov``.
 
-    A forked worker computes them ahead of the caller if ``start`` is set,
-    os.fork exists, two CPUs are ours and this process runs one thread.  It
-    sends each part once it was computed with no exception or warning, stops
-    at the first that was not, and leaves by ``os._exit``, so no inherited
-    stdio is flushed; its last part counts only if it exited 0.  A part it
-    did not send is computed here in its turn, so errors and warnings read
-    as in a run without the worker.  Every way out of the block reaps it.
+    A forked worker computes both ahead of the caller if ``start`` is set,
+    os.fork exists, two CPUs are ours, this process runs one thread and the
+    pipe and fork succeed.  It sends each part that finished with no
+    exception or warning, stops at the first that did not, and leaves by
+    ``os._exit``, so no inherited stdio is flushed.  ``take`` returns the
+    worker's next whole part, or computes the part here, so errors and
+    warnings read as in a run without the worker.  Every way out of the
+    block reaps it.
     """
+    def here(part):
+        t0 = time.perf_counter()
+        return part(embedding), time.perf_counter() - t0
+
+    fds = ()
     try:
         start = start and hasattr(os, "fork") and len(os.sched_getaffinity(0)) > 1
-        start = start and len(os.listdir("/proc/self/task")) == 1
-    except (AttributeError, OSError):
-        start = False
-    if not start:
-        yield _source_metrics(embedding)
+        if start and len(os.listdir("/proc/self/task")) == 1:
+            fds = os.pipe()
+            pid = os.fork()
+    except (AttributeError, OSError):  # no affinity or /proc, or no pipe or fork to spare
+        for fd in fds:
+            os.close(fd)
+        fds = ()
+    if not fds:
+        yield here
         return
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
     if pid == 0:
         try:
-            with open(write_fd, "wb") as fh, catch_warnings(record=True) as caught:
+            with open(fds[1], "wb") as fh, catch_warnings(record=True) as caught:
                 simplefilter("always")
-                for part in _source_metrics(embedding):
+                for part in (_source_dimension, _source_lyapunov):
+                    result = here(part)
                     if caught:
-                        os._exit(1)
-                    pickle.dump(part, fh)
+                        break
+                    pickle.dump(result, fh)
                     fh.flush()
-            os._exit(0)
         finally:
-            os._exit(1)
-    os.close(write_fd)
-    reader = open(read_fd, "rb")
-    status = []
+            os._exit(0)
+    os.close(fds[1])
+    reader = open(fds[0], "rb")
 
-    def receive():  # [the next part], or None once the worker stopped
-        with contextlib.suppress(EOFError, pickle.UnpicklingError):
-            return [pickle.load(reader)]
-
-    def parts():
-        first = receive()
-        if first is None:
-            yield from _source_metrics(embedding)
-            return
-        yield first[0]
-        last = receive()
-        status.append(os.waitpid(pid, 0)[1])
-        # the worker computed the first part cleanly, so computing it again is silent
-        yield last[0] if last and status == [0] else list(_source_metrics(embedding))[1]
+    def take(part):
+        try:  # pickle's STOP opcode rejects a part cut short
+            return pickle.load(reader)
+        except (EOFError, pickle.UnpicklingError):
+            return here(part)
 
     try:
-        yield parts()
+        yield take
     finally:
         reader.close()
-        if not status:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        os.kill(pid, signal.SIGKILL)  # harmless if it exited and awaits reaping
+        os.waitpid(pid, 0)
 
 
-def _validate(config, embedding, model, fit, source_parts):
+def _validate(config, embedding, model, fit, take):
     """Measure the attractors of the embedding and of the free run that
     ``fit_model`` made from its first state; returns the report's
     ``metrics`` block, the comparison's warnings and the seconds the
-    embedding's metrics took.  Those are the two ``source_parts``, taken in
-    the order the metrics are computed in."""
+    embedding's metrics took.  ``take`` gives those two, in the order the
+    metrics are computed in."""
     if fit.free_run is None:
         raise NonFiniteState("the model's free run diverged; fit.json records the step")
-    theiler = embedding.tau * embedding.m
     observed = embedding.states[:, 0]
     free_outputs = fit.free_run @ model.C.T
-    source_dim = next(source_parts)
-    model_dim = correlation_dimension(fit.free_run, theiler_window=theiler)
-    lyap, seconds = next(source_parts)
+    source_dim, dim_seconds = take(_source_dimension)
+    model_dim = correlation_dimension(fit.free_run, theiler_window=embedding.tau * embedding.m)
+    lyap, lyap_seconds = take(_source_lyapunov)
     comparison = compare(
         TimeSeries(observed, dt=embedding.dt),
         TimeSeries(free_outputs[:, 0], dt=embedding.dt),
@@ -241,7 +237,7 @@ def _validate(config, embedding, model, fit, source_parts):
         "source_lyapunov": io.lyapunov_to_dict(lyap),
         "free_run_comparison": io.comparison_to_dict(comparison),
     }
-    return metrics, comparison.warnings, seconds
+    return metrics, comparison.warnings, dim_seconds + lyap_seconds
 
 
 def cmd_embed(args):
@@ -373,7 +369,7 @@ def cmd_pipeline(args):
         return result
 
     _, embedding, _, _, notes = timed("embed", _embed)
-    with _source_worker(embedding, config["validate.enabled"]) as source_parts:
+    with _source_worker(embedding, config["validate.enabled"]) as take:
         for note in notes:
             print(note)
 
@@ -390,7 +386,7 @@ def cmd_pipeline(args):
         metrics = None
         if config["validate.enabled"]:
             metrics, free_run_warnings, timings["source_metrics"] = timed(
-                "validate", _validate, embedding, model, fit, source_parts)
+                "validate", _validate, embedding, model, fit, take)
             warnings.extend(free_run_warnings)
             print(f"correlation dimension: source {metrics['source_dimension']['dimension']:.3f}, "
                   f"model {metrics['model_dimension']['dimension']:.3f}")

@@ -28,7 +28,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -141,17 +140,31 @@ def canonical_json(value):
     return _render(value, 0)
 
 
+def path_error(path, exc):
+    """The InputError for OSError ``exc`` on ``path``: NotFoundError if the
+    path does not exist."""
+    if isinstance(exc, FileNotFoundError):
+        return NotFoundError(f"no such file: {path}")
+    return InputError(f"{path}: {exc.strerror or exc}")
+
+
+def _open(path, *args, **kwargs):
+    """``open(path, ...)``, whose OSError becomes :func:`path_error`'s."""
+    try:
+        return open(path, *args, **kwargs)
+    except OSError as exc:
+        raise path_error(path, exc) from exc
+
+
 def write_json(path, value):
     """Write ``canonical_json(value)`` and a newline."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open(path, "w", encoding="utf-8") as fh:
         fh.write(canonical_json(value))
         fh.write("\n")
 
 
 def load_json(path):
-    if not os.path.exists(path):
-        raise NotFoundError(f"no such file: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
@@ -209,12 +222,10 @@ def read_series(path, dt=1.0):
     labels when none of its cells parses as a number; a first row with both
     kinds of cell is a data row with a non-numeric cell.
     """
-    if not os.path.exists(path):
-        raise NotFoundError(f"no such file: {path}")
     labels = None
     values = []  # of all rows: a list per row takes more than its floats
     width = None
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+    with _open(path, "r", encoding="utf-8-sig", newline="") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -287,7 +298,7 @@ def write_table(path, header, rows, comments=()):
         if any(len(row) != len(header) for row in rows):
             raise InvalidValue(f"a row is not as wide as the {len(header)} header cells")
         cell, blocks = _csv_cell, [rows]
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for block in blocks:
             fh.write("".join([",".join(map(cell, row)) + "\n" for row in block]))
@@ -321,17 +332,25 @@ def write_embedding(path, embedding):
     write_json(path, doc)
 
 
-def _rows(values, width):
-    """A JSON list of rows as a 2-D float array; ``[]``, the way zero rows
-    are written, becomes zero rows of ``width`` columns."""
+def _finite(values, name):
+    """``values`` as a float array; NaN or infinity raises InvalidValue."""
     array = np.asarray(values, dtype=float)
+    if not np.isfinite(array).all():
+        raise InvalidValue(f"field {name!r} holds NaN or infinity")
+    return array
+
+
+def _rows(values, width, name):
+    """A JSON list of finite rows as a 2-D float array; ``[]``, the way zero
+    rows are written, becomes zero rows of ``width`` columns."""
+    array = _finite(values, name)
     return array.reshape(0, width) if array.shape == (0,) else array
 
 
 def _embedding_from_doc(doc):
     m = int(doc["m"])
     return DelayEmbedding(
-        states=_rows(doc["states"], m),
+        states=_rows(doc["states"], m, "states"),
         tau=int(doc["tau"]),
         m=m,
         source_channel=int(doc["source_channel"]),
@@ -406,9 +425,9 @@ def write_model(path, model):
 
 def _model_from_doc(doc):
     return StateSpaceModel(
-        A=np.asarray(doc["a"], dtype=float),
-        B=np.asarray(doc["b"], dtype=float),
-        C=_rows(doc["c"], len(doc["a"])),
+        A=_finite(doc["a"], "a"),
+        B=_finite(doc["b"], "b"),
+        C=_rows(doc["c"], len(doc["a"]), "c"),
         basis=basis_from_list(doc["basis"]),
         dt=float(doc["dt"]),
         embedding_tau=int(doc.get("embedding_tau", 0)),
@@ -518,11 +537,9 @@ def parse_config(path, defaults):
     Unknown and repeated keys are rejected.  Values are coerced to the type
     of the default for the same key; booleans accept true/false/1/0.
     """
-    if not os.path.exists(path):
-        raise NotFoundError(f"no such config file: {path}")
     values = dict(defaults)
     set_on = {}  # the line number that set each key
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    with _open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

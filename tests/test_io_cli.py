@@ -734,6 +734,58 @@ def test_cli_missing_input_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_cli_symmetry_rejects_a_non_finite_embedding_state(tmp_path, capsys, value):
+    emb = ci.DelayEmbedding(states=np.random.default_rng(0).normal(size=(400, 2)), tau=1, m=2)
+    path = tmp_path / "embedding.json"
+    io.write_embedding(path, emb)
+    doc = json.loads(path.read_text())
+    doc["states"][7][1] = value
+    path.write_text(json.dumps(doc))
+    assert main(["symmetry", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert "field 'states' holds NaN or infinity" in _one_error_line(capsys)
+    assert not (tmp_path / "symmetry.json").exists()
+
+
+@pytest.mark.parametrize("field", ["a", "c"])
+def test_cli_simulate_rejects_a_non_finite_model_matrix(tmp_path, capsys, field):
+    path = tmp_path / "model.json"
+    _decay_model(path)
+    doc = json.loads(path.read_text())
+    doc[field][0][1] = np.nan
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path), "--steps", "5", "--out-dir", str(tmp_path)]) == 2
+    assert f"field {field!r} holds NaN or infinity" in _one_error_line(capsys)
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+def test_cli_out_dir_that_is_a_file_exits_2(tmp_path, capsys):
+    csv = tmp_path / "wave.csv"
+    _write_wave_csv(csv)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["embed", str(csv), "--out-dir", str(taken)]) == 2
+    assert str(taken) in _one_error_line(capsys)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"input.path = {csv}\n")
+    for out in (taken, taken / "sub"):
+        assert main(["pipeline", str(cfg), "--out-dir", str(out)]) == 2
+        assert str(out) in _one_error_line(capsys)
+
+
+def test_cli_input_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    for argv in (["pipeline"], ["embed"], ["symmetry"]):
+        assert main([*argv, str(tmp_path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert str(tmp_path) in _one_error_line(capsys)
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_constant_series_exits_3(tmp_path, capsys):
     csv = tmp_path / "flat.csv"
     csv.write_text("y\n" + "1.0\n" * 50)

@@ -3,8 +3,9 @@
 Each case runs ``chaosid pipeline`` in a fresh interpreter with one BLAS
 thread, so the process decides for itself whether to fork: with two CPUs it
 starts the worker, pinned to one CPU it computes everything in-process.  A
-small runner script counts the forks, can swap in a failing worker body, and
-after ``cli.main`` returns checks that no child process is left.
+small runner script counts the forks, can swap in a failing worker part or
+fork, and after ``cli.main`` returns checks that no child process or file
+descriptor is left.
 """
 
 import json
@@ -24,47 +25,53 @@ pytestmark = pytest.mark.skipif(
 )
 
 RUNNER = r"""
-import json, os, pickle, sys, warnings
+import errno, json, os, pickle, sys, warnings
 from chaosid import cli, errors
 
 cfg, mode = sys.argv[1], sys.argv[2]
 caller = os.getpid()
 forks = []
-real_fork, real_body = os.fork, cli._source_metrics
+dimensions = []  # the caller's correlation dimensions
+real_fork, real_dimension = os.fork, cli.correlation_dimension
+real_source_dimension, real_source_lyapunov = cli._source_dimension, cli._source_lyapunov
 
 
 def fork():
     forks.append(os.getpid())
+    if mode == "fork-fails":
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
     return real_fork()
 
 
-# the failing bodies fail in the worker only: the caller's fallback runs the
+def dimension(*args, **kwargs):
+    if os.getpid() == caller:
+        dimensions.append(1)
+    return real_dimension(*args, **kwargs)
+
+
+# the failing parts fail in the worker only: the caller's fallback runs the
 # same function in-process
 def exit_1(embedding):
     if os.getpid() != caller:
         os._exit(1)
-    return real_body(embedding)
+    return real_source_dimension(embedding)
 
 
 def raise_error(embedding):
     if os.getpid() != caller:
         raise RuntimeError("worker body failed")
-    return real_body(embedding)
+    return real_source_dimension(embedding)
 
 
-def exit_after_first(embedding):
-    parts = real_body(embedding)
-    yield next(parts)
+def exit_in_second(embedding):
     if os.getpid() != caller:
         os._exit(1)
-    yield next(parts)
+    return real_source_lyapunov(embedding)
 
 
-def warning_after_first(embedding):
-    parts = real_body(embedding)
-    yield next(parts)
+def warning_in_second(embedding):
     warnings.warn("a warning from the worker body's second part", RuntimeWarning)
-    yield next(parts)
+    return real_source_lyapunov(embedding)
 
 
 def truncated_dump(result, fh):
@@ -75,7 +82,7 @@ def truncated_dump(result, fh):
 
 def warning_body(embedding):
     warnings.warn("a warning from the worker body", RuntimeWarning)
-    return real_body(embedding)
+    return real_source_dimension(embedding)
 
 
 def symmetry_error(*args, **kwargs):
@@ -83,21 +90,27 @@ def symmetry_error(*args, **kwargs):
 
 
 os.fork = fork
+cli.correlation_dimension = dimension
 if mode == "exit":
-    cli._source_metrics = exit_1
+    cli._source_dimension = exit_1
 elif mode == "raise":
-    cli._source_metrics = raise_error
+    cli._source_dimension = raise_error
 elif mode == "exit-second":
-    cli._source_metrics = exit_after_first
+    cli._source_lyapunov = exit_in_second
 elif mode == "warn-second":
-    cli._source_metrics = warning_after_first
+    cli._source_lyapunov = warning_in_second
 elif mode == "truncate":
     pickle.dump = truncated_dump
 elif mode == "warn":
-    cli._source_metrics = warning_body
+    cli._source_dimension = warning_body
 elif mode == "symmetry-error":
     cli.ga_search = symmetry_error
+fds = sorted(os.listdir("/proc/self/fd"))
 rc = cli.main(["pipeline", cfg])
+assert sorted(os.listdir("/proc/self/fd")) == fds, "a file descriptor was left open"
+if mode == "exit-second":
+    # the model's dimension only: the worker delivered the source's
+    assert len(dimensions) == 1, dimensions
 try:
     os.waitpid(-1, os.WNOHANG)
     left = True
@@ -182,6 +195,14 @@ def test_no_worker_while_blas_runs_threads(inputs, serial):
 @pytest.mark.parametrize("mode", ["exit", "raise", "truncate", "exit-second"])
 def test_a_failed_worker_leaves_the_report_unchanged(inputs, serial, mode):
     result, printed, err, out = _run(inputs, "rossler", mode)
+    assert result == {"rc": 0, "forks": 1, "child_left": False}
+    assert err == ""
+    assert _report(out) == _report(serial[3])
+    assert printed[:-1] == serial[1][:-1]
+
+
+def test_a_failed_fork_computes_the_metrics_in_process(inputs, serial):
+    result, printed, err, out = _run(inputs, "rossler", "fork-fails")
     assert result == {"rc": 0, "forks": 1, "child_left": False}
     assert err == ""
     assert _report(out) == _report(serial[3])
