@@ -38,7 +38,8 @@ from .embedding import (
 )
 from .errors import ChaosidError, ConfigError, InputError, InvalidValue, NonFiniteState
 from .identify import fit_model
-from .symmetry import GaConfig, attractor_diameter, classify_symmetry, extract_segments, ga_search
+from .symmetry import (RESIDUAL_THRESHOLD, GaConfig, attractor_diameter, classify_symmetry,
+                       extract_segments, ga_search)
 from .validate import compare, correlation_dimension, dominant_period, largest_lyapunov
 
 CONFIG_DEFAULTS = {
@@ -117,14 +118,12 @@ def _symmetry(config, embedding):
     apart, with the default ``GaConfig``; classify them, write
     ``symmetry.json`` and return the report."""
     window = 2 * embedding.tau * embedding.m
-    ga_config = GaConfig()
     segments = extract_segments(embedding, window, window // 2)
-    transforms = ga_search(segments, ga_config)
-    # the search accepts against the diameter of the segments, not of all states
+    # the diameter of the segments, not of all states
     diameter = attractor_diameter(segments)
-    report = classify_symmetry(
-        transforms, ga_config.residual_threshold * diameter, diameter=diameter
-    )
+    # unnamed, so the rejected fits are freed before symmetry.json is rendered
+    report = classify_symmetry(ga_search(segments, GaConfig()), RESIDUAL_THRESHOLD * diameter,
+                               diameter=diameter)
     io.write_symmetry_report(_artifact(config, "symmetry.json"), report)
     return report
 

@@ -353,13 +353,13 @@ def fit_model(embedding, outputs, report):
     basis = report.recommended_basis
     candidates = list(_candidate_bases(basis, ParameterGrid(), embedding))
     try:
-        basis, A, B, Z, X_next, fit = _best_fit(embedding, candidates, 0.0)
+        basis, A, B, Z, _, fit = _best_fit(embedding, candidates, 0.0)
     except RankDeficient:
         ridge_lambda = _auto_ridge(embedding)
         warnings.append(
             f"regression rank deficient; retried with ridge_lambda={ridge_lambda:.3e}"
         )
-        basis, A, B, Z, X_next, fit = _best_fit(embedding, candidates, ridge_lambda)
+        basis, A, B, Z, _, fit = _best_fit(embedding, candidates, ridge_lambda)
     try:
         C = fit_output_map(embedding, outputs)
     except RankDeficient:
@@ -378,7 +378,7 @@ def fit_model(embedding, outputs, report):
         embedding_channel=embedding.source_channel,
     )
     fit.warnings = warnings + fit.warnings
-    _measure_errors(model, embedding, outputs, Z, X_next, A, B, fit)
+    _measure_errors(model, embedding, outputs, Z, fit)
     return model, fit
 
 
@@ -387,7 +387,7 @@ def _auto_ridge(embedding):
     return AUTO_RIDGE_FACTOR * float(np.linalg.norm(embedding.states, 2)) ** 2
 
 
-def _measure_errors(model, embedding, outputs, Z, X_next, A, B, fit):
+def _measure_errors(model, embedding, outputs, Z, fit):
     """Fill one-step and free-run output errors and the free-run states
     into the fit report."""
     y = outputs.values
@@ -397,7 +397,7 @@ def _measure_errors(model, embedding, outputs, Z, X_next, A, B, fit):
     scale[scale == 0.0] = 1.0
 
     # one step ahead: predict x(k+1) from the data, map through C
-    X_pred = Z @ np.hstack([A, B]).T
+    X_pred = Z @ np.hstack([model.A, model.B]).T
     y_pred = X_pred[: rows - 1] @ model.C.T
     err = y_pred - y[1:rows]
     fit.one_step_nrmse = np.sqrt(np.mean(err**2, axis=0)) / scale

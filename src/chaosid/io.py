@@ -340,6 +340,25 @@ def _finite(values, name):
     return array
 
 
+def _real(value, name):
+    """A number field as a float; NaN or infinity raises InvalidValue."""
+    array = _finite(value, name)
+    if array.ndim:
+        raise InvalidValue(f"field {name!r} must be a number, got {value!r}")
+    return float(array)
+
+
+def _integer(value, name):
+    """An integer field as an int: a JSON integer, or a float with an
+    integral value.  A bool, a fraction or any other value raises
+    InvalidValue naming the field, where ``int`` would truncate it."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise InvalidValue(f"field {name!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _rows(values, width, name):
     """A JSON list of finite rows as a 2-D float array; ``[]``, the way zero
     rows are written, becomes zero rows of ``width`` columns."""
@@ -348,12 +367,12 @@ def _rows(values, width, name):
 
 
 def _embedding_from_doc(doc):
-    m = int(doc["m"])
+    m = _integer(doc["m"], "m")
     return DelayEmbedding(
         states=_rows(doc["states"], m, "states"),
-        tau=int(doc["tau"]),
+        tau=_integer(doc["tau"], "tau"),
         m=m,
-        source_channel=int(doc["source_channel"]),
+        source_channel=_integer(doc["source_channel"], "source_channel"),
         dt=float(doc["dt"]),
     )
 
@@ -374,22 +393,19 @@ def term_to_dict(term):
 
 def term_from_dict(doc):
     kind = doc.get("type")
+    time_power = _real(doc.get("time_power", 1.0), "time_power")
     if kind == "sinusoid":
         return Sinusoid(
-            omega=float(doc["omega"]),
-            phi=float(doc["phi"]),
-            time_power=float(doc.get("time_power", 1.0)),
+            omega=_real(doc["omega"], "omega"), phi=_real(doc["phi"], "phi"), time_power=time_power
         )
     if kind == "exponential":
-        return Exponential(
-            rate=float(doc["rate"]), time_power=float(doc.get("time_power", 1.0))
-        )
+        return Exponential(rate=_real(doc["rate"], "rate"), time_power=time_power)
     if kind == "polynomial":
         coeffs = doc.get("coeffs")
         return Polynomial(
-            degree=int(doc["degree"]),
-            coeffs=tuple(float(c) for c in coeffs) if coeffs is not None else None,
-            time_power=float(doc.get("time_power", 1.0)),
+            degree=_integer(doc["degree"], "degree"),
+            coeffs=tuple(_finite(coeffs, "coeffs").tolist()) if coeffs is not None else None,
+            time_power=time_power,
         )
     if kind == "product":
         return Product(
@@ -430,8 +446,8 @@ def _model_from_doc(doc):
         C=_rows(doc["c"], len(doc["a"]), "c"),
         basis=basis_from_list(doc["basis"]),
         dt=float(doc["dt"]),
-        embedding_tau=int(doc.get("embedding_tau", 0)),
-        embedding_channel=int(doc.get("embedding_channel", 0)),
+        embedding_tau=_integer(doc.get("embedding_tau", 0), "embedding_tau"),
+        embedding_channel=_integer(doc.get("embedding_channel", 0), "embedding_channel"),
     )
 
 
@@ -470,8 +486,8 @@ def transform_from_dict(doc):
         translation=np.asarray(doc["translation"], dtype=float),
         affine=np.asarray(affine, dtype=float) if affine is not None else None,
         residual=float(doc["residual"]),
-        source_segment=int(doc["source_segment"]),
-        target_segment=int(doc["target_segment"]),
+        source_segment=_integer(doc["source_segment"], "source_segment"),
+        target_segment=_integer(doc["target_segment"], "target_segment"),
     )
 
 
@@ -498,7 +514,8 @@ def _symmetry_report_from_doc(doc):
     return SymmetryReport(
         transforms=[transform_from_dict(d) for d in doc["transforms"]],
         class_histogram={
-            TransformClass(name): int(n) for name, n in doc["class_histogram"].items()
+            TransformClass(name): _integer(n, "class_histogram")
+            for name, n in doc["class_histogram"].items()
         },
         dominant_class=TransformClass(dominant) if dominant else None,
         recommended_basis=basis_from_list(doc["recommended_basis"]),

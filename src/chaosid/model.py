@@ -83,6 +83,10 @@ class Polynomial:
     coeffs: tuple = None
     time_power: float = 1.0
 
+    def __post_init__(self):
+        if self.degree < 0:
+            raise InvalidValue(f"degree must be >= 0, got {self.degree}")
+
     def evaluate(self, t):
         tb = _timebase(t, self.time_power)
         if self.coeffs is None:

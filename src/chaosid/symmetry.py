@@ -5,12 +5,12 @@ compared pairwise by fitting a transform of a fixed class (translation,
 rotation, scaling, rotation plus scaling, or general affine) that carries
 one segment onto the other.  The first four are one map, scale * R p + t,
 with the class fixing R and the scale.  A genetic search explores the
-space of (source segment, target segment, class) triples and keeps every
-fit it evaluated; the ones whose residual beats a threshold tied to the
-attractor size count as detected symmetries.  The search is one loop over
-generations with its random draws replayed from the raw PCG64 stream, and
-it computes each segment's mean and centred norm once, on first use, for
-all the fits of that segment.  The distribution of
+space of (source segment, target segment, class) triples and returns every
+fit it evaluated; ``classify_symmetry`` accepts as detected symmetries the
+ones whose residual beats a threshold tied to the attractor size.  The
+search is one loop over generations with its random draws replayed from
+the raw PCG64 stream, and it computes each segment's mean and centred norm
+once, on first use, for all the fits of that segment.  The distribution of
 accepted classes then picks the forcing basis family for the
 identification stage: rotations vote for sinusoids, scalings for
 exponentials, and everything else falls back to a low order polynomial.
@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DegenerateSegment,
@@ -49,6 +50,10 @@ _CLASS_ORDER = list(TransformClass)
 #: MUTATION_RATE, and each pair of parents crosses over with CROSSOVER_RATE.
 MUTATION_RATE = 0.1
 CROSSOVER_RATE = 0.7
+
+#: A transform is accepted when its residual is below RESIDUAL_THRESHOLD
+#: times the attractor diameter.
+RESIDUAL_THRESHOLD = 0.05
 
 
 @dataclass(frozen=True)
@@ -180,8 +185,9 @@ def fit_transform(source, target, transform_class):
 def extract_segments(embedding, window, stride):
     """Cut the embedded trajectory into equal windows.
 
-    Segments start at 0, stride, 2*stride, ... and each one is a
-    (window, m) view of ``embedding.states``.
+    Segments start at 0, stride, 2*stride, ... and are the rows of one
+    read-only (k, window, m) view of ``embedding.states``; each row has
+    the shape and strides of the slice ``states[start : start + window]``.
 
     Raises
     ------
@@ -197,13 +203,10 @@ def extract_segments(embedding, window, stride):
             f"window={window} shorter than m+1={embedding.m + 1}"
         )
     n = embedding.n_states
-    states = embedding.states
-    segments = [states[start : start + window] for start in range(0, n - window + 1, stride)]
-    if len(segments) < 2:
-        raise InsufficientData(
-            f"only {len(segments)} segment(s) of window {window} fit into {n} states"
-        )
-    return segments
+    count = len(range(0, n - window + 1, stride))
+    if count < 2:
+        raise InsufficientData(f"only {count} segment(s) of window {window} fit into {n} states")
+    return sliding_window_view(embedding.states, window, axis=0)[::stride].transpose(0, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -217,7 +220,6 @@ class GaConfig:
     population: int = 64
     generations: int = 200
     seed: int = 0
-    residual_threshold: float = 0.05
 
     def __post_init__(self):
         if self.population < 2:
@@ -226,20 +228,15 @@ class GaConfig:
             raise InvalidValue(f"generations must be >= 1, got {self.generations}")
         if self.seed < 0:
             raise InvalidValue(f"seed must be >= 0, got {self.seed}")
-        if not self.residual_threshold > 0.0:
-            raise InvalidValue(
-                f"residual_threshold must be positive, got {self.residual_threshold}"
-            )
 
 
-def attractor_diameter(segments):
-    """Largest per-coordinate range over the given points.
-
-    Accepts either a (rows, m) array of states or a list of segments.
-    """
-    # vstack would first split an array into one small array per row
-    points = segments if isinstance(segments, np.ndarray) else np.vstack(segments)
-    return float(np.max(points.max(axis=0) - points.min(axis=0)))
+def attractor_diameter(points):
+    """Largest per-coordinate range over the given points: an array whose
+    last axis is the coordinate, such as (rows, m) states or (k, window, m)
+    segments."""
+    points = np.asarray(points)
+    axes = tuple(range(points.ndim - 1))
+    return float(np.max(points.max(axis=axes) - points.min(axis=axes)))
 
 
 def _pcg64_draws(seed):
@@ -289,10 +286,10 @@ def ga_search(segments, config=None):
 
     Each genome is a (source index, target index, class) triple with
     fitness equal to minus the fit residual.  The search remembers the fit
-    of every genome it ever evaluated; at the end, the transforms whose
-    residual beats ``residual_threshold`` times the attractor
-    diameter are returned, deduplicated and sorted by residual.  Segments
-    of more than one shape, or not 2-D, raise ``LengthMismatch``.
+    of every genome it ever evaluated and returns them all, deduplicated
+    and sorted by (residual, source, target, class); it accepts none, which
+    is ``classify_symmetry``'s part.  Segments of more than one shape, or
+    not 2-D, raise ``LengthMismatch``.
 
     Each generation keeps its fittest genome and fills the rest by
     tournaments of two, one-point crossover with ``CROSSOVER_RATE`` and
@@ -313,8 +310,6 @@ def ga_search(segments, config=None):
     shapes = {np.shape(seg) for seg in segments}
     if len(shapes) != 1 or np.ndim(segments[0]) != 2:
         raise LengthMismatch(f"segments must share one 2-D shape, got {sorted(shapes)}")
-    diameter = attractor_diameter(segments)
-    threshold = config.residual_threshold * diameter
     uniform, below = _pcg64_draws(config.seed)
     size = config.population
     n_classes = len(_CLASS_ORDER)
@@ -371,8 +366,8 @@ def ga_search(segments, config=None):
         population = next_pop
         fitness = [scores[g] if g in scores else score(g) for g in population]
 
-    accepted = [t for t in fits.values() if t is not None and t.residual < threshold]
-    accepted.sort(
+    found = [t for t in fits.values() if t is not None]
+    found.sort(
         key=lambda t: (
             t.residual,
             t.source_segment,
@@ -380,7 +375,7 @@ def ga_search(segments, config=None):
             _CLASS_ORDER.index(t.transform_class),
         )
     )
-    return accepted
+    return found
 
 
 @dataclass
@@ -424,7 +419,8 @@ def _basis_for(cls):
 
 
 def classify_symmetry(transforms, threshold, diameter=None):
-    """Histogram accepted transforms by class and recommend a basis family.
+    """Accept the transforms below ``threshold``, in their order, histogram
+    them by class and recommend a basis family.
 
     Parameters
     ----------

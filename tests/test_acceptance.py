@@ -53,11 +53,10 @@ def test_criterion_1_reference_round_trip(rossler_series):
     window = 2 * tau * m
     stride = max(window // 2, 1)
     segments = ci.extract_segments(embedding, window, stride)
-    config = ci.GaConfig()
-    transforms = ci.ga_search(segments, config)
+    transforms = ci.ga_search(segments, ci.GaConfig())
     diameter = ci.attractor_diameter(embedding.states)
     report = ci.classify_symmetry(
-        transforms, config.residual_threshold * diameter, diameter=diameter
+        transforms, ci.symmetry.RESIDUAL_THRESHOLD * diameter, diameter=diameter
     )
 
     outputs = ci.TimeSeries(embedding.states[:, 0], dt=embedding.dt)
@@ -215,10 +214,8 @@ def test_criterion_4_ga_matches_exhaustive():
                 for cls in _CLASS_ORDER:
                     fit = ci.fit_transform(segments[src], segments[tgt], cls)
                     best_oracle = min(best_oracle, fit.residual)
-        # a huge acceptance threshold keeps every evaluated transform, so
         # the first returned entry is the best the search ever saw
-        config = ci.GaConfig(seed=seed, residual_threshold=1e6)
-        found = ci.ga_search(segments, config)[0].residual
+        found = ci.ga_search(segments, ci.GaConfig(seed=seed))[0].residual
         worst_gap = max(worst_gap, abs(found - best_oracle))
     ok = worst_gap < 1e-9
     detail = f"worst |search - exhaustive| best-residual gap {worst_gap:.2e} over 20 seeds (target < 1e-9)"
@@ -233,9 +230,7 @@ def test_criterion_4_ga_matches_exhaustive():
 def _classify_states(states, seed, threshold):
     emb = _embedding_from_states(states)
     segments = ci.extract_segments(emb, window=20, stride=20)
-    config = ci.GaConfig(
-        population=48, generations=60, seed=seed, residual_threshold=threshold
-    )
+    config = ci.GaConfig(population=48, generations=60, seed=seed)
     transforms = ci.ga_search(segments, config)
     diameter = ci.attractor_diameter(emb.states)
     return ci.classify_symmetry(transforms, threshold * diameter, diameter=diameter)

@@ -136,10 +136,10 @@ def _symmetry_document():
     states = np.cumsum(np.random.default_rng(8).normal(size=(600, 3)), axis=0)
     segments = ci.extract_segments(ci.DelayEmbedding(states=states, tau=1, m=3),
                                    window=30, stride=15)
-    accepted = ci.ga_search(segments, ci.GaConfig(generations=20, residual_threshold=0.5))
-    accepted[3] = dataclasses.replace(accepted[3], rotation=np.full((3, 3), np.nan),
-                                      translation=np.array([np.inf, -0.0, -np.inf]))
-    doc = io.symmetry_report_to_dict(ci.classify_symmetry(accepted, np.inf, diameter=1.0))
+    found = ci.ga_search(segments, ci.GaConfig(generations=20))
+    found[3] = dataclasses.replace(found[3], rotation=np.full((3, 3), np.nan),
+                                   translation=np.array([np.inf, -0.0, -np.inf]))
+    doc = io.symmetry_report_to_dict(ci.classify_symmetry(found, np.inf, diameter=1.0))
     assert len(doc["transforms"]) > 100
     return doc
 
@@ -765,6 +765,111 @@ def test_cli_simulate_rejects_a_non_finite_model_matrix(tmp_path, capsys, field)
     assert not (tmp_path / "trajectory.csv").exists()
 
 
+def _traffic_model_doc(tmp_path):
+    """The ``Example5_Traffic`` fixture dump, whose one basis term is an
+    exponential ("first") times a sinusoid ("second")."""
+    assert main(["fixtures", "--dump", "Example5_Traffic", "--out-dir", str(tmp_path)]) == 0
+    return json.loads((tmp_path / "Example5_Traffic_model.json").read_text())
+
+
+def _assert_simulate_refuses(tmp_path, capsys, doc, expected):
+    """``chaosid simulate`` on model document ``doc`` exits 2 with one
+    error line holding ``expected`` and writes no trajectory."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["simulate", str(path), "--steps", "5", "--out-dir", str(tmp_path)]) == 2
+    assert expected in _one_error_line(capsys)
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "factor, field, value",
+    [
+        ("second", "omega", np.nan),
+        ("second", "phi", np.inf),
+        ("first", "rate", -np.inf),
+        ("first", "time_power", np.nan),
+    ],
+)
+def test_cli_simulate_rejects_a_non_finite_basis_parameter(tmp_path, capsys, factor, field, value):
+    doc = _traffic_model_doc(tmp_path)
+    doc["basis"][0][factor][field] = value
+    _assert_simulate_refuses(tmp_path, capsys, doc, f"field {field!r} holds NaN or infinity")
+
+
+@pytest.mark.parametrize(
+    "term, expected",
+    [
+        ({"degree": 2, "coeffs": [1.0, np.nan, 0.5]}, "field 'coeffs' holds NaN or infinity"),
+        ({"degree": -1}, "degree must be >= 0, got -1"),
+    ],
+    ids=["nan-coeff", "negative-degree"],
+)
+def test_cli_simulate_rejects_a_bad_polynomial_term(tmp_path, capsys, term, expected):
+    doc = _traffic_model_doc(tmp_path)
+    doc["basis"] = [{"type": "polynomial", **term}]
+    _assert_simulate_refuses(tmp_path, capsys, doc, expected)
+
+
+@pytest.fixture(scope="module")
+def stage_artifacts(tmp_path_factory):
+    """``embedding.json``, ``symmetry.json`` and a ``model.json`` with a
+    polynomial term, as the stages write them, by file name."""
+    out = tmp_path_factory.mktemp("stages")
+    csv = out / "wave.csv"
+    _write_wave_csv(csv)
+    assert main(["embed", str(csv), "--tau", "12", "--m", "2", "--out-dir", str(out)]) == 0
+    assert main(["symmetry", str(out / "embedding.json"), "--out-dir", str(out)]) == 0
+    model = ci.StateSpaceModel(A=0.5 * np.eye(2), B=np.ones((2, 1)), C=np.eye(2),
+                               basis=ci.ForcingBasis((ci.Polynomial(2),)), dt=1.0,
+                               embedding_tau=3, embedding_channel=1)
+    io.write_model(out / "model.json", model)
+    return {name: json.loads((out / name).read_text())
+            for name in ("embedding.json", "symmetry.json", "model.json")}
+
+
+@pytest.mark.parametrize(
+    "name, keys, value, field",
+    [
+        ("embedding.json", ("tau",), 2.5, "tau"),
+        ("embedding.json", ("m",), 2.9, "m"),
+        ("embedding.json", ("source_channel",), True, "source_channel"),
+        ("symmetry.json", ("transforms", 0, "source_segment"), 1.5, "source_segment"),
+        ("symmetry.json", ("transforms", 0, "target_segment"), "1", "target_segment"),
+        ("symmetry.json", ("class_histogram", "rotation"), 2.5, "class_histogram"),
+        ("model.json", ("basis", 0, "degree"), 2.7, "degree"),
+        ("model.json", ("embedding_tau",), 1.5, "embedding_tau"),
+        ("model.json", ("embedding_channel",), False, "embedding_channel"),
+    ],
+    ids=["tau", "m", "source_channel", "source_segment", "target_segment", "histogram",
+         "degree", "embedding_tau", "embedding_channel"],
+)
+def test_cli_rejects_an_integer_field_that_is_no_integer(
+    tmp_path, capsys, stage_artifacts, name, keys, value, field
+):
+    """Before, ``int`` truncated a fraction: tau 2.5 ran as tau 2."""
+    docs = {key: json.loads(json.dumps(doc)) for key, doc in stage_artifacts.items()}
+    *path, last = keys
+    target = docs[name]
+    for key in path:
+        target = target[key]
+    target[last] = value
+    for key, doc in docs.items():
+        (tmp_path / key).write_text(json.dumps(doc))
+    out = str(tmp_path / "out")
+    argv = {
+        "embedding.json": ["symmetry", str(tmp_path / "embedding.json")],
+        "symmetry.json": ["identify", str(tmp_path / "embedding.json"),
+                          str(tmp_path / "symmetry.json")],
+        "model.json": ["simulate", str(tmp_path / "model.json"), "--steps", "5"],
+    }[name]
+    capsys.readouterr()
+    assert main([*argv, "--out-dir", out]) == 2
+    assert f"field {field!r} must be an integer, got {value!r}" in _one_error_line(capsys)
+    assert not os.path.exists(out) or not os.listdir(out)
+
+
 def test_cli_out_dir_that_is_a_file_exits_2(tmp_path, capsys):
     csv = tmp_path / "wave.csv"
     _write_wave_csv(csv)
@@ -1066,6 +1171,18 @@ def test_cli_pipeline_simulates_the_model_once(tmp_path, monkeypatch, capsys):
     assert len(calls) == 1
     report = io.load_json(tmp_path / "pinned" / "report.json")
     assert report["fit"]["free_run_nrmse"] == report["metrics"]["free_run_comparison"]["nrmse"]
+    capsys.readouterr()
+
+
+def test_cli_pipeline_measures_the_attractor_diameter_once(tmp_path, monkeypatch, capsys):
+    from chaosid import cli, symmetry
+
+    calls = []
+    diameter = symmetry.attractor_diameter
+    monkeypatch.setattr(symmetry, "attractor_diameter", _counting(calls, diameter))
+    monkeypatch.setattr(cli, "attractor_diameter", _counting(calls, diameter))
+    assert main(["pipeline", str(_pinned_config(tmp_path, ""))]) == 0
+    assert len(calls) == 1
     capsys.readouterr()
 
 

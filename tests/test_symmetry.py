@@ -5,7 +5,8 @@ Oracles: ``_oracle_fit_transform`` is the earlier five-branch form of
 ``fit_transform``, one formula per class, kept verbatim apart from taking
 arrays; the one-construction form must agree with it bit for bit.
 ``_oracle_ga_search`` is ``ga_search`` as it was when it drew from
-``np.random.default_rng``, kept verbatim with the genome helpers it called;
+``np.random.default_rng``, kept verbatim with the genome helpers it called
+apart from the acceptance threshold, which the search no longer applies;
 the one-loop search on replayed draws must return the same transforms, bit
 for bit and in the same order.
 """
@@ -76,6 +77,23 @@ def test_extract_segments_needs_two_windows():
     emb7 = _embedding_from_states(np.arange(14.0).reshape(7, 2))
     with pytest.raises(ci.InsufficientData):
         ci.extract_segments(emb7, window=6, stride=5)
+
+
+def test_extract_segments_rows_are_the_slices_as_views():
+    """One read-only (k, window, m) view whose rows have the values, shape
+    and strides of the slices ``states[start : start + window]``."""
+    states = np.cumsum(np.random.default_rng(3).normal(size=(50, 3)), axis=0)
+    emb = _embedding_from_states(states)
+    for window, stride in [(4, 1), (7, 3), (10, 10), (25, 25), (20, 30)]:
+        segments = ci.extract_segments(emb, window=window, stride=stride)
+        starts = range(0, len(states) - window + 1, stride)
+        assert segments.shape == (len(starts), window, 3)
+        assert not segments.flags.writeable
+        for start, segment in zip(starts, segments):
+            expected = emb.states[start : start + window]
+            assert np.array_equal(segment, expected)
+            assert segment.strides == expected.strides
+            assert np.shares_memory(segment, emb.states)
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +461,9 @@ def _exhaustive_accepted(segments, threshold_fraction):
 def test_ga_search_subset_of_exhaustive_and_finds_best():
     for seed in range(5):
         segments = _random_walk_segments(100 + seed)
-        config = ci.GaConfig(population=64, generations=60, seed=seed, residual_threshold=0.3)
-        accepted = ci.ga_search(segments, config)
+        config = ci.GaConfig(population=64, generations=60, seed=seed)
+        threshold = 0.3 * ci.attractor_diameter(segments)
+        accepted = [t for t in ci.ga_search(segments, config) if t.residual < threshold]
         oracle = _exhaustive_accepted(segments, 0.3)
         oracle_keys = {(s, t, c): r for r, s, t, c in oracle}
         assert oracle, "exhaustive sweep found nothing; threshold too tight for this data"
@@ -462,7 +481,7 @@ def test_ga_search_subset_of_exhaustive_and_finds_best():
 
 def test_ga_search_deterministic_for_fixed_seed():
     segments = _random_walk_segments(7)
-    config = ci.GaConfig(population=48, generations=40, seed=3, residual_threshold=0.4)
+    config = ci.GaConfig(population=48, generations=40, seed=3)
     first = ci.ga_search(segments, config)
     second = ci.ga_search(segments, config)
     assert len(first) == len(second)
@@ -485,6 +504,35 @@ def test_ga_search_rejects_mixed_lengths():
     for shapes in ([(8, 2), (9, 2)], [(8, 2), (8, 3)], [(8,), (8,)], [(8, 2, 1)] * 2):
         with pytest.raises(ci.LengthMismatch):
             ci.ga_search([rng.normal(size=shape) for shape in shapes])
+
+
+def test_ga_search_returns_every_fit_and_classify_symmetry_accepts(monkeypatch):
+    """The search measures no diameter and accepts nothing: it returns fits
+    above the pipeline's threshold, and ``classify_symmetry`` keeps the
+    same objects, in order, that lie below it."""
+    segments = _rossler_segments()
+    threshold = ci.symmetry.RESIDUAL_THRESHOLD * attractor_diameter(segments)
+
+    def unused(*args):
+        raise AssertionError("ga_search measured a diameter")
+
+    monkeypatch.setattr(ci.symmetry, "attractor_diameter", unused)
+    found = ci.ga_search(segments, GaConfig(generations=40))
+    accepted = [t for t in found if t.residual < threshold]
+    assert accepted and len(accepted) < len(found)
+    assert ci.classify_symmetry(found, threshold).transforms == accepted
+
+
+@pytest.mark.parametrize(
+    "field, value", [("population", 1), ("generations", 0), ("seed", -1)]
+)
+def test_ga_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(InvalidValue, match=f"{field} must be >= "):
+        GaConfig(**{field: value})
+
+
+def test_ga_config_holds_only_the_search_settings():
+    assert [f.name for f in dataclasses.fields(GaConfig)] == ["population", "generations", "seed"]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -558,8 +606,6 @@ def _oracle_ga_search(segments, config=None):
     lengths = {len(seg) for seg in segments}
     if len(lengths) != 1:
         raise LengthMismatch(f"segments have mixed lengths {sorted(lengths)}")
-    diameter = attractor_diameter(segments)
-    threshold = config.residual_threshold * diameter
     rng = np.random.default_rng(config.seed)
     fits = {}  # genome -> its transform, or None for a degenerate segment
 
@@ -596,8 +642,8 @@ def _oracle_ga_search(segments, config=None):
         population = next_pop
         fitness = [fitness_of(g) for g in population]
 
-    accepted = [t for t in fits.values() if t is not None and t.residual < threshold]
-    accepted.sort(
+    found = [t for t in fits.values() if t is not None]
+    found.sort(
         key=lambda t: (
             t.residual,
             t.source_segment,
@@ -605,13 +651,16 @@ def _oracle_ga_search(segments, config=None):
             _CLASS_ORDER.index(t.transform_class),
         )
     )
-    return accepted
+    return found
 
 
-def _assert_same_search(segments, config):
+def _assert_same_search(segments, config, fraction=0.05):
+    """The two searches return the same fits, bit for bit and in order, the
+    best of them below ``fraction`` times the segments' diameter."""
     found = ci.ga_search(segments, config)
     oracle = _oracle_ga_search(segments, config)
-    assert found, "nothing accepted; the comparison would be empty"
+    threshold = fraction * attractor_diameter(segments)
+    assert found[0].residual < threshold, "nothing accepted; the comparison would be empty"
     assert len(found) == len(oracle)
     for fit, expected in zip(found, oracle):
         assert (fit.source_segment, fit.target_segment) == (
@@ -637,9 +686,8 @@ def test_ga_search_equals_numpy_generator_oracle_at_the_edges(
     draws.  An odd population skips the second child's mutation."""
     segments = _random_walk_segments(11, n_segments=n_segments)
     for seed in range(3):
-        config = GaConfig(population=population, generations=generations, seed=seed,
-                          residual_threshold=0.5)
-        _assert_same_search(segments, config)
+        config = GaConfig(population=population, generations=generations, seed=seed)
+        _assert_same_search(segments, config, fraction=0.5)
 
 
 def _damped_segments():
@@ -662,9 +710,9 @@ def test_ga_search_equals_numpy_generator_oracle_at_the_defaults(seed):
 
 def test_ga_search_equals_numpy_generator_oracle_with_a_constant_segment():
     """Shape-carrying fits to a constant segment get fitness -inf."""
-    segments = _random_walk_segments(12)
+    segments = list(_random_walk_segments(12))
     segments[2] = np.full_like(segments[2], 3.0)
-    _assert_same_search(segments, GaConfig(generations=60, seed=1, residual_threshold=0.5))
+    _assert_same_search(segments, GaConfig(generations=60, seed=1), fraction=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -823,11 +871,10 @@ def test_circle_trajectory_votes_rotation():
     k = np.arange(400)
     states = np.column_stack([np.cos(k * dt), np.sin(k * dt)])
     segments = ci.extract_segments(_embedding_from_states(states), window=20, stride=20)
-    config = ci.GaConfig(population=48, generations=80, seed=0, residual_threshold=0.01)
-    accepted = ci.ga_search(segments, config)
-    assert accepted
+    config = ci.GaConfig(population=48, generations=80, seed=0)
     threshold = 0.01 * ci.attractor_diameter(segments)
-    report = ci.classify_symmetry(accepted, threshold=threshold)
+    report = ci.classify_symmetry(ci.ga_search(segments, config), threshold=threshold)
+    assert report.transforms
     assert report.dominant_class is ci.TransformClass.ROTATION
     assert isinstance(report.recommended_basis.terms[0], ci.Sinusoid)
 
@@ -882,10 +929,9 @@ def test_scaled_ray_votes_scaling():
     radius = np.exp(0.005 * k)
     states = np.column_stack([radius, 0.3 * radius])
     segments = ci.extract_segments(_embedding_from_states(states), window=20, stride=20)
-    config = ci.GaConfig(population=48, generations=80, seed=0, residual_threshold=0.001)
-    accepted = ci.ga_search(segments, config)
-    assert accepted
+    config = ci.GaConfig(population=48, generations=80, seed=0)
     threshold = 0.001 * ci.attractor_diameter(segments)
-    report = ci.classify_symmetry(accepted, threshold=threshold)
+    report = ci.classify_symmetry(ci.ga_search(segments, config), threshold=threshold)
+    assert report.transforms
     assert report.dominant_class is ci.TransformClass.SCALING
     assert isinstance(report.recommended_basis.terms[0], ci.Exponential)
