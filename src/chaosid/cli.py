@@ -38,7 +38,7 @@ from .embedding import (
 )
 from .errors import ChaosidError, ConfigError, InputError, InvalidValue, NonFiniteState
 from .identify import fit_model
-from .symmetry import (RESIDUAL_THRESHOLD, GaConfig, attractor_diameter, classify_symmetry,
+from .symmetry import (RESIDUAL_THRESHOLD, attractor_diameter, classify_symmetry,
                        extract_segments, ga_search)
 from .validate import compare, correlation_dimension, dominant_period, largest_lyapunov
 
@@ -122,7 +122,7 @@ def _symmetry(config, embedding):
     # the diameter of the segments, not of all states
     diameter = attractor_diameter(segments)
     # unnamed, so the rejected fits are freed before symmetry.json is rendered
-    report = classify_symmetry(ga_search(segments, GaConfig()), RESIDUAL_THRESHOLD * diameter,
+    report = classify_symmetry(ga_search(segments), RESIDUAL_THRESHOLD * diameter,
                                diameter=diameter)
     io.write_symmetry_report(_artifact(config, "symmetry.json"), report)
     return report

@@ -37,8 +37,6 @@ class InvalidValue(InputError, ValueError):
 class DataError(ChaosidError):
     """Input data violates a documented precondition."""
 
-    exit_code = 3
-
 
 class ZeroVariance(DataError):
     """A channel is constant, so correlation statistics are undefined."""

@@ -287,7 +287,9 @@ def _lower_bounds(embedding, candidates):
 
 def _best_fit(embedding, candidates, ridge_lambda):
     """Fit the candidate bases with their phases fitted; return (basis, A, B,
-    Z, X_next, report) of the smallest one-step residual, the earliest on ties.
+    prediction, report) of the smallest one-step residual, the earliest on
+    ties.  ``prediction`` is the winner's one-step state prediction
+    Z [A B]^T, the product its residual was scored from.
 
     Candidates are fitted in ascending order of ``_lower_bounds`` (grid
     order on equal bounds) until the next bound exceeds the best exact RMS
@@ -307,20 +309,21 @@ def _best_fit(embedding, candidates, ridge_lambda):
             A, B, cond = solve_least_squares(Z, X_next, ridge_lambda)
         except RankDeficient:
             continue
-        resid = X_next - Z @ np.hstack([A, B]).T
+        prediction = Z @ np.hstack([A, B]).T
+        resid = X_next - prediction
         total = float(np.sqrt(np.mean(resid**2)))
         if best is None or (total, j) < best[:2]:
-            best = (total, j, candidate, A, B, cond, Z, X_next, resid)
+            best = (total, j, candidate, A, B, cond, prediction, resid)
     if best is None:
         raise RankDeficient("every candidate basis left the regression rank deficient")
-    _, _, candidate, A, B, cond, Z, X_next, resid = best
+    _, _, candidate, A, B, cond, prediction, resid = best
     report = FitReport(
         residual_rms=np.sqrt(np.mean(resid**2, axis=0)),
         condition_estimate=cond,
         ridge_lambda=ridge_lambda,
         basis_description=candidate.describe(),
     )
-    return candidate, A, B, Z, X_next, report
+    return candidate, A, B, prediction, report
 
 
 def fit_model(embedding, outputs, report):
@@ -329,11 +332,14 @@ def fit_model(embedding, outputs, report):
     The basis family the symmetry vote recommends is refined over the
     default ``ParameterGrid`` (refinement replaces its placeholder
     parameters), and the best candidate is fitted by least squares with no
-    ridge; the output map is fitted separately.  A state regression that is
-    rank deficient for every candidate is refitted with an automatic ridge
-    sized from the states, and the report's ``ridge_lambda``
-    holds the ridge of the winning fit.  One-step and free-run errors are
-    measured against ``outputs``.  The free run starts from the first
+    ridge; the output map is fitted separately.  Both solves follow one
+    rule: a solve that is rank deficient at ridge 0 (for the state
+    regression, for every candidate) is retried with the ridge
+    ``AUTO_RIDGE_FACTOR`` times the largest squared singular value of the
+    states, with a warning, and the report's ``ridge_lambda`` holds the
+    ridge of the winning state fit.  One-step and free-run errors are
+    measured against ``outputs``, the one-step ones from the winning
+    candidate's own prediction.  The free run starts from the first
     embedding state and covers every row the embedding and ``outputs``
     share; the report keeps its states in ``free_run`` (None when the run
     diverged, with a warning and an infinite ``free_run_nrmse``).
@@ -350,24 +356,19 @@ def fit_model(embedding, outputs, report):
     (model, fit_report) : (StateSpaceModel, FitReport)
     """
     warnings = []
-    basis = report.recommended_basis
-    candidates = list(_candidate_bases(basis, ParameterGrid(), embedding))
-    try:
-        basis, A, B, Z, _, fit = _best_fit(embedding, candidates, 0.0)
-    except RankDeficient:
-        ridge_lambda = _auto_ridge(embedding)
-        warnings.append(
-            f"regression rank deficient; retried with ridge_lambda={ridge_lambda:.3e}"
-        )
-        basis, A, B, Z, _, fit = _best_fit(embedding, candidates, ridge_lambda)
-    try:
-        C = fit_output_map(embedding, outputs)
-    except RankDeficient:
-        ridge_c = _auto_ridge(embedding)
-        warnings.append(
-            f"output map rank deficient; retried with ridge_lambda={ridge_c:.3e}"
-        )
-        C = fit_output_map(embedding, outputs, ridge_lambda=ridge_c)
+
+    def solve(what, at_ridge):
+        try:
+            return at_ridge(0.0)
+        except RankDeficient:
+            ridge = AUTO_RIDGE_FACTOR * float(np.linalg.norm(embedding.states, 2)) ** 2
+            warnings.append(f"{what} rank deficient; retried with ridge_lambda={ridge:.3e}")
+            return at_ridge(ridge)
+
+    candidates = list(_candidate_bases(report.recommended_basis, ParameterGrid(), embedding))
+    basis, A, B, prediction, fit = solve(
+        "regression", lambda ridge: _best_fit(embedding, candidates, ridge))
+    C = solve("output map", lambda ridge: fit_output_map(embedding, outputs, ridge))
     model = StateSpaceModel(
         A=A,
         B=B,
@@ -377,29 +378,22 @@ def fit_model(embedding, outputs, report):
         embedding_tau=embedding.tau,
         embedding_channel=embedding.source_channel,
     )
-    fit.warnings = warnings + fit.warnings
-    _measure_errors(model, embedding, outputs, Z, fit)
+    fit.warnings = warnings
+    _measure_errors(model, embedding, outputs, prediction, fit)
     return model, fit
 
 
-def _auto_ridge(embedding):
-    """AUTO_RIDGE_FACTOR times the largest squared singular value of the states."""
-    return AUTO_RIDGE_FACTOR * float(np.linalg.norm(embedding.states, 2)) ** 2
-
-
-def _measure_errors(model, embedding, outputs, Z, fit):
+def _measure_errors(model, embedding, outputs, prediction, fit):
     """Fill one-step and free-run output errors and the free-run states
-    into the fit report."""
+    into the fit report; ``prediction`` is the one-step state prediction
+    of ``_best_fit``, x(k+1) predicted from the data."""
     y = outputs.values
     rows = min(embedding.n_states, y.shape[0])
     y = y[:rows]
     scale = np.std(y, axis=0)
     scale[scale == 0.0] = 1.0
 
-    # one step ahead: predict x(k+1) from the data, map through C
-    X_pred = Z @ np.hstack([model.A, model.B]).T
-    y_pred = X_pred[: rows - 1] @ model.C.T
-    err = y_pred - y[1:rows]
+    err = prediction[: rows - 1] @ model.C.T - y[1:rows]
     fit.one_step_nrmse = np.sqrt(np.mean(err**2, axis=0)) / scale
 
     try:

@@ -313,8 +313,7 @@ def _csv_cell(value):
 
 
 def write_series(path, series, comments=()):
-    labels = series.labels or tuple(f"ch{i}" for i in range(series.values.shape[1]))
-    write_table(path, labels, series.values, comments=comments)
+    write_table(path, series.labels, series.values, comments=comments)
 
 
 # ---------------------------------------------------------------------------

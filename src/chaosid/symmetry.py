@@ -10,7 +10,7 @@ fit it evaluated; ``classify_symmetry`` accepts as detected symmetries the
 ones whose residual beats a threshold tied to the attractor size.  The
 search is one loop over generations with its random draws replayed from
 the raw PCG64 stream, and it computes each segment's mean and centred norm
-once, on first use, for all the fits of that segment.  The distribution of
+once, up front, for all the fits of that segment.  The distribution of
 accepted classes then picks the forcing basis family for the
 identification stage: rotations vote for sinusoids, scalings for
 exponentials, and everything else falls back to a low order polynomial.
@@ -294,9 +294,10 @@ def ga_search(segments, config=None):
     Each generation keeps its fittest genome and fills the rest by
     tournaments of two, one-point crossover with ``CROSSOVER_RATE`` and
     per-gene mutation with ``MUTATION_RATE``; a child whose source and
-    target coincide draws a new target.  A segment's mean and centred norm
-    are computed the first time a genome uses it, so a new genome costs one
-    ``_fit`` on the two segments' statistics.
+    target coincide draws a new target.  Every segment's mean and centred
+    norm are computed once before the search, so a new genome costs one
+    ``_fit`` on the two segments' statistics; one memo per genome holds
+    its transform and one its fitness.
 
     The search is fully deterministic for a fixed seed: its draws are
     those of ``np.random.default_rng(config.seed)``, replayed from the
@@ -313,24 +314,19 @@ def ga_search(segments, config=None):
     uniform, below = _pcg64_draws(config.seed)
     size = config.population
     n_classes = len(_CLASS_ORDER)
-    stats = [None] * n_segments  # _segment_stats, on first use
+    stats = [_segment_stats(np.asarray(seg, dtype=float)) for seg in segments]
     fits = {}  # genome -> its transform, or None for a degenerate segment
     scores = {}  # genome -> its fitness
 
     def score(genome):
-        """Fit a genome not seen before; returns its fitness."""
+        """Fit a genome not seen before into both memos; returns its fitness."""
         src, tgt, cls = genome
-        for k in (src, tgt):
-            if stats[k] is None:
-                stats[k] = _segment_stats(np.asarray(segments[k], dtype=float))
         try:
-            fit = _fit(stats[src], stats[tgt], _CLASS_ORDER[cls], src, tgt)
-            fitness = -fit.residual
+            fits[genome] = _fit(stats[src], stats[tgt], _CLASS_ORDER[cls], src, tgt)
+            scores[genome] = -fits[genome].residual
         except DegenerateSegment:
-            fit, fitness = None, -np.inf
-        fits[genome] = fit
-        scores[genome] = fitness
-        return fitness
+            fits[genome], scores[genome] = None, -np.inf
+        return scores[genome]
 
     population = []
     for _ in range(size):
@@ -366,16 +362,9 @@ def ga_search(segments, config=None):
         population = next_pop
         fitness = [scores[g] if g in scores else score(g) for g in population]
 
-    found = [t for t in fits.values() if t is not None]
-    found.sort(
-        key=lambda t: (
-            t.residual,
-            t.source_segment,
-            t.target_segment,
-            _CLASS_ORDER.index(t.transform_class),
-        )
-    )
-    return found
+    # by (residual, source, target, class): the genome is (source, target,
+    # class index) and negating a residual is exact
+    return [fits[g] for g in sorted(fits, key=lambda g: (-scores[g], g)) if fits[g] is not None]
 
 
 @dataclass

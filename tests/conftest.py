@@ -67,17 +67,18 @@ def exhaustive_best_fit(embedding, candidates, ridge_lambda):
             A, B, cond = identify.solve_least_squares(Z, X_next, ridge_lambda)
         except ci.RankDeficient:
             continue
-        resid = X_next - Z @ np.hstack([A, B]).T
+        prediction = Z @ np.hstack([A, B]).T
+        resid = X_next - prediction
         total = float(np.sqrt(np.mean(resid**2)))
         if best is None or total < best[0]:
-            best = (total, candidate, A, B, cond, Z, X_next, resid)
+            best = (total, candidate, A, B, cond, prediction, resid)
     if best is None:
         raise ci.RankDeficient("every candidate basis left the regression rank deficient")
-    _, candidate, A, B, cond, Z, X_next, resid = best
+    _, candidate, A, B, cond, prediction, resid = best
     report = ci.FitReport(
         residual_rms=np.sqrt(np.mean(resid**2, axis=0)),
         condition_estimate=cond,
         ridge_lambda=ridge_lambda,
         basis_description=candidate.describe(),
     )
-    return candidate, A, B, Z, X_next, report
+    return candidate, A, B, prediction, report

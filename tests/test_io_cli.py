@@ -1202,6 +1202,21 @@ def test_cli_pipeline_dimensions_use_the_default_radii_and_a_tau_m_theiler_windo
     capsys.readouterr()
 
 
+def test_cli_pipeline_one_step_nrmse_follows_from_the_written_model(tmp_path, capsys):
+    # the source channel is coordinate 0 of the embedding, so the output
+    # error is the model's prediction Z [A B]^T mapped through C against it
+    assert main(["pipeline", str(_pinned_config(tmp_path, ""))]) == 0
+    out = tmp_path / "pinned"
+    embedding = io.read_embedding(out / "embedding.json")
+    model = io.read_model(out / "model.json")
+    Z, _ = ci.build_regression(embedding, model.basis)
+    y = embedding.states[:, :1]
+    err = (Z @ np.hstack([model.A, model.B]).T) @ model.C.T - y[1:]
+    nrmse = np.sqrt(np.mean(err**2, axis=0)) / np.std(y, axis=0)
+    assert nrmse.tolist() == io.load_json(out / "fit.json")["one_step_nrmse"]
+    capsys.readouterr()
+
+
 _FIT_KEYS = {"residual_rms", "one_step_nrmse", "free_run_nrmse", "condition_estimate",
              "ridge_lambda", "basis_description", "warnings"}
 _COMPARISON_KEYS = {"schema", "nrmse", "histogram_distance", "dimension_delta",
