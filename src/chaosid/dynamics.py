@@ -19,9 +19,8 @@ from importlib import resources
 import numpy as np
 
 from .embedding import TimeSeries
-from .errors import InvalidValue, NonFiniteState, NotFoundError
+from .errors import InvalidValue, NonFiniteState, NotFoundError, _finite, _integer, _positive
 from .model import Exponential, ForcingBasis, Polynomial, Product, Sinusoid, StateSpaceModel
-from .validate import _integer
 
 
 @dataclass(frozen=True)
@@ -93,17 +92,12 @@ def rk4_integrate(system, x0, dt, steps, transient_skip=0):
         reported, as a check of every state after its step would report it.
     """
     dimension = system.dimension
-    x = np.asarray(x0, dtype=float)
+    x = _finite("x0", x0)
     if x.shape != (dimension,):
         raise InvalidValue(f"x0 has shape {x.shape}, expected ({dimension},)")
-    steps = _integer("steps", steps)
-    transient_skip = _integer("transient_skip", transient_skip)
-    if steps < 2:
-        raise InvalidValue(f"steps must be >= 2 to form a series, got {steps}")
-    if transient_skip < 0:
-        raise InvalidValue(f"transient_skip must be >= 0, got {transient_skip}")
-    if not dt > 0:
-        raise InvalidValue(f"dt must be positive, got {dt}")
+    steps = _integer("steps", steps, 2)  # two states form the shortest series
+    transient_skip = _integer("transient_skip", transient_skip, 0)
+    _positive("dt", dt)
     # the coefficients as the array form computes them from dt, then as floats
     half, full, sixth = float(0.5 * dt), float(dt), float(dt / 6.0)
     out = np.empty((steps, dimension))
@@ -154,18 +148,16 @@ def simulate(model, x0=None, steps=1000):
     ------
     InvalidValue
         if ``steps`` is not an integer of at least 1, or ``x0`` has the
-        wrong shape.
+        wrong shape or is not finite.
     NonFiniteState
         if iteration overflows; the failing step index is reported.
     """
-    steps = _integer("steps", steps)
-    if steps < 1:
-        raise InvalidValue(f"steps must be >= 1, got {steps}")
+    steps = _integer("steps", steps, 1)
     n = model.n
     if x0 is None:
         x = np.zeros(n)
     else:
-        x = np.asarray(x0, dtype=float).copy()
+        x = _finite("x0", x0)
         if x.shape != (n,):
             raise InvalidValue(f"x0 has shape {x.shape}, expected ({n},)")
     states = np.empty((steps, n))

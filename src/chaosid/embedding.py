@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientData, InvalidValue, NotFoundError, ZeroVariance
+from .errors import (InsufficientData, InvalidValue, NotFoundError, ZeroVariance, _finite,
+                     _integer, _positive)
 from .neighbors import nearest, unit_scale
 
 #: False nearest neighbour criteria (Kennedy, Brown & Abarbanel 1992): a
@@ -51,17 +52,14 @@ class TimeSeries:
     labels: tuple = None
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = _finite("values", self.values)
         if values.ndim == 1:
             values = values.reshape(-1, 1)
         if values.ndim != 2:
             raise InvalidValue(f"values must be 1-D or 2-D, got shape {values.shape}")
         if values.shape[0] < 2:
             raise InsufficientData(f"need at least 2 samples, got {values.shape[0]}")
-        if not np.all(np.isfinite(values)):
-            raise InvalidValue("values contain NaN or infinity")
-        if not 0 < self.dt < np.inf:
-            raise InvalidValue(f"dt must be finite and positive, got {self.dt}")
+        _positive("dt", self.dt)
         labels = self.labels
         if labels is None:
             labels = tuple(f"ch{i}" for i in range(values.shape[1]))
@@ -83,7 +81,7 @@ class TimeSeries:
         return self.values.shape[1]
 
     def channel(self, index):
-        if not 0 <= index < self.n_channels:
+        if not 0 <= _integer("channel", index) < self.n_channels:
             raise NotFoundError(
                 f"channel {index} out of range, series has {self.n_channels} channels"
             )
@@ -104,14 +102,11 @@ class DelayEmbedding:
         states = np.asarray(self.states, dtype=float)
         if states.ndim != 2:
             raise InvalidValue(f"states must be 2-D, got shape {states.shape}")
-        if self.tau < 1:
-            raise InvalidValue(f"tau must be >= 1, got {self.tau}")
-        if self.m < 1:
-            raise InvalidValue(f"m must be >= 1, got {self.m}")
-        if states.shape[1] != self.m:
+        if states.shape[1] != _integer("m", self.m, 1):
             raise InvalidValue(f"states have {states.shape[1]} columns, expected m={self.m}")
-        if not 0 < self.dt < np.inf:
-            raise InvalidValue(f"dt must be finite and positive, got {self.dt}")
+        _integer("tau", self.tau, 1)
+        _integer("source_channel", self.source_channel, 0)
+        _positive("dt", self.dt)
         object.__setattr__(self, "states", states)
 
     @property
@@ -276,10 +271,7 @@ def false_nearest_neighbors(series, channel=0, tau=1, m_max=FNN_M_MAX):
     """
     s = _get_channel(series, channel)
     n = s.size
-    if tau < 1:
-        raise InvalidValue(f"tau must be >= 1, got {tau}")
-    if m_max < 1:
-        raise InvalidValue(f"m_max must be >= 1, got {m_max}")
+    tau, m_max = _integer("tau", tau, 1), _integer("m_max", m_max, 1)
     # a power-of-two scale changes no distance ratio and no comparison
     # with sigma
     s = unit_scale(s)[0]
@@ -328,10 +320,7 @@ def delay_embed(series, channel=0, tau=1, m=2):
     """
     s = series.channel(channel)
     n = s.size
-    if tau < 1:
-        raise InvalidValue(f"tau must be >= 1, got {tau}")
-    if m < 1:
-        raise InvalidValue(f"m must be >= 1, got {m}")
+    tau, m = _integer("tau", tau, 1), _integer("m", m, 1)
     rows = n - (m - 1) * tau
     if rows < 1:
         raise InsufficientData(

@@ -4,7 +4,16 @@ Every error the library raises deliberately derives from :class:`ChaosidError`.
 The command line tool maps the three branches of the hierarchy onto process
 exit codes: configuration and file problems exit with 2, violated data
 preconditions exit with 3, and numerical divergence exits with 4.
+
+Every entry point checks its arguments by the three rules at the end of
+this module, and a value that breaks one raises :class:`InvalidValue`: a
+count, index, delay or dimension must be a Python or numpy integer (not a
+bool, and not a float even with an integral value), a time step ``dt``
+must be finite and above 0, and a series, point set or initial state must
+hold no NaN or infinity.
 """
+
+import numpy as np
 
 
 class ChaosidError(Exception):
@@ -82,3 +91,29 @@ class NonFiniteState(ChaosidError):
     def __init__(self, message, step=None):
         super().__init__(message)
         self.step = step
+
+
+def _integer(name, value, low=None):
+    """``value`` as an int: a Python or numpy integer but not a bool, and at
+    least ``low`` when that is given."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidValue(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise InvalidValue(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
+def _positive(name, value):
+    """Refuse a ``value`` that is not a finite number above 0."""
+    if isinstance(value, bool) or not (
+        isinstance(value, (int, float, np.integer, np.floating)) and 0 < value < np.inf
+    ):
+        raise InvalidValue(f"{name} must be finite and positive, got {value!r}")
+
+
+def _finite(name, values):
+    """``values`` as a float array; NaN or infinity raises InvalidValue."""
+    array = np.asarray(values, dtype=float)
+    if not np.isfinite(array).all():
+        raise InvalidValue(f"{name} holds NaN or infinity; it must be finite")
+    return array

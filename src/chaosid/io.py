@@ -33,7 +33,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .embedding import DelayEmbedding, TimeSeries
-from .errors import ConfigError, InputError, InvalidValue, NotFoundError
+from .errors import ConfigError, InputError, InvalidValue, NotFoundError, _finite, _integer
 from .model import (
     Exponential,
     ForcingBasis,
@@ -331,47 +331,36 @@ def write_embedding(path, embedding):
     write_json(path, doc)
 
 
-def _finite(values, name):
-    """``values`` as a float array; NaN or infinity raises InvalidValue."""
-    array = np.asarray(values, dtype=float)
-    if not np.isfinite(array).all():
-        raise InvalidValue(f"field {name!r} holds NaN or infinity")
-    return array
-
-
 def _real(value, name):
     """A number field as a float; NaN or infinity raises InvalidValue."""
-    array = _finite(value, name)
+    array = _finite(f"field {name!r}", value)
     if array.ndim:
         raise InvalidValue(f"field {name!r} must be a number, got {value!r}")
     return float(array)
 
 
-def _integer(value, name):
-    """An integer field as an int: a JSON integer, or a float with an
-    integral value.  A bool, a fraction or any other value raises
-    InvalidValue naming the field, where ``int`` would truncate it."""
-    if isinstance(value, bool) or not (
-        isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    ):
-        raise InvalidValue(f"field {name!r} must be an integer, got {value!r}")
-    return int(value)
+def _int_field(value, name):
+    """An integer field as an int; a float with an integral value, as JSON
+    may write one, reads as that integer."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return _integer(f"field {name!r}", value)
 
 
 def _rows(values, width, name):
     """A JSON list of finite rows as a 2-D float array; ``[]``, the way zero
     rows are written, becomes zero rows of ``width`` columns."""
-    array = _finite(values, name)
+    array = _finite(f"field {name!r}", values)
     return array.reshape(0, width) if array.shape == (0,) else array
 
 
 def _embedding_from_doc(doc):
-    m = _integer(doc["m"], "m")
+    m = _int_field(doc["m"], "m")
     return DelayEmbedding(
         states=_rows(doc["states"], m, "states"),
-        tau=_integer(doc["tau"], "tau"),
+        tau=_int_field(doc["tau"], "tau"),
         m=m,
-        source_channel=_integer(doc["source_channel"], "source_channel"),
+        source_channel=_int_field(doc["source_channel"], "source_channel"),
         dt=float(doc["dt"]),
     )
 
@@ -402,8 +391,8 @@ def term_from_dict(doc):
     if kind == "polynomial":
         coeffs = doc.get("coeffs")
         return Polynomial(
-            degree=_integer(doc["degree"], "degree"),
-            coeffs=tuple(_finite(coeffs, "coeffs").tolist()) if coeffs is not None else None,
+            degree=_int_field(doc["degree"], "degree"),
+            coeffs=tuple(_finite("field 'coeffs'", coeffs).tolist()) if coeffs is not None else None,
             time_power=time_power,
         )
     if kind == "product":
@@ -440,13 +429,13 @@ def write_model(path, model):
 
 def _model_from_doc(doc):
     return StateSpaceModel(
-        A=_finite(doc["a"], "a"),
-        B=_finite(doc["b"], "b"),
+        A=_finite("field 'a'", doc["a"]),
+        B=_finite("field 'b'", doc["b"]),
         C=_rows(doc["c"], len(doc["a"]), "c"),
         basis=basis_from_list(doc["basis"]),
         dt=float(doc["dt"]),
-        embedding_tau=_integer(doc.get("embedding_tau", 0), "embedding_tau"),
-        embedding_channel=_integer(doc.get("embedding_channel", 0), "embedding_channel"),
+        embedding_tau=_int_field(doc.get("embedding_tau", 0), "embedding_tau"),
+        embedding_channel=_int_field(doc.get("embedding_channel", 0), "embedding_channel"),
     )
 
 
@@ -485,8 +474,8 @@ def transform_from_dict(doc):
         translation=np.asarray(doc["translation"], dtype=float),
         affine=np.asarray(affine, dtype=float) if affine is not None else None,
         residual=float(doc["residual"]),
-        source_segment=_integer(doc["source_segment"], "source_segment"),
-        target_segment=_integer(doc["target_segment"], "target_segment"),
+        source_segment=_int_field(doc["source_segment"], "source_segment"),
+        target_segment=_int_field(doc["target_segment"], "target_segment"),
     )
 
 
@@ -513,7 +502,7 @@ def _symmetry_report_from_doc(doc):
     return SymmetryReport(
         transforms=[transform_from_dict(d) for d in doc["transforms"]],
         class_histogram={
-            TransformClass(name): _integer(n, "class_histogram")
+            TransformClass(name): _int_field(n, "class_histogram")
             for name, n in doc["class_histogram"].items()
         },
         dominant_class=TransformClass(dominant) if dominant else None,

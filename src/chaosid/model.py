@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidValue, OverflowUnsafe
+from .errors import InvalidValue, OverflowUnsafe, _integer, _positive
 
 # exp() overflows double precision just above this argument
 _EXP_ARG_LIMIT = 700.0
@@ -84,8 +84,7 @@ class Polynomial:
     time_power: float = 1.0
 
     def __post_init__(self):
-        if self.degree < 0:
-            raise InvalidValue(f"degree must be >= 0, got {self.degree}")
+        _integer("degree", self.degree, 0)
 
     def evaluate(self, t):
         tb = _timebase(t, self.time_power)
@@ -210,8 +209,9 @@ class StateSpaceModel:
             )
         if C.shape[1] != n:
             raise InvalidValue(f"C has {C.shape[1]} columns, expected {n}")
-        if not 0 < self.dt < np.inf:
-            raise InvalidValue(f"dt must be finite and positive, got {self.dt}")
+        _positive("dt", self.dt)
+        for name in ("embedding_tau", "embedding_channel"):
+            _integer(name, getattr(self, name), 0)
 
     @property
     def n(self):

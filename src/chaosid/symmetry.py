@@ -32,6 +32,8 @@ from .errors import (
     InvalidValue,
     LengthMismatch,
     WindowTooSmall,
+    _integer,
+    _positive,
 )
 from .model import Exponential, ForcingBasis, Sinusoid, polynomial_basis
 
@@ -86,8 +88,6 @@ def _procrustes_rotation(a_c, b_c):
     h = a_c.T @ b_c
     u, s, vt = np.linalg.svd(h)
     d = np.sign(np.linalg.det(vt.T @ u.T))
-    if d == 0.0:
-        d = 1.0
     signs = np.ones(a_c.shape[1])
     signs[-1] = d
     rotation = vt.T @ (signs[:, None] * u.T)
@@ -191,14 +191,15 @@ def extract_segments(embedding, window, stride):
 
     Raises
     ------
+    InvalidValue
+        when window or stride is not an integer, or stride < 1.
     WindowTooSmall
         when window < m + 1.
     InsufficientData
         when fewer than two full segments fit.
     """
-    if stride < 1:
-        raise InvalidValue(f"stride must be >= 1, got {stride}")
-    if window < embedding.m + 1:
+    _integer("stride", stride, 1)
+    if _integer("window", window) < embedding.m + 1:
         raise WindowTooSmall(
             f"window={window} shorter than m+1={embedding.m + 1}"
         )
@@ -222,12 +223,8 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.population < 2:
-            raise InvalidValue(f"population must be >= 2, got {self.population}")
-        if self.generations < 1:
-            raise InvalidValue(f"generations must be >= 1, got {self.generations}")
-        if self.seed < 0:
-            raise InvalidValue(f"seed must be >= 0, got {self.seed}")
+        for name, low in (("population", 2), ("generations", 1), ("seed", 0)):
+            _integer(name, getattr(self, name), low)
 
 
 def attractor_diameter(points):
@@ -489,11 +486,8 @@ def seed_basis_parameters(report, transforms, dt, window):
     """
     if report.dominant_class is None:
         raise InvalidValue("report has no dominant class to seed from")
-    if not dt > 0:
-        raise InvalidValue(f"dt must be positive, got {dt}")
-    if window < 1:
-        raise InvalidValue(f"window must be >= 1, got {window}")
-    span = window * dt
+    _positive("dt", dt)
+    span = _integer("window", window, 1) * dt
 
     if report.dominant_class is TransformClass.ROTATION:
         angles = [

@@ -12,13 +12,12 @@ search neighbours with :mod:`chaosid.neighbors`.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .embedding import DelayEmbedding, average_mutual_information, delay_embed
-from .errors import ChannelMismatch, InsufficientData, InvalidValue, NoScalingRegion
+from .errors import ChannelMismatch, InsufficientData, NoScalingRegion, _finite, _integer, _positive
 from .neighbors import nearest, pair_distance_counts, unit_scale
 
 #: Number of log-spaced radius bins of the correlation sum.
@@ -53,13 +52,6 @@ class CorrelationDimension:
     reliable: bool
     n_points: int
     warnings: list = field(default_factory=list)
-
-
-def _integer(name, value):
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidValue(f"{name} must be an integer, got {value!r}") from None
 
 
 def _fit_counts(points, edges, theiler):
@@ -123,11 +115,8 @@ def correlation_dimension(data, theiler_window=0):
     n = points.shape[0]
     if n < 10:
         raise InsufficientData(f"correlation dimension needs >= 10 points, got {n}")
-    if not np.isfinite(points).all():
-        raise InvalidValue("correlation dimension needs finite points")
-    theiler_window = _integer("theiler_window", theiler_window)
-    if theiler_window < 0:
-        raise InvalidValue(f"theiler_window must be >= 0, got {theiler_window}")
+    _finite("points", points)
+    theiler_window = _integer("theiler_window", theiler_window, 0)
     if n > MAX_POINTS:
         keep = np.linspace(0, n - 1, MAX_POINTS).astype(np.intp)
         points = points[keep]
@@ -200,10 +189,9 @@ def _longest_stable_run(slopes, ok, rel_tol, min_len=4):
             if not ok[hi] or not np.all(ok[lo : hi + 1]):
                 break
             window = slopes[lo : hi + 1]
+            # every slope passed ``ok``, so the median is above 0
             center = np.median(window)
-            if center <= 0.0:
-                break
-            if np.max(np.abs(window - center)) > rel_tol * abs(center):
+            if np.max(np.abs(window - center)) > rel_tol * center:
                 break
             if best is None or (hi - lo) > (best[1] - best[0]):
                 best = (lo, hi)
@@ -225,9 +213,10 @@ def dominant_period(values):
 
     Computed from the power spectrum of the mean-removed signal; multiply by
     the sample interval for the period in time units.  Intended to supply
-    ``mean_period`` for :func:`largest_lyapunov`.
+    ``mean_period`` for :func:`largest_lyapunov`.  NaN or infinity in
+    ``values`` raises InvalidValue.
     """
-    x = np.asarray(values, dtype=float).ravel()
+    x = _finite("values", values).ravel()
     n = x.size
     if n < 4:
         raise InsufficientData(f"period estimate needs >= 4 samples, got {n}")
@@ -255,8 +244,9 @@ def largest_lyapunov(embedding, mean_period=10.0):
     ----------
     embedding : DelayEmbedding
     mean_period : float
-        Minimum temporal separation between neighbour pairs, in samples.
-        Use the dominant oscillation period of the series.
+        Minimum temporal separation between neighbour pairs, in samples,
+        finite and above 0.  Use the dominant oscillation period of the
+        series.
 
     Returns
     -------
@@ -267,6 +257,7 @@ def largest_lyapunov(embedding, mean_period=10.0):
     n = embedding.n_states
     if n < 20:
         raise InsufficientData(f"Lyapunov estimate needs >= 20 states, got {n}")
+    _positive("mean_period", mean_period)
     # a power-of-two scale moves every log distance by one constant, which
     # the slope does not see
     states = unit_scale(embedding.states)[0]

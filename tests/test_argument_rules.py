@@ -1,0 +1,101 @@
+"""The library's three argument rules (``errors._integer``, ``_positive`` and
+``_finite``) and the entry points that read their arguments through them:
+each bad value raises InvalidValue naming the argument, where it once
+raised a raw numpy or Python exception, diverged, or was taken silently."""
+
+import re
+
+import numpy as np
+import pytest
+
+import chaosid as ci
+from chaosid import errors
+
+WAVE = np.sin(2.0 * np.pi * np.arange(1000) / 62.5)
+SERIES = ci.TimeSeries(np.column_stack([WAVE, np.cos(0.3 * np.arange(1000))]), dt=0.1)
+EMB = ci.delay_embed(SERIES, tau=16, m=2)
+DECAY = ci.OdeSystem(name="decay", dimension=1, rhs=lambda x: [-v for v in x])
+STILL = ci.StateSpaceModel(A=0.5 * np.eye(2), B=np.zeros((2, 0)), C=np.eye(2),
+                           basis=ci.ForcingBasis(()), dt=1.0)
+
+
+def _with_nan(values):
+    values = values.copy()
+    values[500] = np.nan
+    return values
+
+
+# argument name in the message, and a call that breaks its rule
+CASES = {
+    "fnn-fractional-tau": ("tau", lambda: ci.false_nearest_neighbors(SERIES, tau=2.5)),
+    "fnn-fractional-m_max": ("m_max", lambda: ci.false_nearest_neighbors(SERIES, m_max=2.5)),
+    "embed-fractional-tau": ("tau", lambda: ci.delay_embed(SERIES, tau=2.5)),
+    "embed-fractional-m": ("m", lambda: ci.delay_embed(SERIES, m=2.5)),
+    "embedding-fractional-tau": ("tau", lambda: ci.DelayEmbedding(EMB.states, tau=2.5, m=2)),
+    "embedding-bool-tau": ("tau", lambda: ci.DelayEmbedding(EMB.states, tau=True, m=2)),
+    "segments-fractional-window": ("window", lambda: ci.extract_segments(EMB, 2.5, 8)),
+    "segments-fractional-stride": ("stride", lambda: ci.extract_segments(EMB, 32, 2.5)),
+    "ga-fractional-population": ("population", lambda: ci.symmetry.GaConfig(population=2.5)),
+    "fractional-channel": ("channel", lambda: SERIES.channel(0.5)),
+    "bool-channel": ("channel", lambda: SERIES.channel(True)),
+    "ami-bool-channel": ("channel", lambda: ci.average_mutual_information(SERIES, channel=True)),
+    "lyapunov-nan-period": ("mean_period", lambda: ci.largest_lyapunov(EMB, mean_period=np.nan)),
+    "lyapunov-inf-period": ("mean_period", lambda: ci.largest_lyapunov(EMB, mean_period=np.inf)),
+    "polynomial-fractional-degree": ("degree", lambda: ci.Polynomial(degree=2.5)),
+    "model-fractional-embedding_tau": ("embedding_tau", lambda: ci.StateSpaceModel(
+        STILL.A, STILL.B, STILL.C, STILL.basis, dt=1.0, embedding_tau=2.5)),
+    "rk4-inf-dt": ("dt", lambda: ci.rk4_integrate(DECAY, [1.0], dt=np.inf, steps=5)),
+    "rk4-nan-x0": ("x0", lambda: ci.rk4_integrate(DECAY, [np.nan], dt=0.1, steps=5)),
+    "period-of-nan": ("values", lambda: ci.dominant_period(_with_nan(WAVE))),
+    "simulate-nan-x0": ("x0", lambda: ci.simulate(STILL, x0=[np.nan, 0.0], steps=5)),
+}
+
+
+@pytest.mark.parametrize("name, call", CASES.values(), ids=list(CASES))
+def test_a_bad_argument_raises_invalid_value_naming_it(name, call):
+    with pytest.raises(ci.InvalidValue, match=f"^{name} "):
+        call()
+
+
+def test_entry_points_take_numpy_integers():
+    i = np.int64
+    assert np.array_equal(ci.delay_embed(SERIES, i(1), i(16), i(2)).states,
+                          ci.delay_embed(SERIES, 1, 16, 2).states)
+    assert (ci.false_nearest_neighbors(SERIES, i(0), i(16), i(3)).fractions.tolist()
+            == ci.false_nearest_neighbors(SERIES, 0, 16, 3).fractions.tolist())
+    assert ci.extract_segments(EMB, i(32), i(16)).shape == ci.extract_segments(EMB, 32, 16).shape
+    assert np.array_equal(SERIES.channel(np.int32(1)), SERIES.values[:, 1])
+    assert ci.symmetry.GaConfig(population=i(4)).population == 4
+
+
+@pytest.mark.parametrize("value", [2.0, np.float64(2.0), True, np.bool_(True), "2", None])
+def test_the_integer_rule_refuses_what_is_no_integer(value):
+    with pytest.raises(ci.InvalidValue, match=f"^n must be an integer, got {re.escape(repr(value))}$"):
+        errors._integer("n", value)
+
+
+@pytest.mark.parametrize("value", [3, np.int64(3), np.int32(3), np.uint8(3)])
+def test_the_integer_rule_takes_python_and_numpy_integers(value):
+    got = errors._integer("n", value, 3)
+    assert got == 3 and type(got) is int
+    with pytest.raises(ci.InvalidValue, match="^n must be >= 4, got 3$"):
+        errors._integer("n", value, 4)
+
+
+@pytest.mark.parametrize("value", [0, 0.0, -0.0, -0.5, np.nan, np.inf, -np.inf, True, "0.1", None])
+def test_the_positive_rule_refuses_what_is_not_finite_and_above_zero(value):
+    with pytest.raises(ci.InvalidValue, match="^dt must be finite and positive, got "):
+        errors._positive("dt", value)
+
+
+@pytest.mark.parametrize("value", [1, 0.05, 5e-324, np.float32(0.5), np.int64(2)])
+def test_the_positive_rule_takes_finite_values_above_zero(value):
+    assert errors._positive("dt", value) is None
+
+
+def test_the_finite_rule_returns_a_float_array():
+    got = errors._finite("x", [[1, 2], [3, 4]])
+    assert got.dtype == float and got.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ci.InvalidValue, match="^x holds NaN or infinity; it must be finite$"):
+            errors._finite("x", [1.0, bad])

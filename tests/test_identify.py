@@ -477,6 +477,47 @@ def test_bounded_refinement_fits_every_candidate_with_a_ridge():
     assert len(fitted) == 32
 
 
+TWO_SINES = ci.ForcingBasis((ci.Sinusoid(omega=1.0), ci.Sinusoid(omega=1.0)))
+
+
+@pytest.mark.parametrize(
+    "n_states, basis, grid, skipped, outcome",
+    [
+        # two sines split into four columns, more than the 5 transitions
+        # leave beside m = 2 states; each one alone still fits
+        (6, TWO_SINES, ci.ParameterGrid(omega=np.array([0.3, 0.9, 1.7])), [True] * 9, None),
+        # the one sine's pair does not fit beside the states either
+        (4, SINE, ci.ParameterGrid(omega=np.array([0.3, 0.9])), [True] * 2, ci.InsufficientData),
+        # exp(50 t) overflows over 29 transitions, exp(0.05 t) does not
+        (30, ci.ForcingBasis((ci.Exponential(1.0),)), ci.ParameterGrid(rate=np.array([0.05, 50.0])),
+         [False, True], ci.OverflowUnsafe),
+    ],
+    ids=["more-columns-than-transitions-fit", "more-columns-than-transitions-fail",
+         "overflowing-rate"],
+)
+def test_bounded_refinement_matches_where_a_bound_skips_its_candidate(
+    n_states, basis, grid, skipped, outcome
+):
+    """A candidate that ``_lower_bounds`` skips gets bound 0: it is fitted
+    first, and wins or fails as it does in the exhaustive loop."""
+    states = _iterate([[0.8, 0.1], [-0.1, 0.7]], [[0.3], [0.1]],
+                      ci.ForcingBasis((ci.Polynomial(0),)), [1.0, 0.0], n_states - 1)
+    emb = _embedding(states + 1e-3 * np.random.default_rng(9).normal(size=states.shape))
+    candidates = list(identify._candidate_bases(basis, grid, emb))
+    assert (identify._lower_bounds(emb, candidates) == 0.0).tolist() == skipped
+    results = []
+    for search in (identify._best_fit, exhaustive_best_fit):
+        try:
+            results.append(search(emb, candidates, 0.0))
+        except (ci.InsufficientData, ci.OverflowUnsafe) as exc:
+            results.append(type(exc))
+    got, want = results
+    if outcome is None:
+        _assert_same_fit(got, want)
+    else:
+        assert got is want is outcome
+
+
 # ---------------------------------------------------------------------------
 # end-to-end fit
 

@@ -3,7 +3,10 @@ binds a name nothing reads is dead code.  ``__init__.py`` is exempt, since
 its imports are the package's re-exports, and so is ``from __future__``."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -42,3 +45,20 @@ def test_the_scan_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_imported_name_is_read(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_importing_the_cli_loads_no_third_party_package_but_numpy():
+    """A fresh interpreter that imports ``chaosid.cli`` loads, beyond what
+    its own start-up loaded, only the standard library, ``chaosid`` and
+    ``numpy``: every other package would add to each run's start-up time."""
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import chaosid.cli\n"
+        "added = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+        "print(' '.join(sorted(added - set(sys.stdlib_module_names))))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert done.stdout.split() == ["chaosid", "numpy"]
