@@ -99,7 +99,7 @@ class DelayEmbedding:
     dt: float = 1.0
 
     def __post_init__(self):
-        states = np.asarray(self.states, dtype=float)
+        states = _finite("states", self.states)
         if states.ndim != 2:
             raise InvalidValue(f"states must be 2-D, got shape {states.shape}")
         if states.shape[1] != _integer("m", self.m, 1):

@@ -5,12 +5,13 @@ The command line tool maps the three branches of the hierarchy onto process
 exit codes: configuration and file problems exit with 2, violated data
 preconditions exit with 3, and numerical divergence exits with 4.
 
-Every entry point checks its arguments by the three rules at the end of
-this module, and a value that breaks one raises :class:`InvalidValue`: a
-count, index, delay or dimension must be a Python or numpy integer (not a
-bool, and not a float even with an integral value), a time step ``dt``
-must be finite and above 0, and a series, point set or initial state must
-hold no NaN or infinity.
+Every entry point and value type checks its arguments by the four rules at
+the end of this module, so a value read from a file meets the rules of one
+passed in Python, and one that breaks a rule raises :class:`InvalidValue`
+naming it: a count, index, delay or dimension must be a Python or numpy
+integer (not a bool, nor an integral float), ``dt`` must be finite and above
+0, a term parameter or a ridge must be a finite Python or numpy number, and
+a series, point set, matrix or initial state must hold no NaN or infinity.
 """
 
 import numpy as np
@@ -103,12 +104,22 @@ def _integer(name, value, low=None):
     return int(value)
 
 
+def _is_real(value):
+    """Whether ``value`` is a Python or numpy integer or float, not a bool."""
+    return isinstance(value, (float, int, np.floating, np.integer)) and not isinstance(value, bool)
+
+
 def _positive(name, value):
     """Refuse a ``value`` that is not a finite number above 0."""
-    if isinstance(value, bool) or not (
-        isinstance(value, (int, float, np.integer, np.floating)) and 0 < value < np.inf
-    ):
+    if not (_is_real(value) and 0 < value < np.inf):
         raise InvalidValue(f"{name} must be finite and positive, got {value!r}")
+
+
+def _real(name, value):
+    """``value`` as a Python float; a value that is no finite number raises InvalidValue."""
+    if not (_is_real(value) and -np.inf < value < np.inf):
+        raise InvalidValue(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _finite(name, values):

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .errors import InsufficientData, InvalidValue, NonFiniteState, OverflowUnsafe, RankDeficient
+from .errors import (InsufficientData, InvalidValue, NonFiniteState, OverflowUnsafe, RankDeficient,
+                     _finite, _real)
 from .model import Exponential, FitReport, ForcingBasis, Sinusoid, StateSpaceModel
 
 #: Singular value ratio below which the regressor counts as rank deficient.
@@ -75,23 +76,22 @@ def solve_least_squares(Z, X_next, ridge_lambda=0.0):
     RankDeficient
         when ridge_lambda is 0 and the smallest singular value of Z is
         below RANK_TOLERANCE times the largest.
+    InvalidValue
+        when Z or X_next holds NaN or infinity, or ridge_lambda is below 0.
     """
-    Z = np.asarray(Z, dtype=float)
-    X_next = np.asarray(X_next, dtype=float)
-    if Z.shape[0] != X_next.shape[0]:
-        raise InvalidValue(
-            f"Z has {Z.shape[0]} rows but targets have {X_next.shape[0]}"
-        )
-    m = X_next.shape[1]
+    if len(Z) != len(X_next):
+        raise InvalidValue(f"Z has {len(Z)} rows but targets have {len(X_next)}")
     W, cond = _svd_solve(Z, X_next, ridge_lambda)
+    m = np.shape(X_next)[1]
     return W[:, :m], W[:, m:], cond
 
 
 def _svd_solve(Z, Y, ridge_lambda):
-    """Minimum of ||Z W^T - Y||_F^2 + ridge ||W||_F^2 via one SVD of Z."""
-    if not 0.0 <= ridge_lambda < np.inf:
-        raise InvalidValue(f"ridge_lambda must be finite and >= 0, got {ridge_lambda}")
-    U, s, Vt = np.linalg.svd(Z, full_matrices=False)
+    """Minimum of ||Z W^T - Y||_F^2 + ridge ||W||_F^2 via one SVD of Z; Z and Y must be finite."""
+    if _real("ridge_lambda", ridge_lambda) < 0.0:
+        raise InvalidValue(f"ridge_lambda must be >= 0, got {ridge_lambda}")
+    Y = _finite("targets", Y)
+    U, s, Vt = np.linalg.svd(_finite("Z", Z), full_matrices=False)
     smax = s[0] if s.size else 0.0
     if smax == 0.0:
         raise RankDeficient("regressor matrix is zero")
@@ -156,12 +156,11 @@ class ParameterGrid:
         if rate is None:
             bound = 2.0 / span * np.log(1e3)
             rate = np.linspace(-bound, bound, 17)
-        grids = np.asarray(omega, dtype=float), np.asarray(rate, dtype=float)
+        grids = _finite("omega grid", omega), _finite("rate grid", rate)
         for name, values in zip(("omega", "rate"), grids):
-            if values.ndim != 1 or values.size == 0 or not np.all(np.isfinite(values)):
+            if values.ndim != 1 or values.size == 0:
                 raise InvalidValue(
-                    f"{name} grid must be a non-empty 1-D array of finite values, "
-                    f"got shape {values.shape}"
+                    f"{name} grid must be a non-empty 1-D array, got shape {values.shape}"
                 )
         return grids
 

@@ -33,7 +33,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .embedding import DelayEmbedding, TimeSeries
-from .errors import ConfigError, InputError, InvalidValue, NotFoundError, _finite, _integer
+from .errors import ConfigError, InputError, InvalidValue, NotFoundError, _integer
 from .model import (
     Exponential,
     ForcingBasis,
@@ -331,14 +331,6 @@ def write_embedding(path, embedding):
     write_json(path, doc)
 
 
-def _real(value, name):
-    """A number field as a float; NaN or infinity raises InvalidValue."""
-    array = _finite(f"field {name!r}", value)
-    if array.ndim:
-        raise InvalidValue(f"field {name!r} must be a number, got {value!r}")
-    return float(array)
-
-
 def _int_field(value, name):
     """An integer field as an int; a float with an integral value, as JSON
     may write one, reads as that integer."""
@@ -347,17 +339,16 @@ def _int_field(value, name):
     return _integer(f"field {name!r}", value)
 
 
-def _rows(values, width, name):
-    """A JSON list of finite rows as a 2-D float array; ``[]``, the way zero
-    rows are written, becomes zero rows of ``width`` columns."""
-    array = _finite(f"field {name!r}", values)
-    return array.reshape(0, width) if array.shape == (0,) else array
+def _rows(values, width):
+    """A JSON list of rows; ``[]``, the way zero rows are written, becomes
+    zero rows of ``width`` columns."""
+    return np.zeros((0, width)) if values == [] else values
 
 
 def _embedding_from_doc(doc):
     m = _int_field(doc["m"], "m")
     return DelayEmbedding(
-        states=_rows(doc["states"], m, "states"),
+        states=_rows(doc["states"], m),
         tau=_int_field(doc["tau"], "tau"),
         m=m,
         source_channel=_int_field(doc["source_channel"], "source_channel"),
@@ -381,25 +372,22 @@ def term_to_dict(term):
 
 def term_from_dict(doc):
     kind = doc.get("type")
-    time_power = _real(doc.get("time_power", 1.0), "time_power")
+    time_power = doc.get("time_power", 1.0)
     if kind == "sinusoid":
-        return Sinusoid(
-            omega=_real(doc["omega"], "omega"), phi=_real(doc["phi"], "phi"), time_power=time_power
-        )
+        return Sinusoid(omega=doc["omega"], phi=doc["phi"], time_power=time_power)
     if kind == "exponential":
-        return Exponential(rate=_real(doc["rate"], "rate"), time_power=time_power)
+        return Exponential(rate=doc["rate"], time_power=time_power)
     if kind == "polynomial":
-        coeffs = doc.get("coeffs")
         return Polynomial(
             degree=_int_field(doc["degree"], "degree"),
-            coeffs=tuple(_finite("field 'coeffs'", coeffs).tolist()) if coeffs is not None else None,
+            coeffs=doc.get("coeffs"),
             time_power=time_power,
         )
     if kind == "product":
         return Product(
             first=term_from_dict(doc["first"]), second=term_from_dict(doc["second"])
         )
-    raise InputError(f"unknown basis term type {kind!r}")
+    raise InvalidValue(f"unknown basis term type {kind!r}")
 
 
 def basis_to_list(basis):
@@ -429,9 +417,9 @@ def write_model(path, model):
 
 def _model_from_doc(doc):
     return StateSpaceModel(
-        A=_finite("field 'a'", doc["a"]),
-        B=_finite("field 'b'", doc["b"]),
-        C=_rows(doc["c"], len(doc["a"]), "c"),
+        A=doc["a"],
+        B=doc["b"],
+        C=_rows(doc["c"], len(doc["a"])),
         basis=basis_from_list(doc["basis"]),
         dt=float(doc["dt"]),
         embedding_tau=_int_field(doc.get("embedding_tau", 0), "embedding_tau"),

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidValue, OverflowUnsafe, _integer, _positive
+from .errors import InvalidValue, OverflowUnsafe, _finite, _integer, _positive, _real
 
 # exp() overflows double precision just above this argument
 _EXP_ARG_LIMIT = 700.0
@@ -32,8 +32,28 @@ def _timebase(t, power):
     return np.power(t, power)
 
 
+class _Term:
+    """Base of the basis terms: a ``float`` field holds a finite Python float,
+    a ``_Term`` field a term, and ``max_exp_argument`` is 0 unless overridden."""
+
+    def __post_init__(self):
+        for f in self.__dataclass_fields__.values():
+            if f.type == "float":
+                object.__setattr__(self, f.name, _real(f.name, getattr(self, f.name)))
+            elif f.type == "_Term":
+                _check_term(f.name, getattr(self, f.name))
+
+    def max_exp_argument(self, t_max):
+        return 0.0
+
+
+def _check_term(name, term):
+    if not isinstance(term, _Term):
+        raise InvalidValue(f"{name} must be a basis term, got {term!r}")
+
+
 @dataclass(frozen=True)
-class Sinusoid:
+class Sinusoid(_Term):
     """sin(omega * t**time_power + phi)."""
 
     omega: float
@@ -43,15 +63,12 @@ class Sinusoid:
     def evaluate(self, t):
         return np.sin(self.omega * _timebase(t, self.time_power) + self.phi)
 
-    def max_exp_argument(self, t_max):
-        return 0.0
-
     def describe(self):
         return f"sin({self.omega:.6g}*t{_power_suffix(self.time_power)}{self.phi:+.6g})"
 
 
 @dataclass(frozen=True)
-class Exponential:
+class Exponential(_Term):
     """exp(rate * t**time_power)."""
 
     rate: float
@@ -70,7 +87,7 @@ class Exponential:
 
 
 @dataclass(frozen=True)
-class Polynomial:
+class Polynomial(_Term):
     """t**degree, or a full polynomial when coefficients are given.
 
     ``coeffs`` holds coefficients in ascending order (c0 + c1*t + ...).  The
@@ -84,7 +101,10 @@ class Polynomial:
     time_power: float = 1.0
 
     def __post_init__(self):
+        super().__post_init__()
         _integer("degree", self.degree, 0)
+        if self.coeffs is not None:
+            object.__setattr__(self, "coeffs", tuple(_real("coeffs", c) for c in self.coeffs))
 
     def evaluate(self, t):
         tb = _timebase(t, self.time_power)
@@ -95,9 +115,6 @@ class Polynomial:
             out = out + c * np.power(tb, k)
         return out
 
-    def max_exp_argument(self, t_max):
-        return 0.0
-
     def describe(self):
         if self.coeffs is None:
             return f"t{_power_suffix(self.time_power)}^{self.degree}"
@@ -105,11 +122,11 @@ class Polynomial:
 
 
 @dataclass(frozen=True)
-class Product:
+class Product(_Term):
     """Pointwise product of two terms."""
 
-    first: object
-    second: object
+    first: _Term
+    second: _Term
 
     def evaluate(self, t):
         return self.first.evaluate(t) * self.second.evaluate(t)
@@ -125,9 +142,6 @@ def _power_suffix(power):
     return "" if power == 1.0 else f"^{power:.6g}"
 
 
-TERM_TYPES = (Sinusoid, Exponential, Polynomial, Product)
-
-
 @dataclass(frozen=True)
 class ForcingBasis:
     """An ordered collection of scalar basis functions of time."""
@@ -136,9 +150,8 @@ class ForcingBasis:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
-        for term in self.terms:
-            if not isinstance(term, TERM_TYPES):
-                raise TypeError(f"unsupported basis term {term!r}")
+        for k, term in enumerate(self.terms):
+            _check_term(f"terms[{k}]", term)
 
     @property
     def size(self):
@@ -190,9 +203,9 @@ class StateSpaceModel:
         # C-ordered whatever the source, so that ``A @ x`` sums in the same
         # order for a fitted model (column views of one solution) and for
         # the same model read back from model.json
-        A = np.atleast_2d(np.ascontiguousarray(self.A, dtype=float))
-        B = np.ascontiguousarray(self.B, dtype=float)
-        C = np.atleast_2d(np.ascontiguousarray(self.C, dtype=float))
+        A = np.atleast_2d(np.ascontiguousarray(_finite("A", self.A)))
+        B = np.ascontiguousarray(_finite("B", self.B))
+        C = np.atleast_2d(np.ascontiguousarray(_finite("C", self.C)))
         if B.ndim == 1:
             B = B.reshape(-1, 1)
         object.__setattr__(self, "A", A)

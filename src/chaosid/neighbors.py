@@ -71,6 +71,18 @@ def unit_scale(values):
     return (np.ldexp(values, shift) if shift else values), shift
 
 
+def _squared_distances(coords, i, j):
+    """Squared distances of the pairs (i, j) of the points whose coordinate
+    rows are ``coords``, direct differences squared and summed in order."""
+    d2 = np.zeros(len(i))
+    for x in coords:
+        diff = x[i]
+        diff -= x[j]
+        diff *= diff
+        d2 += diff
+    return d2
+
+
 def _box_edge(coords, exclude, span):
     """First box edge: the 0.75 quantile of the exact nearest distances of
     up to 64 strided rows, found by direct differences.  When that is 0, as
@@ -122,13 +134,7 @@ def _nearest_in_ranges(coords, exclude, order, rows, first, count):
     j, local = j[keep], local[keep]
     if j.size == 0:
         return local, np.empty(0), j
-    i = rows[local]
-    d2 = np.zeros(j.size)
-    for x in coords:
-        diff = x[i]
-        diff -= x[j]
-        diff *= diff
-        d2 += diff
+    d2 = _squared_distances(coords, rows[local], j)
     start = np.flatnonzero(np.concatenate([[True], local[1:] != local[:-1]]))
     row_best = np.minimum.reduceat(d2, start)
     tied = d2 == np.repeat(row_best, np.diff(np.append(start, d2.size)))
@@ -284,11 +290,7 @@ def _recount(points, d2, guarded, start, first, thresholds):
     distances summed again from direct differences in coordinate order.
     Entry (r, c) of ``d2`` pairs row start + r with row first + c."""
     r, c = np.nonzero(np.searchsorted(guarded, d2, side="right") & 1)
-    i, j = r + start, c + first
-    exact = np.zeros(i.size)
-    for x in points.T:
-        diff = x[i] - x[j]
-        exact += diff * diff
+    exact = _squared_distances(points.T, r + start, c + first)
     return np.histogram(exact, bins=thresholds)[0]
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .embedding import DelayEmbedding, average_mutual_information, delay_embed
 from .errors import ChannelMismatch, InsufficientData, NoScalingRegion, _finite, _integer, _positive
-from .neighbors import nearest, pair_distance_counts, unit_scale
+from .neighbors import _squared_distances, nearest, pair_distance_counts, unit_scale
 
 #: Number of log-spaced radius bins of the correlation sum.
 R_COUNT = 32
@@ -31,15 +31,6 @@ _FIT_LEVEL = 0.2
 # first bin where its C(r) reaches _PILOT_LEVEL
 _PILOT_STRIDE = 8
 _PILOT_LEVEL = 0.3
-
-
-def _points_of(data):
-    if isinstance(data, DelayEmbedding):
-        return data.states
-    points = np.asarray(data, dtype=float)
-    if points.ndim == 1:
-        points = points.reshape(-1, 1)
-    return points
 
 
 @dataclass
@@ -111,11 +102,15 @@ def correlation_dimension(data, theiler_window=0):
         when a point is not finite, theiler_window is not an integer or
         theiler_window < 0.
     """
-    points = _points_of(data)
+    if isinstance(data, DelayEmbedding):
+        points = data.states
+    else:
+        points = _finite("points", data)
+        if points.ndim == 1:
+            points = points.reshape(-1, 1)
     n = points.shape[0]
     if n < 10:
         raise InsufficientData(f"correlation dimension needs >= 10 points, got {n}")
-    _finite("points", points)
     theiler_window = _integer("theiler_window", theiler_window, 0)
     if n > MAX_POINTS:
         keep = np.linspace(0, n - 1, MAX_POINTS).astype(np.intp)
@@ -275,11 +270,7 @@ def largest_lyapunov(embedding, mean_period=10.0):
     # squares summed in coordinate order, as np.linalg.norm does below m = 8
     curve = np.empty(hi)
     for step in range(hi):
-        squares = 0.0
-        for column in states.T:
-            diff = column[step:].take(i_idx) - column[step:].take(j_idx)
-            squares = squares + diff * diff
-        d = np.sqrt(squares)
+        d = np.sqrt(_squared_distances(states[step:].T, i_idx, j_idx))
         good = d > 0.0
         if not np.any(good):
             curve[step] = curve[step - 1] if step else 0.0

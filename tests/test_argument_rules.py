@@ -1,8 +1,10 @@
-"""The library's three argument rules (``errors._integer``, ``_positive`` and
-``_finite``) and the entry points that read their arguments through them:
-each bad value raises InvalidValue naming the argument, where it once
-raised a raw numpy or Python exception, diverged, or was taken silently."""
+"""The library's four argument rules (``errors._integer``, ``_positive``,
+``_real`` and ``_finite``) and the entry points and value types that read
+their arguments through them: each bad value raises InvalidValue naming the
+argument, where it once raised a raw numpy or Python exception, diverged,
+or was taken silently."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -48,12 +50,38 @@ CASES = {
     "rk4-nan-x0": ("x0", lambda: ci.rk4_integrate(DECAY, [np.nan], dt=0.1, steps=5)),
     "period-of-nan": ("values", lambda: ci.dominant_period(_with_nan(WAVE))),
     "simulate-nan-x0": ("x0", lambda: ci.simulate(STILL, x0=[np.nan, 0.0], steps=5)),
+    "simulate-short-x0": ("x0", lambda: ci.simulate(STILL, x0=[0.0], steps=5)),
+    "model-oblong-A": ("A", lambda: ci.StateSpaceModel(
+        np.ones((2, 3)), STILL.B, STILL.C, STILL.basis, dt=1.0)),
+    "model-short-B": ("B", lambda: ci.StateSpaceModel(
+        STILL.A, np.zeros((1, 0)), STILL.C, STILL.basis, dt=1.0)),
+    "model-wide-B": ("B", lambda: ci.StateSpaceModel(
+        STILL.A, np.zeros((2, 1)), STILL.C, STILL.basis, dt=1.0)),
+    "model-wide-C": ("C", lambda: ci.StateSpaceModel(
+        STILL.A, STILL.B, np.eye(3), STILL.basis, dt=1.0)),
+    # refused by the value types themselves, whether built in Python or read
+    # from a file; the parent release took each or raised a raw exception
+    "nan-omega": ("omega", lambda: ci.Sinusoid(np.nan)),
+    "bool-phi": ("phi", lambda: ci.Sinusoid(1.0, phi=True)),
+    "inf-rate": ("rate", lambda: ci.Exponential(np.inf)),
+    "string-rate": ("rate", lambda: ci.Exponential("1.5")),
+    "nan-coeff": ("coeffs", lambda: ci.Polynomial(1, coeffs=(1, np.nan))),
+    "nan-time_power": ("time_power", lambda: ci.Polynomial(1, time_power=np.nan)),
+    "product-of-a-string": ("first", lambda: ci.Product("x", ci.Sinusoid(1.0))),
+    "basis-of-a-string": ("terms[0]", lambda: ci.ForcingBasis(("x",))),
+    "model-nan-A": ("A", lambda: ci.StateSpaceModel(
+        [[np.nan, 0.0], [0.0, 0.5]], STILL.B, STILL.C, STILL.basis, dt=1.0)),
+    "embedding-inf-state": ("states", lambda: ci.DelayEmbedding([[0.0], [np.inf]], tau=1, m=1)),
+    "solve-nan-regressor": ("Z", lambda: ci.solve_least_squares(
+        [[1.0, 0.0], [0.0, np.nan], [1.0, 1.0]], np.ones((3, 1)))),
+    "output-map-nan-output": ("targets", lambda: ci.fit_output_map(
+        EMB, np.where(np.arange(EMB.n_states) == 7, np.nan, 1.0))),
 }
 
 
 @pytest.mark.parametrize("name, call", CASES.values(), ids=list(CASES))
 def test_a_bad_argument_raises_invalid_value_naming_it(name, call):
-    with pytest.raises(ci.InvalidValue, match=f"^{name} "):
+    with pytest.raises(ci.InvalidValue, match=f"^{re.escape(name)} "):
         call()
 
 
@@ -99,3 +127,76 @@ def test_the_finite_rule_returns_a_float_array():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ci.InvalidValue, match="^x holds NaN or infinity; it must be finite$"):
             errors._finite("x", [1.0, bad])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, True, np.bool_(True), "0.1", None, [1.0]])
+def test_the_real_rule_refuses_what_is_no_finite_number(value):
+    with pytest.raises(ci.InvalidValue, match="^omega must be a finite number, got "):
+        errors._real("omega", value)
+
+
+@pytest.mark.parametrize("value", [2, -0.5, 0.0, np.float32(0.5), np.int64(2), np.float64(-3.25)])
+def test_the_real_rule_returns_a_python_float(value):
+    got = errors._real("omega", value)
+    assert type(got) is float and got == float(value)
+
+
+# a valid instance of each value type; the guard below tries every field
+# that holds a float, a float array or a tuple of floats
+VALUE_TYPES = [
+    ci.Sinusoid(1.0, 0.5, 1.0),
+    ci.Exponential(-0.5, 2.0),
+    ci.Polynomial(2, coeffs=(1.0, 2.0, 3.0), time_power=0.5),
+    ci.StateSpaceModel(A=0.5 * np.eye(2), B=np.ones((2, 1)), C=np.eye(2),
+                       basis=ci.ForcingBasis((ci.Sinusoid(1.0),)), dt=0.1),
+    EMB,
+    SERIES,
+]
+
+
+def _number_fields(value):
+    """(field name, held value) of each field of ``value`` annotated as a
+    float or an array, or holding a tuple of floats."""
+    for f in dataclasses.fields(value):
+        held = getattr(value, f.name)
+        floats = isinstance(held, tuple) and all(isinstance(v, float) for v in held)
+        if f.type in ("float", "np.ndarray") or floats:
+            yield f.name, held
+
+
+def _with_entry(held, bad):
+    """``held`` with its first entry (itself, for a scalar) set to ``bad``."""
+    if isinstance(held, tuple):
+        return (bad, *held[1:])
+    if held is None or np.ndim(held) == 0:
+        return bad
+    array = np.array(held, dtype=float)
+    array.flat[0] = bad
+    return array
+
+
+GUARDED = [
+    pytest.param(value, name, _with_entry(held, bad), id=f"{type(value).__name__}-{name}-{bad}")
+    for value in VALUE_TYPES
+    for name, held in _number_fields(value)
+    for bad in (np.nan, np.inf)
+]
+
+
+def test_the_guard_tries_every_known_number_field():
+    tried = {(type(value).__name__, name) for value, name, _ in (p.values for p in GUARDED)}
+    assert tried >= {
+        ("Sinusoid", "omega"), ("Sinusoid", "phi"), ("Sinusoid", "time_power"),
+        ("Exponential", "rate"), ("Exponential", "time_power"),
+        ("Polynomial", "coeffs"), ("Polynomial", "time_power"),
+        ("StateSpaceModel", "A"), ("StateSpaceModel", "B"), ("StateSpaceModel", "C"),
+        ("StateSpaceModel", "dt"), ("DelayEmbedding", "states"), ("DelayEmbedding", "dt"),
+        ("TimeSeries", "values"), ("TimeSeries", "dt"),
+    }
+
+
+@pytest.mark.parametrize("value, name, bad", GUARDED)
+def test_every_number_field_refuses_nan_and_infinity(value, name, bad):
+    """A float or array field added without its rule fails here."""
+    with pytest.raises(ci.InvalidValue, match=f"^{name} "):
+        dataclasses.replace(value, **{name: bad})

@@ -64,6 +64,13 @@ def test_build_regression_overflow_guard():
         ci.build_regression(emb, basis)
 
 
+def test_check_horizon_reads_the_exponential_inside_a_product():
+    basis = ci.ForcingBasis((ci.Product(ci.Sinusoid(1.0), ci.Exponential(rate=2.0)),))
+    basis.check_horizon(350.0)  # exp argument 700, the limit itself
+    with pytest.raises(ci.OverflowUnsafe, match="reaches exp argument 702 "):
+        basis.check_horizon(351.0)
+
+
 # ---------------------------------------------------------------------------
 # least squares solver
 
@@ -209,7 +216,10 @@ def test_parameter_grid_defaults():
     ],
 )
 def test_parameter_grid_rejects_a_grid_that_cannot_be_searched(grid):
-    with pytest.raises(ci.InvalidValue, match="grid must be a non-empty 1-D array of finite"):
+    with pytest.raises(
+        ci.InvalidValue,
+        match="^(omega|rate) grid (must be a non-empty 1-D array|holds NaN or infinity; it must be finite)",
+    ):
         grid.resolved(n_states=100, dt=1.0)
     states = np.cumsum(np.random.default_rng(2).normal(size=(100, 2)), axis=0)
     with pytest.raises(ci.InvalidValue):

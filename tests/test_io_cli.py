@@ -749,7 +749,7 @@ def test_cli_symmetry_rejects_a_non_finite_embedding_state(tmp_path, capsys, val
     doc["states"][7][1] = value
     path.write_text(json.dumps(doc))
     assert main(["symmetry", str(path), "--out-dir", str(tmp_path)]) == 2
-    assert "field 'states' holds NaN or infinity" in _one_error_line(capsys)
+    assert "states holds NaN or infinity" in _one_error_line(capsys)
     assert not (tmp_path / "symmetry.json").exists()
 
 
@@ -761,7 +761,7 @@ def test_cli_simulate_rejects_a_non_finite_model_matrix(tmp_path, capsys, field)
     doc[field][0][1] = np.nan
     path.write_text(json.dumps(doc))
     assert main(["simulate", str(path), "--steps", "5", "--out-dir", str(tmp_path)]) == 2
-    assert f"field {field!r} holds NaN or infinity" in _one_error_line(capsys)
+    assert f"{field.upper()} holds NaN or infinity" in _one_error_line(capsys)
     assert not (tmp_path / "trajectory.csv").exists()
 
 
@@ -795,13 +795,13 @@ def _assert_simulate_refuses(tmp_path, capsys, doc, expected):
 def test_cli_simulate_rejects_a_non_finite_basis_parameter(tmp_path, capsys, factor, field, value):
     doc = _traffic_model_doc(tmp_path)
     doc["basis"][0][factor][field] = value
-    _assert_simulate_refuses(tmp_path, capsys, doc, f"field {field!r} holds NaN or infinity")
+    _assert_simulate_refuses(tmp_path, capsys, doc, f"{field} must be a finite number, got {value!r}")
 
 
 @pytest.mark.parametrize(
     "term, expected",
     [
-        ({"degree": 2, "coeffs": [1.0, np.nan, 0.5]}, "field 'coeffs' holds NaN or infinity"),
+        ({"degree": 2, "coeffs": [1.0, np.nan, 0.5]}, "coeffs must be a finite number, got nan"),
         ({"degree": -1}, "degree must be >= 0, got -1"),
     ],
     ids=["nan-coeff", "negative-degree"],
@@ -870,6 +870,34 @@ def test_cli_rejects_an_integer_field_that_is_no_integer(
     assert not os.path.exists(out) or not os.listdir(out)
 
 
+def test_an_integral_float_reads_as_an_integer_field(tmp_path, stage_artifacts):
+    """JSON may write an integer as 26.0; it reads as the int 26."""
+    doc = json.loads(json.dumps(stage_artifacts["embedding.json"]))
+    doc["tau"] = 26.0
+    path = tmp_path / "embedding.json"
+    path.write_text(json.dumps(doc))
+    tau = io.read_embedding(path).tau
+    assert tau == 26 and type(tau) is int
+
+
+def test_model_json_term_parameters_read_as_python_floats(tmp_path, capsys):
+    """An integer parameter reads, and rewrites, as a float; a string or a
+    bool, which a float conversion would take, is refused."""
+    doc = _traffic_model_doc(tmp_path)
+    doc["basis"][0]["second"]["omega"] = 1
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    model = io.read_model(path)
+    assert type(model.basis.terms[0].second.omega) is float
+    io.write_model(path, model)
+    assert json.loads(path.read_text())["basis"][0]["second"]["omega"] == 1.0
+    assert '"omega": 1.0' in path.read_text()
+    for value in ("1.5", True):
+        doc["basis"][0]["second"]["omega"] = value
+        _assert_simulate_refuses(
+            tmp_path, capsys, doc, f"omega must be a finite number, got {value!r}")
+
+
 def test_cli_out_dir_that_is_a_file_exits_2(tmp_path, capsys):
     csv = tmp_path / "wave.csv"
     _write_wave_csv(csv)
@@ -931,10 +959,10 @@ def test_cli_bad_x0_exits_2(tmp_path, capsys):
         capsys.readouterr()
         rc = main(["simulate", str(path), f"--x0={x0}", "--out-dir", str(tmp_path)])
         assert rc == 2
-        assert "--x0 components must be finite" in capsys.readouterr().err
+        assert "x0 holds NaN or infinity; it must be finite" in capsys.readouterr().err
         rc = main(["validate", str(csv), str(path), f"--x0={x0}", "--out-dir", str(tmp_path)])
         assert rc == 2
-        assert "--x0 components must be finite" in capsys.readouterr().err
+        assert "x0 holds NaN or infinity; it must be finite" in capsys.readouterr().err
     assert not (tmp_path / "trajectory.csv").exists()
     assert not (tmp_path / "comparison.json").exists()
 
@@ -1514,6 +1542,9 @@ def test_cli_removed_flag_exits_2_without_traceback(tmp_path, case):
         "symmetry basis holds a number",
         "symmetry histogram is a list",
         "model basis holds a string",
+        "embedding is not JSON",
+        "model basis holds an unknown term type",
+        "model misses a field",
     ],
 )
 def test_cli_malformed_artifact_exits_2_without_traceback(tmp_path, case):
@@ -1522,7 +1553,9 @@ def test_cli_malformed_artifact_exits_2_without_traceback(tmp_path, case):
     io.write_embedding(embedding, ci.DelayEmbedding(states=states, tau=1, m=2))
     symmetry = tmp_path / "symmetry.json"
     io.write_symmetry_report(symmetry, ci.classify_symmetry([], threshold=0.01, diameter=1.0))
-    if case.startswith("embedding"):
+    if case.endswith("JSON"):
+        embedding.write_text('{"schema": "embedding/1", ')
+    elif case.startswith("embedding"):
         doc = json.loads(embedding.read_text())
         if case.endswith("string"):
             doc["tau"] = "x"
@@ -1544,7 +1577,12 @@ def test_cli_malformed_artifact_exits_2_without_traceback(tmp_path, case):
         model = tmp_path / "model.json"
         io.write_model(model, ci.load_fixture(ci.fixture_names()[0]).model)
         doc = json.loads(model.read_text())
-        doc["basis"] = ["x"]
+        if case.endswith("string"):
+            doc["basis"] = ["x"]
+        elif case.endswith("type"):
+            doc["basis"] = [{"type": "spline"}]
+        else:
+            del doc["a"]
         model.write_text(json.dumps(doc))
     if case.startswith("model"):
         argv = ["simulate", str(model), "--out-dir", str(tmp_path)]
