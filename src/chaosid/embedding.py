@@ -59,7 +59,7 @@ class TimeSeries:
             raise InvalidValue(f"values must be 1-D or 2-D, got shape {values.shape}")
         if values.shape[0] < 2:
             raise InsufficientData(f"need at least 2 samples, got {values.shape[0]}")
-        _positive("dt", self.dt)
+        object.__setattr__(self, "dt", _positive("dt", self.dt))
         labels = self.labels
         if labels is None:
             labels = tuple(f"ch{i}" for i in range(values.shape[1]))
@@ -106,7 +106,7 @@ class DelayEmbedding:
             raise InvalidValue(f"states have {states.shape[1]} columns, expected m={self.m}")
         _integer("tau", self.tau, 1)
         _integer("source_channel", self.source_channel, 0)
-        _positive("dt", self.dt)
+        object.__setattr__(self, "dt", _positive("dt", self.dt))
         object.__setattr__(self, "states", states)
 
     @property

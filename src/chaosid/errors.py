@@ -6,12 +6,14 @@ exit codes: configuration and file problems exit with 2, violated data
 preconditions exit with 3, and numerical divergence exits with 4.
 
 Every entry point and value type checks its arguments by the four rules at
-the end of this module, so a value read from a file meets the rules of one
-passed in Python, and one that breaks a rule raises :class:`InvalidValue`
-naming it: a count, index, delay or dimension must be a Python or numpy
-integer (not a bool, nor an integral float), ``dt`` must be finite and above
-0, a term parameter or a ridge must be a finite Python or numpy number, and
-a series, point set, matrix or initial state must hold no NaN or infinity.
+the end of this module, and a value type stores what the rule returns, so a
+value read from a file meets the rules of one passed in Python, and one that
+breaks a rule raises :class:`InvalidValue` naming it: a count, index, delay or
+dimension must be a Python or numpy integer (not a bool, nor an integral
+float); ``dt`` (above 0), a term parameter or a ridge must be a finite Python
+or numpy number (not a bool, nor a string), kept as a Python float; and a
+series, point set, matrix or initial state must hold no NaN or infinity.  An
+integer too large for a double is not finite.
 """
 
 import numpy as np
@@ -104,27 +106,31 @@ def _integer(name, value, low=None):
     return int(value)
 
 
-def _is_real(value):
-    """Whether ``value`` is a Python or numpy integer or float, not a bool."""
-    return isinstance(value, (float, int, np.floating, np.integer)) and not isinstance(value, bool)
+def _real(name, value, low=-np.inf, rule="a finite number"):
+    """``value`` as a Python float: a Python or numpy number, not a bool,
+    finite as a double and above ``low``; anything else raises InvalidValue."""
+    if isinstance(value, (float, int, np.floating, np.integer)) and not isinstance(value, bool):
+        try:
+            if low < (number := float(value)) < np.inf:
+                return number
+        except OverflowError:  # an integer whose repr would print every digit
+            raise InvalidValue(
+                f"{name} must be {rule}, got an integer too large for a double") from None
+    raise InvalidValue(f"{name} must be {rule}, got {value!r}")
 
 
 def _positive(name, value):
-    """Refuse a ``value`` that is not a finite number above 0."""
-    if not (_is_real(value) and 0 < value < np.inf):
-        raise InvalidValue(f"{name} must be finite and positive, got {value!r}")
-
-
-def _real(name, value):
-    """``value`` as a Python float; a value that is no finite number raises InvalidValue."""
-    if not (_is_real(value) and -np.inf < value < np.inf):
-        raise InvalidValue(f"{name} must be a finite number, got {value!r}")
-    return float(value)
+    """``value`` as a Python float; one that is no finite number above 0 raises InvalidValue."""
+    return _real(name, value, 0.0, "finite and positive")
 
 
 def _finite(name, values):
-    """``values`` as a float array; NaN or infinity raises InvalidValue."""
-    array = np.asarray(values, dtype=float)
+    """``values`` as a float array; NaN, infinity or an integer too large for a
+    double raises InvalidValue."""
+    try:
+        array = np.asarray(values, dtype=float)
+    except OverflowError:
+        raise InvalidValue(f"{name} holds an integer too large for a double") from None
     if not np.isfinite(array).all():
         raise InvalidValue(f"{name} holds NaN or infinity; it must be finite")
     return array

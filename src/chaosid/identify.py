@@ -19,6 +19,7 @@ from . import dynamics
 from .errors import (InsufficientData, InvalidValue, NonFiniteState, OverflowUnsafe, RankDeficient,
                      _finite, _real)
 from .model import Exponential, FitReport, ForcingBasis, Sinusoid, StateSpaceModel
+from .validate import _nrmse
 
 #: Singular value ratio below which the regressor counts as rank deficient.
 RANK_TOLERANCE = 1e-12
@@ -177,11 +178,9 @@ def _candidate_bases(basis, grid, embedding):
     per_term = []
     for term in basis.terms:
         if isinstance(term, Sinusoid):
-            per_term.append([Sinusoid(float(w), term.phi, term.time_power) for w in omega_grid])
+            per_term.append([Sinusoid(w, term.phi, term.time_power) for w in omega_grid])
         elif isinstance(term, Exponential):
-            per_term.append(
-                [Exponential(float(r), term.time_power) for r in rate_grid]
-            )
+            per_term.append([Exponential(r, term.time_power) for r in rate_grid])
         else:
             per_term.append([term])
     for combo in itertools.product(*per_term):
@@ -389,16 +388,12 @@ def _measure_errors(model, embedding, outputs, prediction, fit):
     y = outputs.values
     rows = min(embedding.n_states, y.shape[0])
     y = y[:rows]
-    scale = np.std(y, axis=0)
-    scale[scale == 0.0] = 1.0
-
-    err = prediction[: rows - 1] @ model.C.T - y[1:rows]
-    fit.one_step_nrmse = np.sqrt(np.mean(err**2, axis=0)) / scale
+    # scaled by the deviation of all rows, not only of the predicted ones
+    fit.one_step_nrmse = _nrmse(prediction[: rows - 1] @ model.C.T - y[1:rows], y)
 
     try:
         fit.free_run, y_free = dynamics.simulate(model, embedding.states[0], rows)
-        err = y_free - y
-        fit.free_run_nrmse = np.sqrt(np.mean(err**2, axis=0)) / scale
+        fit.free_run_nrmse = _nrmse(y_free - y, y)
     except NonFiniteState as exc:
         fit.free_run_nrmse = np.full(y.shape[1], np.inf)
         fit.warnings.append(f"free run diverged: {exc}")

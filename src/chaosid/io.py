@@ -25,7 +25,6 @@ is an error.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from json.encoder import encode_basestring_ascii
@@ -33,7 +32,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .embedding import DelayEmbedding, TimeSeries
-from .errors import ConfigError, InputError, InvalidValue, NotFoundError, _integer
+from .errors import ConfigError, InputError, InvalidValue, NotFoundError, _finite, _integer, _real
 from .model import (
     Exponential,
     ForcingBasis,
@@ -167,14 +166,17 @@ def load_json(path):
     with _open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
             raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _fields(obj, **extra):
-    """``extra`` and the fields of dataclass ``obj`` by name, as the JSON
-    renderer writes them: numpy values as builtins, tuples as lists."""
-    return {**extra, **{f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}}
+    """The fields of dataclass ``obj`` by name, with ``extra`` added or in
+    their place, as the JSON renderer writes them: numpy values as
+    builtins, tuples as lists.  The names come from ``__dataclass_fields__``
+    (no field here is a ClassVar): ``dataclasses.fields`` builds a tuple on
+    each call, which over a report's transforms raised the peak RSS."""
+    return {**{name: getattr(obj, name) for name in obj.__dataclass_fields__}, **extra}
 
 
 def _read_artifact(path, schema, what, build):
@@ -320,15 +322,7 @@ def write_series(path, series, comments=()):
 # Embedding
 
 def write_embedding(path, embedding):
-    doc = {
-        "schema": EMBEDDING_SCHEMA,
-        "tau": embedding.tau,
-        "m": embedding.m,
-        "dt": embedding.dt,
-        "source_channel": embedding.source_channel,
-        "states": embedding.states,
-    }
-    write_json(path, doc)
+    write_json(path, _fields(embedding, schema=EMBEDDING_SCHEMA))
 
 
 def _int_field(value, name):
@@ -352,7 +346,7 @@ def _embedding_from_doc(doc):
         tau=_int_field(doc["tau"], "tau"),
         m=m,
         source_channel=_int_field(doc["source_channel"], "source_channel"),
-        dt=float(doc["dt"]),
+        dt=doc["dt"],
     )
 
 
@@ -402,16 +396,9 @@ def basis_from_list(items):
 # Model
 
 def write_model(path, model):
-    doc = {
-        "schema": MODEL_SCHEMA,
-        "a": model.A,
-        "b": model.B,
-        "c": model.C,
-        "dt": model.dt,
-        "basis": basis_to_list(model.basis),
-        "embedding_tau": model.embedding_tau,
-        "embedding_channel": model.embedding_channel,
-    }
+    doc = _fields(model, schema=MODEL_SCHEMA, basis=basis_to_list(model.basis))
+    for name in ("A", "B", "C"):  # written in lower case
+        doc[name.lower()] = doc.pop(name)
     write_json(path, doc)
 
 
@@ -421,7 +408,7 @@ def _model_from_doc(doc):
         B=doc["b"],
         C=_rows(doc["c"], len(doc["a"])),
         basis=basis_from_list(doc["basis"]),
-        dt=float(doc["dt"]),
+        dt=doc["dt"],
         embedding_tau=_int_field(doc.get("embedding_tau", 0), "embedding_tau"),
         embedding_channel=_int_field(doc.get("embedding_channel", 0), "embedding_channel"),
     )
@@ -441,44 +428,34 @@ def fit_report_to_dict(report):
 # Symmetry report
 
 def transform_to_dict(t):
-    return {
-        "class": t.transform_class.value,
-        "source_segment": t.source_segment,
-        "target_segment": t.target_segment,
-        "residual": t.residual,
-        "rotation": t.rotation,
-        "scale": t.scale,
-        "translation": t.translation,
-        "affine": t.affine,
-    }
+    doc = _fields(t)
+    doc["class"] = doc.pop("transform_class").value
+    return doc
 
 
 def transform_from_dict(doc):
     affine = doc.get("affine")
     return SymmetryTransform(
         transform_class=TransformClass(doc["class"]),
-        rotation=np.asarray(doc["rotation"], dtype=float),
-        scale=float(doc["scale"]),
-        translation=np.asarray(doc["translation"], dtype=float),
-        affine=np.asarray(affine, dtype=float) if affine is not None else None,
-        residual=float(doc["residual"]),
+        rotation=_finite("rotation", doc["rotation"]),
+        scale=_real("scale", doc["scale"]),
+        translation=_finite("translation", doc["translation"]),
+        affine=_finite("affine", affine) if affine is not None else None,
+        residual=_real("residual", doc["residual"]),
         source_segment=_int_field(doc["source_segment"], "source_segment"),
         target_segment=_int_field(doc["target_segment"], "target_segment"),
     )
 
 
 def symmetry_report_to_dict(report):
-    return {
-        "schema": SYMMETRY_SCHEMA,
-        "class_histogram": {cls.value: n for cls, n in report.class_histogram.items()},
-        "dominant_class": report.dominant_class.value if report.dominant_class else None,
-        "tie": report.tie,
-        "threshold": report.threshold,
-        "diameter": report.diameter,
-        "recommended_basis": basis_to_list(report.recommended_basis),
-        "transforms": [transform_to_dict(t) for t in report.transforms],
-        "warnings": list(report.warnings),
-    }
+    return _fields(
+        report,
+        schema=SYMMETRY_SCHEMA,
+        class_histogram={cls.value: n for cls, n in report.class_histogram.items()},
+        dominant_class=report.dominant_class.value if report.dominant_class else None,
+        recommended_basis=basis_to_list(report.recommended_basis),
+        transforms=[transform_to_dict(t) for t in report.transforms],
+    )
 
 
 def write_symmetry_report(path, report):
@@ -495,10 +472,10 @@ def _symmetry_report_from_doc(doc):
         },
         dominant_class=TransformClass(dominant) if dominant else None,
         recommended_basis=basis_from_list(doc["recommended_basis"]),
-        threshold=float(doc["threshold"]),
-        diameter=float(doc["diameter"]),
-        tie=bool(doc.get("tie", False)),
-        warnings=list(doc.get("warnings", [])),
+        threshold=doc["threshold"],
+        diameter=doc["diameter"],
+        tie=doc.get("tie", False),
+        warnings=doc.get("warnings", []),
     )
 
 

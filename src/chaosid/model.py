@@ -211,6 +211,9 @@ class StateSpaceModel:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)
+        object.__setattr__(self, "dt", _positive("dt", self.dt))
+        if not isinstance(self.basis, ForcingBasis):
+            raise InvalidValue(f"basis must be a ForcingBasis, got {self.basis!r}")
         n = A.shape[0]
         if A.shape != (n, n):
             raise InvalidValue(f"A must be square, got {A.shape}")
@@ -222,7 +225,6 @@ class StateSpaceModel:
             )
         if C.shape[1] != n:
             raise InvalidValue(f"C has {C.shape[1]} columns, expected {n}")
-        _positive("dt", self.dt)
         for name in ("embedding_tau", "embedding_channel"):
             _integer(name, getattr(self, name), 0)
 

@@ -34,6 +34,7 @@ from .errors import (
     WindowTooSmall,
     _integer,
     _positive,
+    _real,
 )
 from .model import Exponential, ForcingBasis, Sinusoid, polynomial_basis
 
@@ -376,6 +377,16 @@ class SymmetryReport:
     diameter: float
     tie: bool = False
     warnings: list = field(default_factory=list)
+
+    def __post_init__(self):
+        # a threshold of +inf accepts every fit
+        if self.threshold != np.inf:
+            self.threshold = _real("threshold", self.threshold)
+        self.diameter = _real("diameter", self.diameter)
+        if not isinstance(self.tie, bool):
+            raise InvalidValue(f"tie must be a bool, got {self.tie!r}")
+        if not (isinstance(self.warnings, list) and all(isinstance(w, str) for w in self.warnings)):
+            raise InvalidValue(f"warnings must be a list of strings, got {self.warnings!r}")
 
 
 def _dominance_scores(histogram):

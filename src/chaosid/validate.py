@@ -307,6 +307,14 @@ def _histogram_l1(a, b, bins=64):
     return float(np.sum(np.abs(pa - pb)))
 
 
+def _nrmse(error, reference):
+    """The RMS of each column of ``error`` over the standard deviation of the
+    same column of ``reference``, a zero deviation read as 1."""
+    scale = np.std(reference, axis=0)
+    scale[scale == 0.0] = 1.0
+    return np.sqrt(np.mean(error**2, axis=0)) / scale
+
+
 def compare(reference, modeled, with_dimension=True):
     """Compare a modeled series against its reference channel by channel.
 
@@ -329,10 +337,7 @@ def compare(reference, modeled, with_dimension=True):
         )
     rows = min(reference.n_samples, modeled.n_samples)
     ref = reference.values[:rows]
-    mod = modeled.values[:rows]
-    scale = np.std(ref, axis=0)
-    scale[scale == 0.0] = 1.0
-    nrmse = np.sqrt(np.mean((mod - ref) ** 2, axis=0)) / scale
+    nrmse = _nrmse(modeled.values[:rows] - ref, ref)
     hist = np.array(
         [
             _histogram_l1(reference.values[:, c], modeled.values[:, c])

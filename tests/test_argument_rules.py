@@ -19,6 +19,9 @@ EMB = ci.delay_embed(SERIES, tau=16, m=2)
 DECAY = ci.OdeSystem(name="decay", dimension=1, rhs=lambda x: [-v for v in x])
 STILL = ci.StateSpaceModel(A=0.5 * np.eye(2), B=np.zeros((2, 0)), C=np.eye(2),
                            basis=ci.ForcingBasis(()), dt=1.0)
+REPORT = ci.classify_symmetry([], threshold=1.0, diameter=2.0)
+#: an integer too large for a double: float() of it raises OverflowError
+HUGE = 10**400
 
 
 def _with_nan(values):
@@ -76,6 +79,18 @@ CASES = {
         [[1.0, 0.0], [0.0, np.nan], [1.0, 1.0]], np.ones((3, 1)))),
     "output-map-nan-output": ("targets", lambda: ci.fit_output_map(
         EMB, np.where(np.arange(EMB.n_states) == 7, np.nan, 1.0))),
+    # an integer too large for a double once raised a raw OverflowError, or
+    # was taken as a dt; a basis of bare terms raised a raw AttributeError;
+    # a report took any tie and any iterable of warnings
+    "huge-omega": ("omega", lambda: ci.Sinusoid(HUGE)),
+    "huge-dt": ("dt", lambda: ci.TimeSeries(WAVE, dt=HUGE)),
+    "huge-state": ("states", lambda: ci.DelayEmbedding([[0.0], [HUGE]], tau=1, m=1)),
+    "model-tuple-basis": ("basis", lambda: ci.StateSpaceModel(
+        STILL.A, np.zeros((2, 1)), STILL.C, (ci.Sinusoid(1.0),), dt=1.0)),
+    "report-string-tie": ("tie", lambda: dataclasses.replace(REPORT, tie="false")),
+    "report-string-warnings": ("warnings", lambda: dataclasses.replace(REPORT, warnings="abc")),
+    "report-number-warning": ("warnings", lambda: dataclasses.replace(REPORT, warnings=[1])),
+    "report-nan-threshold": ("threshold", lambda: ci.classify_symmetry([], np.nan)),
 }
 
 
@@ -110,7 +125,9 @@ def test_the_integer_rule_takes_python_and_numpy_integers(value):
         errors._integer("n", value, 4)
 
 
-@pytest.mark.parametrize("value", [0, 0.0, -0.0, -0.5, np.nan, np.inf, -np.inf, True, "0.1", None])
+@pytest.mark.parametrize("value", [0, 0.0, -0.0, -0.5, np.nan, np.inf, -np.inf, True, "0.1", None,
+                                   pytest.param(HUGE, id="10**400"),
+                                   pytest.param(-HUGE, id="-10**400")])
 def test_the_positive_rule_refuses_what_is_not_finite_and_above_zero(value):
     with pytest.raises(ci.InvalidValue, match="^dt must be finite and positive, got "):
         errors._positive("dt", value)
@@ -118,7 +135,8 @@ def test_the_positive_rule_refuses_what_is_not_finite_and_above_zero(value):
 
 @pytest.mark.parametrize("value", [1, 0.05, 5e-324, np.float32(0.5), np.int64(2)])
 def test_the_positive_rule_takes_finite_values_above_zero(value):
-    assert errors._positive("dt", value) is None
+    got = errors._positive("dt", value)
+    assert type(got) is float and got == value
 
 
 def test_the_finite_rule_returns_a_float_array():
@@ -127,9 +145,13 @@ def test_the_finite_rule_returns_a_float_array():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ci.InvalidValue, match="^x holds NaN or infinity; it must be finite$"):
             errors._finite("x", [1.0, bad])
+    with pytest.raises(ci.InvalidValue, match="^x holds an integer too large for a double$"):
+        errors._finite("x", [[1.0], [HUGE]])
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, True, np.bool_(True), "0.1", None, [1.0]])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, True, np.bool_(True), "0.1", None, [1.0],
+                                   pytest.param(HUGE, id="10**400"),
+                                   pytest.param(-HUGE, id="-10**400")])
 def test_the_real_rule_refuses_what_is_no_finite_number(value):
     with pytest.raises(ci.InvalidValue, match="^omega must be a finite number, got "):
         errors._real("omega", value)
@@ -151,6 +173,7 @@ VALUE_TYPES = [
                        basis=ci.ForcingBasis((ci.Sinusoid(1.0),)), dt=0.1),
     EMB,
     SERIES,
+    REPORT,
 ]
 
 
@@ -164,22 +187,34 @@ def _number_fields(value):
             yield f.name, held
 
 
+def _scalar(held):
+    return held is None or np.ndim(held) == 0
+
+
 def _with_entry(held, bad):
-    """``held`` with its first entry (itself, for a scalar) set to ``bad``."""
+    """``held`` with its first entry (itself, for a scalar) set to ``bad``;
+    an array becomes nested lists, which hold an integer of any size."""
     if isinstance(held, tuple):
         return (bad, *held[1:])
-    if held is None or np.ndim(held) == 0:
+    if _scalar(held):
         return bad
-    array = np.array(held, dtype=float)
-    array.flat[0] = bad
-    return array
+    rows = np.array(held, dtype=object)
+    rows.flat[0] = bad
+    return rows.tolist()
 
+
+# (id, value) of the bad values each field is tried with; an array field is
+# tried with those that a float array can hold
+BAD_NUMBERS = [("nan", np.nan), ("inf", np.inf), ("10**400", HUGE)]
+BAD_SCALARS = [("string", "1.5"), ("bool", True)]
 
 GUARDED = [
-    pytest.param(value, name, _with_entry(held, bad), id=f"{type(value).__name__}-{name}-{bad}")
+    pytest.param(value, name, _with_entry(held, bad), id=f"{type(value).__name__}-{name}-{label}")
     for value in VALUE_TYPES
     for name, held in _number_fields(value)
-    for bad in (np.nan, np.inf)
+    for label, bad in BAD_NUMBERS + (BAD_SCALARS if _scalar(held) else [])
+    # a threshold of +inf accepts every fit
+    if (type(value), name, label) != (ci.SymmetryReport, "threshold", "inf")
 ]
 
 
@@ -192,11 +227,24 @@ def test_the_guard_tries_every_known_number_field():
         ("StateSpaceModel", "A"), ("StateSpaceModel", "B"), ("StateSpaceModel", "C"),
         ("StateSpaceModel", "dt"), ("DelayEmbedding", "states"), ("DelayEmbedding", "dt"),
         ("TimeSeries", "values"), ("TimeSeries", "dt"),
+        ("SymmetryReport", "threshold"), ("SymmetryReport", "diameter"),
     }
 
 
 @pytest.mark.parametrize("value, name, bad", GUARDED)
 def test_every_number_field_refuses_nan_and_infinity(value, name, bad):
-    """A float or array field added without its rule fails here."""
+    """A float or array field added without its rule fails here; so does a
+    scalar field that takes a string, a bool or an integer too large for a
+    double, or an array field that takes such an integer."""
     with pytest.raises(ci.InvalidValue, match=f"^{name} "):
         dataclasses.replace(value, **{name: bad})
+
+
+def test_a_number_field_stores_a_python_float():
+    """``dt``, ``threshold`` and ``diameter`` given as integers or numpy
+    floats are stored as Python floats, so an artifact writes ``1.0``."""
+    stored = [ci.TimeSeries(WAVE, dt=1).dt, ci.DelayEmbedding(EMB.states, 16, 2, dt=np.int64(1)).dt,
+              dataclasses.replace(STILL, dt=np.float32(1.0)).dt,
+              dataclasses.replace(REPORT, threshold=1, diameter=np.float64(2.0)).diameter]
+    assert [(type(v), v) for v in stored] == [(float, 1.0)] * 3 + [(float, 2.0)]
+    assert ci.classify_symmetry([], np.inf).threshold == np.inf

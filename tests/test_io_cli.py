@@ -467,6 +467,17 @@ def test_embedding_round_trip(tmp_path):
     assert (back.tau, back.m, back.source_channel, back.dt) == (4, 3, 1, 0.05)
 
 
+def test_an_integer_dt_writes_as_the_float_it_reads_back_as(tmp_path):
+    """A series built with ``dt=1`` stores 1.0, so its embedding writes the
+    bytes that a read and rewrite of the file give."""
+    emb = ci.delay_embed(ci.TimeSeries(np.sin(np.arange(40.0)), dt=1), tau=2, m=2)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    io.write_embedding(first, emb)
+    io.write_embedding(second, io.read_embedding(first))
+    assert '"dt": 1.0,' in first.read_text()
+    assert first.read_bytes() == second.read_bytes()
+
+
 def test_model_round_trip_every_term_type(tmp_path):
     basis = ci.ForcingBasis(
         (
@@ -1532,6 +1543,27 @@ def test_cli_removed_flag_exits_2_without_traceback(tmp_path, case):
     assert not (tmp_path / "out").exists()
 
 
+_HUGE = "1" + "0" * 400
+
+# a top-level field set to a JSON value that its type refuses; the readers
+# once took each through float(), bool() or list(), met it with a raw
+# OverflowError, or (past 4300 digits) with json's raw ValueError:
+# case: (artifact, field, the value's JSON text, what the error line says)
+_BAD_FIELDS = {
+    "embedding dt is a string": ("embedding", "dt", '"0.05"', ": dt must be finite"),
+    "embedding dt is a bool": ("embedding", "dt", "true", ": dt must be finite"),
+    "model dt is a string": ("model", "dt", '"0.05"', ": dt must be finite"),
+    "model dt is a bool": ("model", "dt", "true", ": dt must be finite"),
+    "model dt has 401 digits": ("model", "dt", _HUGE, ": dt must be finite"),
+    "model a holds 401 digits": ("model", "a", f"[[{_HUGE}]]", ": A holds an integer too large"),
+    "model dt has 5001 digits": ("model", "dt", "1" + "0" * 5000, " is not valid JSON: "),
+    "symmetry threshold has 401 digits": ("symmetry", "threshold", _HUGE, ": threshold must"),
+    "symmetry diameter is a string": ("symmetry", "diameter", '"2.5"', ": diameter must"),
+    "symmetry tie is a string": ("symmetry", "tie", '"false"', ": tie must be a bool"),
+    "symmetry warnings is a string": ("symmetry", "warnings", '"abc"', ": warnings must"),
+}
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -1545,6 +1577,7 @@ def test_cli_removed_flag_exits_2_without_traceback(tmp_path, case):
         "embedding is not JSON",
         "model basis holds an unknown term type",
         "model misses a field",
+        *_BAD_FIELDS,
     ],
 )
 def test_cli_malformed_artifact_exits_2_without_traceback(tmp_path, case):
@@ -1553,7 +1586,15 @@ def test_cli_malformed_artifact_exits_2_without_traceback(tmp_path, case):
     io.write_embedding(embedding, ci.DelayEmbedding(states=states, tau=1, m=2))
     symmetry = tmp_path / "symmetry.json"
     io.write_symmetry_report(symmetry, ci.classify_symmetry([], threshold=0.01, diameter=1.0))
-    if case.endswith("JSON"):
+    model = tmp_path / "model.json"
+    io.write_model(model, ci.load_fixture(ci.fixture_names()[0]).model)
+    if case in _BAD_FIELDS:
+        artifact, field, text, _ = _BAD_FIELDS[case]
+        path = tmp_path / f"{artifact}.json"
+        doc = json.loads(path.read_text())
+        doc[field] = "@"
+        path.write_text(json.dumps(doc).replace('"@"', text))
+    elif case.endswith("JSON"):
         embedding.write_text('{"schema": "embedding/1", ')
     elif case.startswith("embedding"):
         doc = json.loads(embedding.read_text())
@@ -1574,8 +1615,6 @@ def test_cli_malformed_artifact_exits_2_without_traceback(tmp_path, case):
             doc["class_histogram"] = []
         symmetry.write_text(json.dumps(doc))
     else:
-        model = tmp_path / "model.json"
-        io.write_model(model, ci.load_fixture(ci.fixture_names()[0]).model)
         doc = json.loads(model.read_text())
         if case.endswith("string"):
             doc["basis"] = ["x"]
@@ -1590,7 +1629,10 @@ def test_cli_malformed_artifact_exits_2_without_traceback(tmp_path, case):
         argv = ["symmetry", str(embedding), "--out-dir", str(tmp_path)]
     else:
         argv = ["identify", str(embedding), str(symmetry), "--out-dir", str(tmp_path)]
-    assert str(tmp_path) in _run_expecting_exit_2(argv)
+    stderr = _run_expecting_exit_2(argv)
+    assert str(tmp_path) in stderr and len(stderr.splitlines()) == 1
+    if case in _BAD_FIELDS:
+        assert _BAD_FIELDS[case][3] in stderr
 
 
 def test_cli_pipeline_requires_input_path(tmp_path, capsys):
