@@ -12,8 +12,8 @@ breaks a rule raises :class:`InvalidValue` naming it: a count, index, delay or
 dimension must be a Python or numpy integer (not a bool, nor an integral
 float); ``dt`` (above 0), a term parameter or a ridge must be a finite Python
 or numpy number (not a bool, nor a string), kept as a Python float; and a
-series, point set, matrix or initial state must hold no NaN or infinity.  An
-integer too large for a double is not finite.
+series, point set, matrix or initial state must hold only such numbers, and
+no NaN or infinity.  An integer too large for a double is not finite.
 """
 
 import numpy as np
@@ -125,10 +125,18 @@ def _positive(name, value):
 
 
 def _finite(name, values):
-    """``values`` as a float array; NaN, infinity or an integer too large for a
-    double raises InvalidValue."""
+    """``values`` as a float array; an entry that is no Python or numpy number
+    (a bool, a string or a complex number, say), NaN, infinity or an integer
+    too large for a double raises InvalidValue."""
+    if not isinstance(values, np.ndarray) or values.dtype == object:
+        values = np.array(values, dtype=object)  # numpy reads a bool among numbers as one
+    kinds = set(map(type, values.flat)) if values.dtype == object else {values.dtype.type}
+    bad = sorted(k.__name__ for k in kinds
+                 if k is bool or not issubclass(k, (int, float, np.integer, np.floating)))
+    if bad:
+        raise InvalidValue(f"{name} must hold only integers and floats, got {', '.join(bad)}")
     try:
-        array = np.asarray(values, dtype=float)
+        array = values.astype(float, copy=False)
     except OverflowError:
         raise InvalidValue(f"{name} holds an integer too large for a double") from None
     if not np.isfinite(array).all():

@@ -15,9 +15,11 @@ JSON artifacts are written through :func:`canonical_json`: the text of
 indents by one space and renders floats in Python's shortest round-trip repr,
 so that a rewrite of the same data is byte-identical and doubles survive a
 round trip exactly.  Indented, json renders every float in Python, so one
-recursive function, :func:`_render`, writes that text itself, one call per
-value.  A float array is the list of its leading-axis entries, rendered in
+recursive generator, :func:`_chunks`, yields that text itself piece by
+piece.  A float array is the list of its leading-axis entries, rendered in
 bulk one block of ``_BLOCK`` rows at a time and nested by their shape.
+:func:`write_json` writes each piece as it comes, so no document's whole
+text is held in memory.
 
 Config files hold one ``key = value`` per line; an unknown or repeated key
 is an error.
@@ -98,45 +100,48 @@ def _key(key):
     """A dict key as json writes it: a string, or a scalar's text quoted."""
     if not isinstance(key, (str, int, float)) and key is not None:
         raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return encode_basestring_ascii(key if isinstance(key, str) else _render(key, 0))
+    return encode_basestring_ascii(key if isinstance(key, str) else next(_chunks(key, 0)))
 
 
-def _render(value, level):
-    """``value`` as ``json.dumps(value, sort_keys=True, indent=1)`` writes it ``level`` deep."""
+def _chunks(value, level):
+    """The text ``json.dumps(value, sort_keys=True, indent=1)`` writes for
+    ``value`` ``level`` deep, a piece at a time: a scalar, the start of a
+    dict entry or list item, or a block of ``_BLOCK`` rows of a float array."""
+    pad = "\n" + " " * (level + 1)
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None or value is True or value is False:
-        return json.dumps(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
+        yield encode_basestring_ascii(value)
+    elif value is None or value is True or value is False:
+        yield json.dumps(value)
+    elif isinstance(value, int):
+        yield int.__repr__(value)
+    elif isinstance(value, float):
         text = float.__repr__(value)
-        return _NON_FINITE.get(text, text)
-    if isinstance(value, (list, tuple)):
-        items, brackets = [_render(item, level + 1) for item in value], "[]"
-    elif isinstance(value, dict):  # sorted as json sorts them: by key, not by key text
-        items = [_key(k) + ": " + _render(v, level + 1) for k, v in sorted(value.items())]
-        brackets = "{}"
+        yield _NON_FINITE.get(text, text)
     # half, single or double: the float dtypes whose tolist() yields Python floats
     elif isinstance(value, np.ndarray) and value.dtype.char in "efd" and value.size and value.ndim:
-        blocks = (value[at : at + _BLOCK] for at in range(0, len(value), _BLOCK))
-        items = [t for b in blocks for t in _nest(_float_texts(b), value.shape[1:], level + 1)]
-        brackets = "[]"
+        for at in range(0, len(value), _BLOCK):
+            cells = _nest(_float_texts(value[at : at + _BLOCK]), value.shape[1:], level + 1)
+            yield ("," if at else "[") + pad + ("," + pad).join(cells)
+        yield "\n" + " " * level + "]"
+    elif isinstance(value, (dict, list, tuple)):
+        if isinstance(value, dict):  # sorted as json sorts them: by key, not by key text
+            items, brackets = ((_key(k) + ": ", v) for k, v in sorted(value.items())), "{}"
+        else:
+            items, brackets = (("", item) for item in value), "[]"
+        sep = brackets[0] + pad
+        for head, item in items:
+            yield sep + head
+            yield from _chunks(item, level + 1)
+            sep = "," + pad
+        yield "\n" + " " * level + brackets[1] if value else brackets
     else:
-        return _render(_builtin(value), level)
-    if not items:
-        return brackets
-    pad = "\n" + " " * (level + 1)
-    # on the end items, so that the whole text is copied once
-    items[0] = brackets[0] + pad + items[0]
-    items[-1] += "\n" + " " * level + brackets[1]
-    return ("," + pad).join(items)
+        yield from _chunks(_builtin(value), level)
 
 
 def canonical_json(value):
     """Render ``value`` as ``json.dumps(value, sort_keys=True, indent=1)`` does
-    with numpy values as builtins, through :func:`_render`, which writes the text."""
-    return _render(value, 0)
+    with numpy values as builtins: the pieces of :func:`_chunks`, joined."""
+    return "".join(_chunks(value, 0))
 
 
 def path_error(path, exc):
@@ -156,9 +161,10 @@ def _open(path, *args, **kwargs):
 
 
 def write_json(path, value):
-    """Write ``canonical_json(value)`` and a newline."""
+    """Write ``canonical_json(value)`` and a newline, each piece of
+    :func:`_chunks` as it comes."""
     with _open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(value))
+        fh.writelines(_chunks(value, 0))
         fh.write("\n")
 
 

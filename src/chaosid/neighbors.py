@@ -14,7 +14,7 @@ buffers, and a box pass takes its rows in key order, fewer than
 pairs in parts of whole rows, each fewer than that beyond its first row's.
 
 The correlation sum needs every pair, so ``pair_distance_counts`` keeps an
-O(n^2) pass over blocks of 32 rows, each compared only with the later rows.
+O(n^2) pass over blocks of 16 rows, each compared only with the later rows.
 One matrix product per block gives the squared distances, which are binned
 against squared thresholds without taking a square root.  A guard zone as
 wide as the product's rounding bound lies around every threshold, and the
@@ -43,7 +43,7 @@ import numpy as np
 from .errors import InvalidValue
 
 # rows of a block of the pair count
-_CHUNK = 32
+_CHUNK = 16
 # rows of the direct search that sets the first box edge
 _EDGE_SAMPLE = 64
 # key ranges a box pass builds at once, and candidate pairs it expands at

@@ -203,8 +203,7 @@ def _with_entry(held, bad):
     return rows.tolist()
 
 
-# (id, value) of the bad values each field is tried with; an array field is
-# tried with those that a float array can hold
+# (id, value) of the bad values each field, or its first entry, is tried with
 BAD_NUMBERS = [("nan", np.nan), ("inf", np.inf), ("10**400", HUGE)]
 BAD_SCALARS = [("string", "1.5"), ("bool", True)]
 
@@ -212,7 +211,7 @@ GUARDED = [
     pytest.param(value, name, _with_entry(held, bad), id=f"{type(value).__name__}-{name}-{label}")
     for value in VALUE_TYPES
     for name, held in _number_fields(value)
-    for label, bad in BAD_NUMBERS + (BAD_SCALARS if _scalar(held) else [])
+    for label, bad in BAD_NUMBERS + BAD_SCALARS
     # a threshold of +inf accepts every fit
     if (type(value), name, label) != (ci.SymmetryReport, "threshold", "inf")
 ]
@@ -234,8 +233,8 @@ def test_the_guard_tries_every_known_number_field():
 @pytest.mark.parametrize("value, name, bad", GUARDED)
 def test_every_number_field_refuses_nan_and_infinity(value, name, bad):
     """A float or array field added without its rule fails here; so does a
-    scalar field that takes a string, a bool or an integer too large for a
-    double, or an array field that takes such an integer."""
+    field that takes a string, a bool or an integer too large for a double,
+    as itself or as an array's entry among numbers."""
     with pytest.raises(ci.InvalidValue, match=f"^{name} "):
         dataclasses.replace(value, **{name: bad})
 

@@ -77,13 +77,13 @@ def _longer_than_a_block(rng, shape):
     return a
 
 
-def test_canonical_json_renders_float_arrays_as_json_does():
+def _float_array_documents():
     rng = np.random.default_rng(2)
     cube = rng.normal(size=(2, 3, 4)) * 10.0 ** rng.integers(-20, 20, size=(2, 3, 4))
     cube[0, 1, 2], cube[1, 0, 0], cube[1, 2, 3], cube[0, 0, 0] = np.nan, np.inf, -np.inf, -0.0
     # rendered a block of leading-axis rows at a time
     long = [_longer_than_a_block(rng, shape) for shape in [(1025, 3), (600, 2, 2), (1500,)]]
-    docs = [
+    return [
         rng.normal(size=5),
         rng.normal(size=(4, 3)),
         cube,
@@ -100,7 +100,10 @@ def test_canonical_json_renders_float_arrays_as_json_does():
         *long,
         {"b": long, "a": long[0]},
     ]
-    for doc in docs:
+
+
+def test_canonical_json_renders_float_arrays_as_json_does():
+    for doc in _float_array_documents():
         assert io.canonical_json(doc) == json_oracle(doc)
 
 
@@ -172,6 +175,31 @@ def test_canonical_json_rejects_unsupported_objects():
         io.canonical_json({"x": object()})
     with pytest.raises(TypeError):
         io.canonical_json({"z": np.complex128(1j)})
+
+
+def test_write_json_writes_the_canonical_text(tmp_path):
+    """The pieces written as they come make the text canonical_json joins."""
+    path = tmp_path / "doc.json"
+    for doc in [*_float_array_documents(), _symmetry_document()]:
+        io.write_json(path, doc)
+        assert path.read_bytes() == (io.canonical_json(doc) + "\n").encode("utf-8")
+
+
+def test_write_embedding_scratch_memory_on_the_reference(tmp_path, rossler_embedding):
+    """Written a block of 512 states at a time: about 0.25 MiB for the
+    19948 reference states, whose whole text took 3.95 MiB.  A first write
+    of a small embedding leaves out what is allocated once."""
+    io.write_embedding(tmp_path / "small.json", ci.DelayEmbedding(np.ones((3, 1)), tau=1, m=1))
+    path = tmp_path / "embedding.json"
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        io.write_embedding(path, rossler_embedding)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(io.read_embedding(path).states, rossler_embedding.states)
+    assert peak < 0.5 * 2**20, peak / 2**20
 
 
 def test_write_and_load_json(tmp_path):
@@ -1556,6 +1584,7 @@ _BAD_FIELDS = {
     "model dt is a bool": ("model", "dt", "true", ": dt must be finite"),
     "model dt has 401 digits": ("model", "dt", _HUGE, ": dt must be finite"),
     "model a holds 401 digits": ("model", "a", f"[[{_HUGE}]]", ": A holds an integer too large"),
+    "model a holds a string": ("model", "a", '[["0.5"]]', ": A must hold only integers and"),
     "model dt has 5001 digits": ("model", "dt", "1" + "0" * 5000, " is not valid JSON: "),
     "symmetry threshold has 401 digits": ("symmetry", "threshold", _HUGE, ": threshold must"),
     "symmetry diameter is a string": ("symmetry", "diameter", '"2.5"', ": diameter must"),

@@ -406,9 +406,10 @@ def test_reference_subsample_has_no_guard_pairs(monkeypatch, rossler_series):
 def test_correlation_dimension_scratch_memory_stays_bounded_on_the_reference_delay_set(
     rossler_series,
 ):
-    """Blocks of 32 rows of the 8000-point subsample: 2 MiB of squared
+    """Blocks of 16 rows of the 8000-point subsample: 1 MiB of squared
     distances, the pairs gathered below the cut and the product factors,
-    about 5 MiB in all.  Blocks of 128 rows took about 10 MiB."""
+    about 3.1 MiB in all, bounded with a 0.9 MiB margin.  Blocks of 32
+    rows took about 5 MiB, and blocks of 128 rows about 10 MiB."""
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
@@ -416,7 +417,7 @@ def test_correlation_dimension_scratch_memory_stays_bounded_on_the_reference_del
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert peak < 6 * 2**20, peak / 2**20
+    assert peak < 4 * 2**20, peak / 2**20
 
 
 def test_kernel_matches_kd_tree():
