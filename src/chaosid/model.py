@@ -34,7 +34,8 @@ def _timebase(t, power):
 
 class _Term:
     """Base of the basis terms: a ``float`` field holds a finite Python float,
-    a ``_Term`` field a term, and ``max_exp_argument`` is 0 unless overridden."""
+    ``time_power`` one >= 0 (t**time_power is infinite at t = 0 below 0), a
+    ``_Term`` field a term, and ``max_exp_argument`` is 0 unless overridden."""
 
     def __post_init__(self):
         for f in self.__dataclass_fields__.values():
@@ -42,6 +43,8 @@ class _Term:
                 object.__setattr__(self, f.name, _real(f.name, getattr(self, f.name)))
             elif f.type == "_Term":
                 _check_term(f.name, getattr(self, f.name))
+        if getattr(self, "time_power", 0.0) < 0.0:
+            raise InvalidValue(f"time_power must be >= 0, got {self.time_power}")
 
     def max_exp_argument(self, t_max):
         return 0.0

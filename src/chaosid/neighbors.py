@@ -16,11 +16,11 @@ pairs in parts of whole rows, each fewer than that beyond its first row's.
 The correlation sum needs every pair, so ``pair_distance_counts`` keeps an
 O(n^2) pass over blocks of 16 rows, each compared only with the later rows.
 One matrix product per block gives the squared distances, which are binned
-against squared thresholds without taking a square root.  A guard zone as
-wide as the product's rounding bound lies around every threshold, and the
-few pairs that land in one are counted again by direct differences, so
-every pair lands in the bin of its directly computed distance, whatever
-the block height or the BLAS.
+against the squared edges without taking a square root.  A guard zone as
+wide as the product's rounding bound lies around every squared edge, and
+the few pairs that land in one are counted again by direct differences, so
+every pair lands where ``np.histogram`` puts its directly computed
+distance, whatever the block height or the BLAS.
 
 Given a cut, the pass bins only the pairs below the cut and counts the
 others only in the total.  The correlation dimension takes the cut from a
@@ -191,8 +191,8 @@ def nearest(points, exclude):
     apart in index; ``exclude=0`` leaves out only the point itself.
 
     Returns (index, distance), one entry per row.  Ties go to the lowest
-    index.  The distance is the norm of the difference of the pair; a row
-    with no admissible partner gets index 0 and distance inf.
+    index.  The distance is the root of the squared distance the search
+    compared; a row with no admissible partner gets index 0 and distance inf.
 
     Box-assisted and exact.  The points are boxed on their first
     k = min(m, 3) coordinates.  The first box edge eps is the 0.75 quantile
@@ -217,8 +217,8 @@ def nearest(points, exclude):
     # searching for one would run every pass up to the exhaustive one
     alone = (i <= exclude) & (i >= n - 1 - exclude)
     rows = np.flatnonzero(~alone)
+    coords = np.ascontiguousarray(points.T, dtype=float)
     if rows.size:
-        coords = np.ascontiguousarray(points.T, dtype=float)
         box = coords[:3]
         span = float((box.max(axis=1) - box.min(axis=1)).max())
         eps = _box_edge(coords, exclude, span)
@@ -228,70 +228,19 @@ def nearest(points, exclude):
             nn[rows[final]] = found[final]
             rows = rows[~final]
             eps *= 2.0
-    dist = np.linalg.norm(points - points[nn], axis=1)
+    dist = np.sqrt(_squared_distances(coords, i, nn))
     dist[alone] = np.inf
     return nn, dist
 
 
-def _last_double(t, ok, toward):
-    """The last double from ``t`` toward ``toward`` for which ``ok`` holds,
-    where ``ok`` holds on that side of some point and fails on the other."""
-    while not ok(t):
-        t = np.nextafter(t, -toward)
-    while (u := np.nextafter(t, toward)) != t and ok(u):
-        t = u
-    return t
-
-
-def _squared_thresholds(edges):
-    """Thresholds on squared distances that bin them as ``np.histogram``
-    bins their square roots against ``edges``, the last bin closed.
-
-    A lower edge e becomes the smallest double t with sqrt(t) >= e, or -inf
-    when e <= 0, so that a squared distance rounded below zero still counts
-    as distance 0.  The last edge becomes the largest t with sqrt(t) <= e.
-    Each is found by stepping one double at a time from e*e.  sqrt is
-    correctly rounded and monotone, so sqrt(max(d2, 0)) >= e exactly when
-    d2 >= t, and likewise for the closed edge.
-    """
-    out = np.full(edges.size, -np.inf)
-    for i, e in enumerate(edges[:-1]):
-        if e > 0.0:
-            out[i] = _last_double(e * e, lambda t: np.sqrt(t) >= e, -np.inf)
-    e = edges[-1]
-    if e >= 0.0:
-        out[-1] = _last_double(e * e, lambda t: np.sqrt(t) <= e, np.inf)
-    return out
-
-
-def _blocks(n, theiler):
-    """The row blocks of the pair count: (start, rows, first, cols, band).
-
-    Block rows start .. start + rows - 1 are compared with the ``cols``
-    rows from ``first`` = start + ``theiler`` + 1 on.  Entry (r, c) pairs
-    row start + r with row first + c, which lies inside the band when
-    c < r; ``band`` indexes those entries, as
-    ``np.tril_indices(rows, -1, cols)`` does.  That set depends only on
-    rows and min(rows, cols), so it is built once per such shape.
-    """
-    shape = band = None
-    for start in range(0, n - theiler - 1, _CHUNK):
-        first = start + theiler + 1
-        rows, cols = min(_CHUNK, n - start), n - first
-        if shape != (rows, min(rows, cols)):
-            shape = (rows, min(rows, cols))
-            band = np.tril_indices(rows, -1, shape[1])
-        yield start, rows, first, cols, band
-
-
-def _recount(points, d2, guarded, start, first, thresholds):
-    """Histogram against ``thresholds`` of the block's pairs whose product
-    value in ``d2`` lies in a guard zone of ``guarded``, their squared
+def _recount(points, d2, guarded, start, first, edges):
+    """Histogram against ``edges`` of the roots of the block's pairs whose
+    product value in ``d2`` lies in a guard zone of ``guarded``, their squared
     distances summed again from direct differences in coordinate order.
     Entry (r, c) of ``d2`` pairs row start + r with row first + c."""
     r, c = np.nonzero(np.searchsorted(guarded, d2, side="right") & 1)
     exact = _squared_distances(points.T, r + start, c + first)
-    return np.histogram(exact, bins=thresholds)[0]
+    return np.histogram(np.sqrt(exact), bins=edges)[0]
 
 
 def pair_distance_counts(points, edges, theiler, bins=None):
@@ -306,20 +255,21 @@ def pair_distance_counts(points, edges, theiler, bins=None):
     counts of the first ``bins`` bins are those of the full histogram.
 
     Each block of ``_CHUNK`` rows is compared only with the columns from
-    its first row plus ``theiler`` + 1 on.  One matrix product per block
-    gives the squared distances of the centred points p_i = x_i - mean:
-    row i of lhs = [|p_i|^2, 1, -2 p_i] times column j of
-    rhs = [1, |p_j|^2, p_j] is |p_i - p_j|^2.  Centring keeps an offset in
-    the data from swamping the distances.  The values are binned against
-    ``_squared_thresholds(edges)``, so no root is taken.
+    its first row plus ``theiler`` + 1 on, one triangular mask marking the
+    band.  One matrix product per block gives the squared distances of the
+    centred points p_i = x_i - mean: row i of lhs = [|p_i|^2, 1, -2 p_i]
+    times column j of rhs = [1, |p_j|^2, p_j] is |p_i - p_j|^2.  Centring
+    keeps an offset in the data from swamping the distances.  The values
+    are binned against the squared edges, so no root is taken.
 
-    The pairs are binned by d_ij, the squared distance summed from the
-    direct differences x_i - x_j in coordinate order.  A dot product of
-    length k, summed in any order, with or without fused multiply-adds, is
-    off by at most gamma_k = k u / (1 - k u) times the sum of its absolute
-    terms, with u = 2^-53 (Higham 2002, section 3.1).  With m coordinates
-    and S = max |p_i|^2 as computed, the product value differs from d_ij
-    by at most (10 m + 24) u S to first order in u:
+    The pairs are binned as ``np.histogram`` bins sqrt(d_ij), d_ij the
+    squared distance summed from the direct differences x_i - x_j in
+    coordinate order.  A dot product of length k, summed in any order, with
+    or without fused multiply-adds, is off by at most
+    gamma_k = k u / (1 - k u) times the sum of its absolute terms, with
+    u = 2^-53 (Higham 2002, section 3.1).  With m coordinates and
+    S = max |p_i|^2 as computed, the product value differs from d_ij by at
+    most (10 m + 24) u S to first order in u:
     - the product, of length m + 2, whose absolute terms sum to at most
       4 S: 4 (m + 2) u S;
     - the computed |p_i|^2 and |p_j|^2: 2 m u S;
@@ -329,24 +279,26 @@ def pair_distance_counts(points, edges, theiler, bins=None):
       4 (m + 2) u S.
     B = 16 (m + 3) u S is at least 1.6 times that, which covers the
     higher-order terms and the rounding of B, and (m + 3) 2^-1070 more
-    covers products that underflow.  Each finite threshold t gets the
-    guard zone [t - B, t + B), its ends rounded outward.  A product value
-    outside every zone lies on the same side of every threshold as d_ij,
-    so it is binned as it is.  A pair in a zone, the cut's included, is
-    summed again by direct differences and binned by d_ij.  Every count is
-    therefore that of d_ij, for any block height and any BLAS that forms
-    each entry of a product as such a dot product.
-
-    Only the product values below the upper end of the last zone binned,
-    the cut's or the last edge's, are gathered, sorted in place and
-    counted against the zone ends.
+    covers products that underflow.  It also covers the rounding of e*e:
+    the exact threshold where sqrt(d_ij) crosses the edge e differs from
+    e*e by at most about 4 u e^2, and B exceeds the first-order error by
+    (6 m + 24) u S >= 30 u S, so only an edge with e^2 > 7.5 S could misbin
+    a pair, and no pair is that far apart: every d_ij is at most about 4 S.
+    Each edge e gets the guard zone [e*e - B, e*e + B), its ends rounded
+    outward, but a lower edge at or below 0, which every pair reaches, gets
+    none, nor does a negative closed last edge, which none reaches.  A
+    product value outside every zone lies on the same side of every
+    threshold as d_ij, so it is binned as it is.  A pair in a zone, the
+    cut's included, is summed again by direct differences and binned by
+    sqrt(d_ij).  Every count is therefore that of d_ij, for any block
+    height and any BLAS that forms each entry of a product as such a dot
+    product.
 
     Raises
     ------
     InvalidValue
         when ``bins`` is given outside 0 < bins < number of bins.
     """
-    thresholds = _squared_thresholds(edges)
     top = edges.size - 1
     if bins is not None:
         if not 0 < bins < top:
@@ -358,20 +310,28 @@ def pair_distance_counts(points, edges, theiler, bins=None):
     lhs = np.column_stack([sq, np.ones(n), -2.0 * p])
     rhs = np.vstack([np.ones(n), sq, p.T])
     bound = 16 * (m + 3) * 2.0**-53 * sq.max(initial=0.0) + (m + 3) * 2.0**-1070
-    # the zone of threshold k is bin 2k of ``guarded``, and bin k of the
-    # counts lies between zones k and k + 1, in bin 2k + 1; where two zones
+    t = np.where(edges > 0.0, edges * edges, -np.inf)
+    # the closed last edge 0 holds the pairs at distance 0
+    t[-1] = -np.inf if edges[-1] < 0.0 else edges[-1] * edges[-1]
+    # the zone of edge k is bin 2k of ``guarded``, and bin k of the counts
+    # lies between zones k and k + 1, in bin 2k + 1; where two zones
     # overlap, the running maximum empties the bin between them, so its
     # pairs are all recounted
-    t = thresholds[: top + 1]
+    t = t[: top + 1]
     zones = [np.nextafter(t - bound, -np.inf), np.nextafter(t + bound, np.inf)]
     guarded = np.maximum.accumulate(np.where(np.isfinite(t), zones, t).T.ravel())
     counts = np.zeros(edges.size - 1, dtype=np.int64)
     buf = np.empty(min(_CHUNK, n) * n)
-    for start, rows, first, cols, band in _blocks(n, theiler):
+    band = np.tri(_CHUNK, k=-1, dtype=bool)
+    for start in range(0, n - theiler - 1, _CHUNK):
+        first = start + theiler + 1
+        rows, cols = min(_CHUNK, n - start), n - first
+        w = min(rows, cols)
         d2 = buf[: rows * cols].reshape(rows, cols)
         np.matmul(lhs[start : start + rows], rhs[:, first:], out=d2)
-        # a band pair's squared distance becomes +inf, above every zone
-        d2[band] = np.inf
+        # entry (r, c) pairs row start + r with row first + c, inside the
+        # band when c < r; a band pair becomes +inf, above every zone
+        d2[:, :w][band[:rows, :w]] = np.inf
         kept = d2[d2 < guarded[-1]]
         # every kept value lies below the last zone end, so this is
         # np.histogram's count, without its sorted copy
@@ -379,6 +339,6 @@ def pair_distance_counts(points, edges, theiler, bins=None):
         binned = np.diff(np.searchsorted(kept, guarded))
         counts[:top] += binned[1::2]
         if binned[::2].any():
-            counts[:top] += _recount(points, d2, guarded, start, first, thresholds)[:top]
+            counts[:top] += _recount(points, d2, guarded, start, first, edges)[:top]
     pairs = max(n - theiler - 1, 0)
     return counts, pairs * (pairs + 1) // 2

@@ -267,7 +267,7 @@ def largest_lyapunov(embedding, mean_period=10.0):
 
     hi = horizon // 2
 
-    # squares summed in coordinate order, as np.linalg.norm does below m = 8
+    # squares summed in coordinate order, as nearest's distances are
     curve = np.empty(hi)
     for step in range(hi):
         d = np.sqrt(_squared_distances(states[step:].T, i_idx, j_idx))

@@ -70,6 +70,10 @@ CASES = {
     "string-rate": ("rate", lambda: ci.Exponential("1.5")),
     "nan-coeff": ("coeffs", lambda: ci.Polynomial(1, coeffs=(1, np.nan))),
     "nan-time_power": ("time_power", lambda: ci.Polynomial(1, time_power=np.nan)),
+    # t**time_power is infinite at t = 0, the first step of every run
+    "negative-time_power-sinusoid": ("time_power", lambda: ci.Sinusoid(1.0, time_power=-1.0)),
+    "negative-time_power-exponential": ("time_power", lambda: ci.Exponential(1.0, time_power=-1.0)),
+    "negative-time_power-polynomial": ("time_power", lambda: ci.Polynomial(2, time_power=-0.5)),
     "product-of-a-string": ("first", lambda: ci.Product("x", ci.Sinusoid(1.0))),
     "basis-of-a-string": ("terms[0]", lambda: ci.ForcingBasis(("x",))),
     "model-nan-A": ("A", lambda: ci.StateSpaceModel(

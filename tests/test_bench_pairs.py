@@ -1,5 +1,5 @@
-"""The pair summary of ``tools/bench_pairs.py`` on synthetic runs; no
-benchmark is launched."""
+"""The pair summary and the artifact comparison of ``tools/bench_pairs.py``
+on synthetic runs and trees; no benchmark is launched."""
 
 import importlib.util
 import os
@@ -63,3 +63,26 @@ def test_summary_pairs_runs_by_batch_and_drops_a_pair_missing_a_side():
     assert summary["w"]["peak_rss_mb"]["parent"] == [3.0, 4.0, 5.0]
     assert summary["w"]["peak_rss_mb"]["change"] == [1.0, 2.0, 6.0]
     assert summary["w"]["peak_rss_mb"]["change_better_pairs"] == 2
+
+
+def _work_tree(checkout, workload, files):
+    """Files under ``checkout``/perfbench/_work/``workload``, by relative path."""
+    for rel, text in files.items():
+        path = checkout / "perfbench" / "_work" / workload / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+
+
+def test_pair_artifacts_are_compared_between_the_two_checkouts(tmp_path):
+    checkouts = {side: tmp_path / side for side in bench_pairs.SIDES}
+    files = {"a/embedding.json": "{}\n", "a/series.csv": "1,2\n", "b/model.json": "[]\n",
+             "result-seed0-trace0.json": "{}\n"}
+    for checkout in checkouts.values():
+        _work_tree(checkout, "w", files)
+    assert bench_pairs.compare_pair(checkouts, "w") == {"compared": 3, "differing": []}
+    # a changed artifact, one found only in the change, and a run record
+    # that is no artifact
+    _work_tree(checkouts["change"], "w", {"b/model.json": "[1]\n", "c/fit.json": "{}\n",
+                                          "result-seed0-trace0.json": "[]\n"})
+    assert bench_pairs.compare_pair(checkouts, "w") == {
+        "compared": 3, "differing": ["b/model.json", "c/fit.json"]}

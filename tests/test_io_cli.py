@@ -1606,6 +1606,7 @@ _BAD_FIELDS = {
         "embedding is not JSON",
         "model basis holds an unknown term type",
         "model misses a field",
+        "model basis has a negative time_power",
         *_BAD_FIELDS,
     ],
 )
@@ -1649,6 +1650,10 @@ def test_cli_malformed_artifact_exits_2_without_traceback(tmp_path, case):
             doc["basis"] = ["x"]
         elif case.endswith("type"):
             doc["basis"] = [{"type": "spline"}]
+        elif case.endswith("time_power"):
+            # t**-1 is infinite at t = 0, which once ran into numpy's
+            # divide-by-zero warning and a divergence at step 1
+            doc["basis"][1]["time_power"] = -1.0
         else:
             del doc["a"]
         model.write_text(json.dumps(doc))
@@ -1660,6 +1665,9 @@ def test_cli_malformed_artifact_exits_2_without_traceback(tmp_path, case):
         argv = ["identify", str(embedding), str(symmetry), "--out-dir", str(tmp_path)]
     stderr = _run_expecting_exit_2(argv)
     assert str(tmp_path) in stderr and len(stderr.splitlines()) == 1
+    assert "Warning" not in stderr
+    if case.endswith("time_power"):
+        assert ": time_power must be >= 0" in stderr
     if case in _BAD_FIELDS:
         assert _BAD_FIELDS[case][3] in stderr
 

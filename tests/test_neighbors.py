@@ -13,7 +13,7 @@ import pytest
 
 import chaosid as ci
 from chaosid import neighbors
-from chaosid.neighbors import _blocks, _squared_thresholds, nearest, pair_distance_counts
+from chaosid.neighbors import nearest, pair_distance_counts
 
 
 def _oracle_nearest(points, exclude):
@@ -124,6 +124,19 @@ def test_nearest_distance_is_exact_under_offset(shift):
     all_d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     np.fill_diagonal(all_d, np.inf)
     np.testing.assert_allclose(dist, all_d.min(axis=1), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_nearest_distance_is_the_root_of_the_squares_summed_in_coordinate_order(m):
+    """The distance returned is the one the neighbour was chosen by, bit
+    for bit.  From m = 8 on, np.linalg.norm sums the squares in another
+    order and can differ from it in the last bit."""
+    points = np.random.default_rng(m).normal(size=(3000, m))
+    nn, dist = nearest(points, 0)
+    d2 = np.zeros(points.shape[0])
+    for k in range(m):
+        d2 += (points[:, k] - points[nn, k]) ** 2
+    assert np.array_equal(dist, np.sqrt(d2))
 
 
 def _assert_matches_oracle(points, exclude):
@@ -249,22 +262,6 @@ def _ulp_steps(x, steps):
     return out
 
 
-def test_squared_thresholds_bin_as_the_root_would():
-    for edges in _EDGE_SETS:
-        thresholds = _squared_thresholds(edges)
-        d2 = [v for e in edges for v in _ulp_steps(e * e, 3)]
-        d2 += [-1.0, -1e-300, -0.0, 0.0, 5e-324, np.inf]
-        d2 += list(np.arange(0.0, 45.0))
-        d2 = np.array(d2)
-        d = np.sqrt(np.maximum(d2, 0.0))
-        # one value at a time, so that a pair moved into the next bin and
-        # another moved back cannot cancel
-        for v2, v in zip(d2, d):
-            assert np.array_equal(
-                np.histogram([v2], bins=thresholds)[0], np.histogram([v], bins=edges)[0]
-            ), (edges[0], v2)
-
-
 @pytest.mark.parametrize("theiler", [0, 2])
 def test_pair_distance_counts_with_distances_on_the_edges(theiler):
     # integer lattices whose means are exact in binary, so every squared
@@ -279,20 +276,39 @@ def test_pair_distance_counts_with_distances_on_the_edges(theiler):
             _assert_counts_match_oracle(points, edges, theiler)
 
 
-@pytest.mark.parametrize("chunk", [4, 7, 128])
+@pytest.mark.parametrize("theiler", [0, 2])
+def test_pair_distance_counts_with_a_closed_last_edge_at_or_below_zero(theiler):
+    """The closed last bin of edges [-1, 0] holds the pairs at distance 0,
+    as np.histogram counts them; a closed last edge below 0 holds none."""
+    rng = np.random.default_rng(14)
+    points = rng.normal(size=(10, 2))[rng.integers(0, 10, size=40)]
+    for edges in ([-1.0, 0.0], [-2.0, -1.0, 0.0], [-2.0, -1.0]):
+        _assert_counts_match_oracle(points, np.array(edges), theiler)
+    counts, _ = pair_distance_counts(points, np.array([-1.0, 0.0]), theiler)
+    assert counts[0] > 0
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 7, 16, 128])
 @pytest.mark.parametrize("n, theiler", [(10, 0), (30, 3), (131, 0), (301, 5), (1000, 77)])
 def test_band_index_set_equals_the_per_block_tril_indices(monkeypatch, chunk, n, theiler):
-    """The band set is built once per block shape; every block, the last
-    ones with fewer columns than rows included, gets what
-    ``np.tril_indices(rows, -1, cols)`` gives."""
+    """The one triangular mask, cut to each block's shape, leaves out of
+    every block exactly the entries ``np.tril_indices(rows, -1, cols)``
+    gives, which together are the pairs j - i <= theiler: the counts equal
+    the direct histogram at every cut.  Above height 1, the last block of
+    each case has fewer columns than rows."""
     monkeypatch.setattr(neighbors, "_CHUNK", chunk)
-    blocks = list(_blocks(n, theiler))
-    assert [b[0] for b in blocks] == list(range(0, n - theiler - 1, chunk))
-    for start, rows, first, cols, band in blocks:
-        assert (rows, first, cols) == (min(chunk, n - start), start + theiler + 1, n - start - theiler - 1)
-        ref = np.tril_indices(rows, -1, cols)
-        assert np.array_equal(band[0], ref[0]) and np.array_equal(band[1], ref[1])
-    assert blocks[-1][3] < blocks[-1][1]
+    last = (n - theiler - 2) // chunk * chunk
+    assert chunk == 1 or n - last - theiler - 1 < min(chunk, n - last)
+    points = np.random.default_rng(n).normal(size=(n, 2))
+    i, j = np.triu_indices(n, theiler + 1)
+    span = np.linalg.norm(points.max(axis=0) - points.min(axis=0))
+    edges = np.concatenate([[0.0], np.geomspace(span * 1e-2, span, 8)])
+    direct = np.histogram(np.linalg.norm(points[i] - points[j], axis=1), bins=edges)[0]
+    for bins in [None, *range(1, edges.size - 1)]:
+        counts, total = pair_distance_counts(points, edges, theiler, bins)
+        kept = np.arange(counts.size) < (counts.size if bins is None else bins)
+        assert total == i.size
+        assert np.array_equal(counts, np.where(kept, direct, 0)), bins
 
 
 def test_pair_distance_counts_window_beyond_the_set():
@@ -341,14 +357,14 @@ def _pair_at(target):
 
 @pytest.mark.parametrize("chunk", _CHUNKS)
 def test_pair_distance_counts_with_pairs_on_and_beside_every_threshold(monkeypatch, chunk):
-    """One pair at each finite squared threshold and one at the double on
-    either side of it, the last (closed) edge included.  The pairs sit
+    """One pair at each squared edge e * e and one at each of the three
+    doubles on either side of it, which span the exact threshold where the
+    root crosses e, the last (closed) edge included.  The pairs sit
     4 * the last edge apart along a third axis, so the pairs across them
     fall beyond the last edge."""
     monkeypatch.setattr(neighbors, "_CHUNK", chunk)
     for edges in (np.geomspace(0.05, 7.0, 20), np.sqrt(np.arange(3.0, 40.0))):
-        thresholds = _squared_thresholds(edges)
-        targets = [np.nextafter(t, d) for t in thresholds for d in (-np.inf, 0.0, np.inf)]
+        targets = [v for e in edges for v in _ulp_steps(e * e, 3)]
         spacing = np.ceil(4.0 * edges[-1])
         points = []
         for k, target in enumerate(targets):

@@ -22,12 +22,15 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 
 import chaosid as ci  # noqa: E402
 from chaosid import identify, io, validate  # noqa: E402
+from chaosid.neighbors import pair_distance_counts  # noqa: E402
 from chaosid.cli import CONFIG_DEFAULTS  # noqa: E402
 from conftest import exhaustive_best_fit, json_oracle  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+# t**time_power is infinite at t = 0 below 0
+time_powers = st.floats(min_value=0.0, allow_infinity=False)
 positive = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
 text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=20)
 
@@ -39,13 +42,13 @@ def _matrix(rows, cols):
 
 
 leaf_terms = st.one_of(
-    st.builds(ci.Sinusoid, omega=finite, phi=finite, time_power=finite),
-    st.builds(ci.Exponential, rate=finite, time_power=finite),
+    st.builds(ci.Sinusoid, omega=finite, phi=finite, time_power=time_powers),
+    st.builds(ci.Exponential, rate=finite, time_power=time_powers),
     st.builds(
         ci.Polynomial,
         degree=st.integers(0, 6),
         coeffs=st.none() | st.lists(finite, max_size=4).map(tuple),
-        time_power=finite,
+        time_power=time_powers,
     ),
 )
 terms = st.recursive(leaf_terms, lambda inner: st.builds(ci.Product, inner, inner), max_leaves=4)
@@ -388,3 +391,42 @@ def test_cut_pair_count_gives_the_full_count_fit(seed, kind, n, dim, theiler, ma
         cut = _dimension_outcome(points, theiler)
         with mock.patch.object(validate, "pair_distance_counts", uncut):
             assert _dimension_outcome(points, theiler) == cut
+
+
+@st.composite
+def lattice_counts(draw):
+    """Points of a small integer lattice, scaled by a power of two and
+    shifted by a dyadic offset, so that the direct distances are exact and
+    many pairs lie exactly on edges that are square roots of small
+    integers, scaled alike; the edges may start at 0 or below, or close at
+    0.  Then a Theiler window and a cut, or none."""
+    n, m = draw(st.integers(2, 60)), draw(st.integers(1, 3))
+    scale = 2.0 ** draw(st.integers(-20, 20))
+    cells = draw(hnp.arrays(np.int64, (n, m), elements=st.integers(-3, 3)))
+    offset = draw(st.integers(-(2**10), 2**10)) * 2.0 ** draw(st.integers(-10, 0))
+    points = cells * scale + offset
+    lead = draw(st.sampled_from(["none", "zero", "negative", "closed-zero"]))
+    if lead == "closed-zero":
+        edges = -scale * np.arange(draw(st.integers(1, 3)), -1, -1.0)
+    else:
+        roots = np.sqrt(draw(st.lists(st.integers(1, 40), min_size=2, max_size=12, unique=True)))
+        edges = np.sort(roots) * scale
+        if lead != "none":
+            edges = np.concatenate([[0.0 if lead == "zero" else -scale], edges])
+    theiler = draw(st.integers(0, 5))
+    bins = draw(st.none() | st.integers(1, edges.size - 2)) if edges.size > 2 else None
+    return points, edges, theiler, bins
+
+
+@settings(PROPERTY, max_examples=200)
+@given(lattice_counts())
+def test_pair_count_bins_as_histogram_of_the_direct_distances(case):
+    """The counts are np.histogram's of the direct distances, the bins
+    from the cut on left empty, and the total counts every admissible pair."""
+    points, edges, theiler, bins = case
+    i, j = np.triu_indices(points.shape[0], theiler + 1)
+    direct = np.histogram(np.linalg.norm(points[i] - points[j], axis=1), bins=edges)[0]
+    counts, total = pair_distance_counts(points, edges, theiler, bins)
+    kept = np.arange(counts.size) < (counts.size if bins is None else bins)
+    assert total == i.size
+    assert np.array_equal(counts, np.where(kept, direct, 0))

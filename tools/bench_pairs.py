@@ -17,8 +17,15 @@ are kept, and the new ones are added as its next batch, so batches spread
 over time summarize together.  For every workload and metric one line
 says whether a gain may be claimed: the change won at least nine tenths
 of the pairs, and the medians differ by more than the distance between
-the parent's quartiles.  The exit code is 1 when a run printed no result
-or reported itself incorrect, else 0.
+the parent's quartiles.
+
+After both runs of a pair, the artifacts the two runs left in their
+checkouts' ``perfbench/_work/W`` are compared by
+``compare_artifacts.compare``: both runs of the pair record the number
+compared and the paths that differ, and one line is printed.  A change
+may alter artifacts on purpose, so a difference does not set the exit
+code.  The exit code is 1 when a run printed no result or reported itself
+incorrect, else 0.
 """
 
 from __future__ import annotations
@@ -29,6 +36,9 @@ import os
 import statistics
 import subprocess
 import sys
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import compare_artifacts  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
@@ -45,6 +55,14 @@ def run_once(checkout, workload, seed, seconds):
         sys.stderr.write(proc.stderr[-2000:])
         return None
     return json.loads(lines[-1])
+
+
+def compare_pair(checkouts, workload):
+    """The artifacts the last runs of ``workload`` left in the two
+    checkouts: the number compared, and the paths that differ."""
+    trees = [os.path.join(checkouts[side], "perfbench", "_work", workload) for side in SIDES]
+    differing, compared = compare_artifacts.compare(*trees)
+    return {"compared": compared, "differing": differing}
 
 
 def _quartiles(values):
@@ -141,6 +159,12 @@ def main(argv=None):
             print(f"{args.workload} pair {pair} seed {seed} {side}: "
                   + (json.dumps(record["runs"][-1]["metrics"]) if result else "no result"),
                   flush=True)
+        artifacts = compare_pair(checkouts, args.workload)
+        for run in record["runs"][-2:]:
+            run["artifacts"] = artifacts
+        print(f"{args.workload} pair {pair} artifacts: {artifacts['compared']} compared, "
+              f"{len(artifacts['differing'])} differ {' '.join(artifacts['differing'])}".rstrip(),
+              flush=True)
     record["summary"] = summarize(record["runs"], better)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
